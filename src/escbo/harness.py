@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks, neural, theory
-from .objective import ConfigurationError, FiniteDiffConfig, gradient_bounds
+from .objective import (ConfigurationError, EstimationError, FiniteDiffConfig,
+                        gradient_bounds)
 from .swarm import (CBOParams, ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, check_stop,
                     consensus_point, escbo_step, fescbo_step, init_swarm,
@@ -52,7 +53,8 @@ class ExperimentConfig:
 
     ``benchmark`` names a registered objective, or "dnn" with ``arch`` set to
     the layer widths.  ``init`` defaults to the uniform distribution on the
-    benchmark's default box.
+    benchmark's default box.  Every field is validated here, so an invalid
+    campaign fails before its first run starts.
     """
 
     method: str = "escbo"
@@ -79,12 +81,25 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "fescbo" and not self.batch_size:
-            raise ConfigurationError("fescbo needs batch_size")
+        if self.particles < 1:
+            raise ConfigurationError(
+                f"particles must be >= 1, got {self.particles}")
+        if self.method == "fescbo" and not (
+                self.batch_size and 1 <= self.batch_size <= self.particles):
+            raise ConfigurationError(
+                f"fescbo needs batch_size in [1, {self.particles}], "
+                f"got {self.batch_size}")
         if self.benchmark == "dnn" and self.arch is None:
             raise ConfigurationError("dnn target needs arch widths")
         if self.max_iters < 0 or self.runs < 0:
             raise ConfigurationError("max_iters and runs must be >= 0")
+        if not 0 <= self.stop_tol < math.inf:
+            raise ConfigurationError(
+                f"stop_tol must be finite and >= 0, got {self.stop_tol}")
+        if not 0 < self.success_tol < math.inf:
+            raise ConfigurationError(
+                f"success_tol must be finite and > 0, got {self.success_tol}")
+        self.params  # CBOParams and FiniteDiffConfig check lam..sigma
 
     @property
     def params(self) -> CBOParams:
@@ -128,7 +143,7 @@ class RunRecord:
 
     seed: int
     iterations: int
-    terminated_by: str  # stop_rule | max_iters | divergence
+    terminated_by: str  # stop_rule | max_iters | divergence | estimation
     final_positions: np.ndarray
     final_values: np.ndarray
     ks: np.ndarray
@@ -160,19 +175,17 @@ def _w_value(positions: np.ndarray, x_star: Optional[np.ndarray]) -> float:
 def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
     """One seeded trajectory of the configured stepper.
 
-    Runs until the stopping rule fires, max_iters is reached, or a particle
-    diverges; divergence is recorded (with the last finite state) rather than
-    raised.
+    Runs until the stopping rule fires, max_iters is reached, a particle
+    diverges, or a gradient estimate meets a non-finite objective value.  The
+    last two are recorded as ``divergence`` or ``estimation`` with the last
+    finite state, not raised.  Floating-point warnings are silenced for the
+    whole run: the steppers' finiteness checks detect what they signal.
     """
     target = _build_target(config)
     obj = target.objective
     obj.reset_count()
     params = config.params
     rng = RngStream(seed)
-    state = refresh_values(
-        init_swarm(target.init, config.particles, target.dim, rng), obj)
-    init_mean_f = float(state.values.mean())
-
     ks, diam, wks, best, cons = [], [], [], [], []
 
     def record(st: SwarmState) -> None:
@@ -182,29 +195,36 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
         best.append(float(st.values.min()))
         cons.append(consensus_point(st, params.beta).xbar)
 
-    record(state)
-    terminated_by = "max_iters"
-    while state.k < config.max_iters:
-        prev = state
-        try:
-            if config.method == "escbo":
-                state = escbo_step(state, obj, params, config.schedule, rng)
-            elif config.method == "vanilla":
-                state = vanilla_cbo_step(state, obj, params, rng)
-            else:
-                state = fescbo_step(state, obj, params, config.schedule,
-                                    config.batch_size, rng)
-        except DivergenceError:
-            state = prev
-            terminated_by = "divergence"
-            break
-        if _is_checkpoint(state.k):
-            record(state)
-        if check_stop(prev, state, config.stop_tol):
-            terminated_by = "stop_rule"
-            break
-    if ks[-1] != state.k:
+    with np.errstate(all="ignore"):
+        state = refresh_values(
+            init_swarm(target.init, config.particles, target.dim, rng), obj)
+        init_mean_f = float(state.values.mean())
         record(state)
+        terminated_by = "max_iters"
+        while state.k < config.max_iters:
+            prev = state
+            try:
+                if config.method == "escbo":
+                    state = escbo_step(state, obj, params, config.schedule,
+                                       rng)
+                elif config.method == "vanilla":
+                    state = vanilla_cbo_step(state, obj, params, rng)
+                else:
+                    state = fescbo_step(state, obj, params, config.schedule,
+                                        config.batch_size, rng)
+            except (DivergenceError, EstimationError) as exc:
+                state = prev
+                terminated_by = ("divergence"
+                                 if isinstance(exc, DivergenceError)
+                                 else "estimation")
+                break
+            if _is_checkpoint(state.k):
+                record(state)
+            if check_stop(prev, state, config.stop_tol):
+                terminated_by = "stop_rule"
+                break
+        if ks[-1] != state.k:
+            record(state)
 
     rec = RunRecord(
         seed=seed, iterations=state.k, terminated_by=terminated_by,
@@ -259,7 +279,8 @@ class AggregateReport:
             if target.x_star is not None:
                 hit = (_success_distance(rec.final_positions, target.x_star)
                        < config.success_tol)
-                successes.append(hit and rec.terminated_by != "divergence")
+                successes.append(hit and rec.terminated_by
+                                 in ("stop_rule", "max_iters"))
                 sol.append(_w_value(rec.final_positions, target.x_star))
                 fun.append(float(np.mean(
                     np.abs(rec.final_values - target.f_star))))

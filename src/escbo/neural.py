@@ -60,10 +60,11 @@ class MLPArchitecture:
 
 
 def _sigmoid(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Clipping at +-709 keeps exp within float range without changing any
-    # representable sigmoid value; pass out=s to transform in place.
-    out = np.clip(s, -709.0, 709.0, out=out)
-    np.negative(out, out=out)
+    # Capping -s at 709 keeps exp within float range.  It needs no lower
+    # cap: for s > 709 the sum 1 + exp(-s) rounds to 1 either way.  Pass
+    # out=s to transform in place.
+    out = np.negative(s, out=out)
+    np.minimum(out, 709.0, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
@@ -196,8 +197,110 @@ def test_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     return _mse(arch, params, data.test_inputs, data.test_targets)
 
 
+class _ProbeKernel:
+    """Training error at the coordinate probes of a batch of centers.
+
+    One base pass per center keeps every layer's pre-activations z and
+    activations a, in (B, width, M) layout.  A probe of weight (j, k) of
+    layer i, or of bias j as input k = n_in, moves only z_i[j], by delta
+    times input k (1 for the bias), where delta = fl(x_l + sigma) - x_l is
+    read from the probe row itself.  Then a_i[j] changes, layer i+1's
+    pre-activation moves by that change times column j of W_{i+1}, and only
+    the layers after that run in full; an output-layer probe changes only
+    that output's residual.  All probes of a layer are evaluated together as
+    broadcasts over (j, k), and each later layer as one matrix product per
+    center.  Work arrays are kept between calls: allocating them afresh
+    costs more in page faults than the arithmetic done in them.
+    """
+
+    def __init__(self, arch: MLPArchitecture, u: np.ndarray, v: np.ndarray):
+        self.widths = arch.widths
+        self.u = np.ascontiguousarray(u.T)   # (N0, M)
+        self.v = np.ascontiguousarray(v.T)   # (NL, M)
+        self._work: dict = {}
+
+    def _buffer(self, key, shape) -> np.ndarray:
+        buf = self._work.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._work[key] = np.empty(shape)
+        return buf
+
+    def __call__(self, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        b_count, d = centers.shape
+        m = self.u.shape[1]
+        diag = np.arange(d)
+        delta = rows.reshape(b_count, d, d)[:, diag, diag] - centers
+        # Per layer: W (B, n_out, n_in), and the parameters' deltas laid out
+        # as (B, n_out, n_in + 1) with the bias in the last column.
+        weights, biases, deltas, pos = [], [], [], 0
+        for i, (n_in, n_out) in enumerate(zip(self.widths, self.widths[1:])):
+            end = pos + n_out * n_in
+            weights.append(centers[:, pos:end].reshape(b_count, n_out, n_in))
+            biases.append(centers[:, end:end + n_out])
+            dl = self._buffer(("delta", i), (b_count, n_out, n_in + 1))
+            dl[:, :, :n_in] = delta[:, pos:end].reshape(b_count, n_out, n_in)
+            dl[:, :, n_in] = delta[:, end:end + n_out]
+            deltas.append(dl)
+            pos = end + n_out
+        # Base pass; inputs[i] is layer i's input with a row of ones below.
+        zs, acts, inputs = [], [], []
+        h = self.u
+        for i, (wm, bias) in enumerate(zip(weights, biases)):
+            ext = self._buffer(("in", i), (b_count, wm.shape[2] + 1, m))
+            ext[:, :-1] = h
+            ext[:, -1] = 1.0
+            inputs.append(ext)
+            z = wm @ h
+            z += bias[:, :, None]
+            zs.append(z)
+            h = _sigmoid(z)
+            acts.append(h)
+        resid = h - self.v
+        sq_out = np.einsum("bom,bom->bo", resid, resid)   # (B, NL)
+        out = np.empty((b_count, d))
+        pos, last = 0, len(weights) - 1
+        for i, dl in enumerate(deltas):
+            _, n_out, n_ext = dl.shape
+            z = self._buffer(("z", i), (b_count, n_out, n_ext, m))
+            np.multiply(dl[:, :, :, None], inputs[i][:, None, :, :], out=z)
+            z += zs[i][:, :, None, :]
+            a = _sigmoid(z, out=z)                   # (B, n_out, n_ext, M)
+            if i == last:
+                a -= self.v[:, None, :]
+                a *= a
+                vals = (sq_out.sum(axis=1)[:, None, None] - sq_out[:, :, None]
+                        + a.sum(axis=3))
+            else:
+                a -= acts[i][:, :, None, :]          # change in a_i[j]
+                wm = weights[i + 1]
+                h = self._buffer(("h", i, i + 1), wm.shape[:2] + a.shape[1:])
+                np.multiply(wm[:, :, :, None, None], a[:, None], out=h)
+                h += zs[i + 1][:, :, None, None, :]
+                h = _sigmoid(h, out=h).reshape(wm.shape[:2] + (-1,))
+                for j in range(i + 2, last + 1):
+                    wm = weights[j]
+                    nxt = self._buffer(("h", i, j), wm.shape[:2] + h.shape[2:])
+                    np.matmul(wm, h, out=nxt)
+                    nxt += biases[j][:, :, None]
+                    h = _sigmoid(nxt, out=nxt)
+                h = h.reshape(h.shape[:2] + a.shape[1:])
+                h -= self.v[:, None, None, :]
+                h *= h
+                vals = h.sum(axis=(1, 4))
+            end = pos + n_out * (n_ext - 1)
+            out[:, pos:end] = vals[:, :, :-1].reshape(b_count, -1)
+            out[:, end:end + n_out] = vals[:, :, -1]
+            pos = end + n_out
+        out /= m
+        return out.ravel()
+
+
 def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
-    """Training error as an Objective over the flattened parameter space."""
+    """Training error as an Objective over the flattened parameter space.
+
+    Coordinate probes go through a probe kernel that reuses each center's
+    forward pass up to the probed layer (see ``_ProbeKernel``).
+    """
     u, v = data.train_inputs, data.train_targets
 
     def batch_train_error(pop):
@@ -211,7 +314,8 @@ def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
         return batch_train_error(x)
 
     return Objective(dim=arch.dim, fn=kernel, vectorized=True,
-                     name=f"dnn({arch})")
+                     name=f"dnn({arch})",
+                     probe_kernel=_ProbeKernel(arch, u, v))
 
 
 def save_dataset(data: SyntheticDataset, path) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,49 +39,59 @@ class EstimationError(RuntimeError):
 
 
 class Objective:
-    """A function f: R^d -> R wrapped with a thread-safe evaluation counter.
+    """A function f: R^d -> R wrapped with an evaluation counter.
 
     The counter increases by exactly one per evaluated point, including every
-    probe point consumed by gradient estimation.  ``fn`` must be deterministic.
-    When ``vectorized`` is true, ``fn`` must accept arrays of shape (..., d)
-    and reduce over the last axis; otherwise it is called one point at a time.
+    probe point consumed by gradient estimation.  It is a plain integer with
+    no lock, because nothing evaluates an objective from several threads.
+    ``fn`` must be deterministic.  When ``vectorized`` is true, ``fn`` must
+    accept arrays of shape (..., d) and reduce over the last axis; otherwise
+    it is called one point at a time.
+
+    ``probe_kernel(centers, rows)``, when given, returns f at the (B*d, d)
+    coordinate probes ``rows[i*d + l] = fl(centers[i] + sigma e_l)`` of a
+    (B, d) batch of centers, exploiting that each probe moves one coordinate;
+    ``minibatch_gradients`` uses it through ``eval_many``.
     """
 
     def __init__(self, dim: int, fn: Callable, vectorized: bool = False,
-                 name: str | None = None):
+                 name: str | None = None,
+                 probe_kernel: Optional[Callable] = None):
         if dim < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self._fn = fn
         self._vectorized = bool(vectorized)
+        self._probe_kernel = probe_kernel
         self.name = name or getattr(fn, "__name__", "objective")
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def eval_count(self) -> int:
         return self._count
 
     def reset_count(self) -> None:
-        with self._lock:
-            self._count = 0
-
-    def _charge(self, n: int) -> None:
-        with self._lock:
-            self._count += n
+        self._count = 0
 
     def eval(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        self._charge(1)
+        self._count += 1
         return float(self._fn(x))
 
-    def eval_many(self, points) -> np.ndarray:
-        """Evaluate a (B, d) batch of points; counts B evaluations."""
+    def eval_many(self, points, centers=None) -> np.ndarray:
+        """Evaluate a (B, d) batch of points; counts B evaluations.
+
+        ``centers`` marks ``points`` as the coordinate probes of those
+        centers (see the class docstring); an objective with a probe kernel
+        then evaluates them through it, any other ignores it.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ConfigurationError(
                 f"expected a (B, {self.dim}) batch, got shape {pts.shape}")
-        self._charge(pts.shape[0])
+        self._count += pts.shape[0]
+        if centers is not None and self._probe_kernel is not None:
+            return self._probe_kernel(np.asarray(centers, dtype=float), pts)
         if self._vectorized:
             return np.asarray(self._fn(pts), dtype=float)
         return np.array([float(self._fn(row)) for row in pts])
@@ -98,8 +107,9 @@ class FiniteDiffConfig:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ConfigurationError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ConfigurationError(
+                f"sigma must be finite and > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -132,26 +142,16 @@ def gradient_bounds(L_f: float, d: int, sigma: float) -> LipschitzData:
 def forward_difference_gradient(obj: Objective, x, cfg: FiniteDiffConfig) -> np.ndarray:
     """Per-coordinate forward differences (f(x + sigma e_l) - f(x)) / sigma.
 
-    Consumes exactly d + 1 evaluations: the base value f(x) is evaluated once
-    and shared across all d coordinate probes.
+    The one-particle case of :func:`minibatch_gradients`: consumes exactly
+    d + 1 evaluations, the base value f(x) once and shared across all d
+    coordinate probes.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.dim,):
         raise ConfigurationError(f"point shape {x.shape} != ({obj.dim},)")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("non-finite point")
-    base = obj.eval(x)
-    if not np.isfinite(base):
-        raise EstimationError(
-            f"objective returned {base} at the base point", coordinate=None)
-    probes = x + cfg.sigma * np.eye(obj.dim)
-    vals = obj.eval_many(probes)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise EstimationError(
-            f"objective returned {vals[bad[0]]} at probe coordinate {bad[0]}",
-            coordinate=int(bad[0]))
-    return (vals - base) / cfg.sigma
+    return minibatch_gradients(obj, x[None, :], [0], cfg)[0]
 
 
 def minibatch_gradients(obj: Objective, positions, batch,
@@ -159,8 +159,9 @@ def minibatch_gradients(obj: Objective, positions, batch,
     """Forward-difference gradients for a subset of particles, zeros elsewhere.
 
     ``batch`` is a set of particle indices into ``positions``.  Consumes
-    exactly |batch| * (d + 1) evaluations; particles outside the batch get a
-    zero vector.
+    exactly |batch| * (d + 1) evaluations: one ``eval_many`` call on the
+    batch's base points, then one on its coordinate probes.  Particles
+    outside the batch get a zero vector.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != obj.dim:
@@ -176,8 +177,10 @@ def minibatch_gradients(obj: Objective, positions, batch,
             f"batch indices must lie in [0, {n - 1}], got {idx.min()}..{idx.max()}")
     centers = pts[idx]
     base = obj.eval_many(centers)
-    probes = centers[:, None, :] + cfg.sigma * np.eye(d)[None, :, :]
-    vals = obj.eval_many(probes.reshape(idx.size * d, d)).reshape(idx.size, d)
+    probes = np.repeat(centers, d, axis=0)
+    diag = np.arange(d)
+    probes.reshape(idx.size, d, d)[:, diag, diag] += cfg.sigma
+    vals = obj.eval_many(probes, centers=centers).reshape(idx.size, d)
     bad_base = np.flatnonzero(~np.isfinite(base))
     if bad_base.size:
         raise EstimationError(

@@ -104,10 +104,13 @@ class CBOParams:
     fd: FiniteDiffConfig
 
     def __post_init__(self):
-        if self.lam < 0 or self.delta < 0:
-            raise ConfigurationError("lam and delta must be >= 0")
-        if not self.beta > 0:
-            raise ConfigurationError(f"beta must be > 0, got {self.beta}")
+        if not (0 <= self.lam < np.inf and 0 <= self.delta < np.inf):
+            raise ConfigurationError(
+                f"lam and delta must be finite and >= 0, got {self.lam}, "
+                f"{self.delta}")
+        if not 0 < self.beta < np.inf:
+            raise ConfigurationError(
+                f"beta must be finite and > 0, got {self.beta}")
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from escbo import harness
 from escbo.benchmarks import lookup
 from escbo.harness import (AggregateReport, ExperimentConfig, diagnose,
                            emit_report, run_many, run_once, table_preset)
-from escbo.objective import ConfigurationError
+from escbo.objective import ConfigurationError, Objective
 from escbo.swarm import ComponentGaussian, StepSchedule, UniformBox
 from escbo.theory import ParameterConditionWarning
 
@@ -61,6 +62,45 @@ def test_divergence_is_recorded_not_raised():
         report = run_many(cfg)
     assert report.n_diverged == 2
     assert report.rate == 0.0
+
+
+def test_estimation_failure_is_recorded_not_raised(monkeypatch):
+    # A sphere objective that returns NaN at the second coordinate probe
+    # from the third gradient estimate of each run on.
+    build_target = harness._build_target
+
+    def nan_probe_target(config):
+        target = build_target(config)
+        probe_calls = []
+
+        def spiky(x):
+            vals = np.sum(x * x, axis=-1)
+            if x.shape[0] == config.particles * config.dim:
+                probe_calls.append(1)
+                if len(probe_calls) >= 3:
+                    vals[1] = np.nan
+            return vals
+
+        target.objective = Objective(config.dim, spiky, vectorized=True)
+        return target
+
+    monkeypatch.setattr(harness, "_build_target", nan_probe_target)
+    report = run_many(quick_config(runs=2, max_iters=10, stop_tol=1e-300))
+    for rec in report.records:
+        assert rec.terminated_by == "estimation"
+        assert rec.iterations == 2
+        assert np.all(np.isfinite(rec.final_positions))
+        assert np.all(np.isfinite(rec.final_values))
+    assert report.rate == 0.0 and report.n_diverged == 0
+
+
+def test_divergent_run_emits_no_warning():
+    cfg = quick_config(lam=0.0, delta=50.0, max_iters=200, stop_tol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = run_once(cfg, seed=0)
+    assert rec.terminated_by == "divergence"
+    assert np.all(np.isfinite(rec.final_positions))
 
 
 def test_checkpoint_cadence():
@@ -125,6 +165,21 @@ def test_config_validation():
         ExperimentConfig(method="fescbo", batch_size=None)
     with pytest.raises(ConfigurationError):
         ExperimentConfig(benchmark="dnn", arch=None)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(lam=math.nan),
+    dict(stop_tol=math.nan),
+    dict(delta=math.inf),
+    dict(beta=-1.0),
+    dict(sigma=0.0),
+    dict(particles=0),
+    dict(method="fescbo", particles=5, batch_size=50),
+], ids=["lam-nan", "stop_tol-nan", "delta-inf", "beta-negative", "sigma-zero",
+        "no-particles", "batch-over-particles"])
+def test_config_rejects_invalid_field(overrides):
+    with pytest.raises(ConfigurationError):
+        quick_config(**overrides)
 
 
 # ------------------------------------------------------------------ presets

@@ -8,7 +8,8 @@ from escbo.neural import (NOISE_STD, MLPArchitecture, dnn_objective, flatten,
                           save_dataset, train_error, unflatten)
 from escbo.neural import test_error as held_out_error
 from escbo.objective import (ConfigurationError, FiniteDiffConfig,
-                             forward_difference_gradient)
+                             forward_difference_gradient,
+                             minibatch_gradients)
 
 
 def test_flattened_dimensions():
@@ -174,6 +175,50 @@ def test_finite_difference_close_to_central_difference():
         central[l] = (train_error(arch, x + e, data)
                       - train_error(arch, x - e, data)) / (2 * sigma)
     assert np.max(np.abs(fwd - central)) < 10 * sigma
+
+
+PROBE_ARCHS = [(5, 10, 1), (10, 10, 10, 10, 1), (5, 5, 5, 5, 1), (2, 3, 2),
+               (3, 4, 3, 2)]
+
+
+def coordinate_probes(centers, sigma):
+    b_count, d = centers.shape
+    rows = centers[:, None, :] + sigma * np.eye(d)[None, :, :]
+    return rows.reshape(b_count * d, d)
+
+
+@pytest.mark.parametrize("widths", PROBE_ARCHS, ids=str)
+@pytest.mark.parametrize("b_count", [1, 4])
+def test_probe_kernel_matches_full_forward_pass(widths, b_count):
+    arch = MLPArchitecture(widths)
+    obj = dnn_objective(arch, generate_synthetic(arch, seed=8))
+    centers = np.random.default_rng(9).uniform(-3, 3, size=(b_count, arch.dim))
+    rows = coordinate_probes(centers, 1e-3)
+    full = obj.eval_many(rows)
+    evals_full = obj.eval_count
+    obj.reset_count()
+    probed = obj.eval_many(rows, centers=centers)
+    assert obj.eval_count == evals_full == b_count * arch.dim
+    assert probed.shape == full.shape
+    assert np.max(np.abs(probed - full)) <= 1e-12
+
+
+@pytest.mark.parametrize("widths", PROBE_ARCHS, ids=str)
+def test_probe_gradients_match_reference_on_partial_batch(widths):
+    arch = MLPArchitecture(widths)
+    obj = dnn_objective(arch, generate_synthetic(arch, seed=10))
+    positions = np.random.default_rng(11).uniform(-3, 3, size=(7, arch.dim))
+    batch, sigma = [1, 4, 5], 1e-3
+    grads = minibatch_gradients(obj, positions, batch, FiniteDiffConfig(sigma))
+    evals_probed = obj.eval_count
+    obj.reset_count()
+    centers = positions[batch]
+    reference = (obj.eval_many(coordinate_probes(centers, sigma)).reshape(
+        len(batch), arch.dim) - obj.eval_many(centers)[:, None]) / sigma
+    assert evals_probed == obj.eval_count == len(batch) * (arch.dim + 1)
+    assert np.max(np.abs(grads[batch] - reference)) <= 1e-9
+    others = np.setdiff1d(np.arange(7), batch)
+    assert np.all(grads[others] == 0.0)
 
 
 def test_dataset_save_load_round_trip(tmp_path):

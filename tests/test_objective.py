@@ -41,6 +41,31 @@ def test_eval_many_rejects_bad_shapes():
         obj.eval_many(np.zeros((3, 5)))
 
 
+def test_centers_ignored_without_probe_kernel():
+    obj = sphere_objective(3)
+    centers = np.array([[0.5, -1.0, 2.0]])
+    rows = centers + 0.1 * np.eye(3)
+    np.testing.assert_array_equal(obj.eval_many(rows, centers=centers),
+                                  obj.eval_many(rows))
+    assert obj.eval_count == 6
+
+
+def test_probe_kernel_serves_only_calls_with_centers():
+    seen = []
+
+    def probe(centers, rows):
+        seen.append((centers.shape, rows.shape))
+        return np.full(rows.shape[0], -1.0)
+
+    obj = Objective(2, lambda x: np.sum(x * x, axis=-1), vectorized=True,
+                    probe_kernel=probe)
+    grads = minibatch_gradients(obj, np.ones((3, 2)), [0, 2],
+                                FiniteDiffConfig(0.5))
+    assert seen == [((2, 2), (4, 2))]
+    np.testing.assert_array_equal(grads[[0, 2]], np.full((2, 2), -6.0))
+    assert obj.eval_count == 2 * 3
+
+
 def test_counter_is_thread_safe():
     obj = sphere_objective()
     point = np.array([0.5, 0.5])
