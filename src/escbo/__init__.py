@@ -24,7 +24,7 @@ from .swarm import (CBOParams, ComponentGaussian, ConsensusPoint,
                     UniformBox, check_stop, consensus_point, draw_noise,
                     escbo_step, fescbo_step, init_swarm, refresh_values,
                     softmin_weights, swarm_diameter, vanilla_cbo_step)
-from .theory import (BoundSeries, ComplexityConstants, ConsensusCondition,
+from .theory import (ComplexityConstants, ConsensusCondition,
                      EmptyIndicatorError, ErrorBoundCheck,
                      GrowthConditionParams, InvalidParametersError,
                      ParameterConditionWarning, ProximityResult,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -13,46 +14,35 @@ from .harness import (ExperimentConfig, diagnose, emit_report, run_many,
 from .objective import ConfigurationError
 from .swarm import ComponentGaussian, StepSchedule, UniformBox
 
-_CONFIG_KEYS = ("method", "benchmark", "dim", "particles", "lambda", "delta",
-                "beta", "sigma", "schedule", "init", "batch", "runs", "seed",
-                "max_iters", "stop_tol", "success_tol", "arch", "data_seed")
+
+def _kind_parser(makers: dict):
+    """Parser for 'kind:v1,v2,...' values: makers[kind](v1, v2, ...)."""
+    def parse(text: str):
+        kind, _, rest = text.partition(":")
+        return makers[kind](*(float(v) for v in rest.split(",")))
+    return parse
 
 
-def _parse_schedule(text: str) -> StepSchedule:
-    kind, _, rest = text.partition(":")
-    try:
-        vals = [float(v) for v in rest.split(",")] if rest else []
-        if kind == "constant":
-            return StepSchedule.constant(*vals)
-        if kind == "geometric":
-            return StepSchedule.geometric(*vals)
-        if kind == "harmonic":
-            return StepSchedule.harmonic(*vals)
-    except TypeError:
-        pass
-    raise ConfigurationError(
-        f"bad schedule {text!r}; use constant:c, geometric:c,r or harmonic:c")
-
-
-def _parse_init(text: str):
-    kind, _, rest = text.partition(":")
-    try:
-        vals = [float(v) for v in rest.split(",")]
-        if kind == "uniform" and len(vals) == 2:
-            return UniformBox(vals[0], vals[1])
-        if kind == "gaussian" and len(vals) == 2:
-            return ComponentGaussian(vals[0], vals[1])
-    except ValueError:
-        pass
-    raise ConfigurationError(
-        f"bad init {text!r}; use uniform:lo,hi or gaussian:mean,variance")
-
-
-def _parse_arch(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"bad arch {text!r}; use e.g. 5,10,1")
+# Every ExperimentConfig field is a flag and a config-file key, mapped here
+# to (field name, parser).  Keys equal the field names except for the
+# renamed ones.  Values are parsed by the type of the field's default unless
+# a parser is listed; the forms of the listed ones go into error messages.
+_RENAMED = {"lam": "lambda", "batch_size": "batch"}
+_PARSERS = {
+    "schedule": _kind_parser({"constant": StepSchedule.constant,
+                              "geometric": StepSchedule.geometric,
+                              "harmonic": StepSchedule.harmonic}),
+    "init": _kind_parser({"uniform": UniformBox,
+                          "gaussian": ComponentGaussian}),
+    "arch": lambda text: tuple(int(v) for v in text.split(",")),
+    "batch_size": int,
+}
+_FORMS = {"schedule": "constant:c, geometric:c,r or harmonic:c",
+          "init": "uniform:lo,hi or gaussian:mean,variance",
+          "arch": "comma-separated layer widths, e.g. 5,10,1"}
+_FIELDS = {_RENAMED.get(f.name, f.name):
+           (f.name, _PARSERS.get(f.name) or type(f.default))
+           for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _read_config_file(path: str) -> dict:
@@ -67,69 +57,39 @@ def _read_config_file(path: str) -> dict:
                     f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_KEYS:
+            if key not in _FIELDS:
                 raise ConfigurationError(
                     f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _coerce(values: dict) -> dict:
-    out = {}
-    for key, value in values.items():
-        if value is None:
-            continue
-        if key in ("dim", "particles", "batch", "runs", "seed", "max_iters",
-                   "data_seed"):
-            out[key] = int(value)
-        elif key in ("lambda", "delta", "beta", "sigma", "stop_tol",
-                     "success_tol"):
-            out[key] = float(value)
-        elif key == "schedule":
-            out[key] = value if isinstance(value, StepSchedule) \
-                else _parse_schedule(value)
-        elif key == "init":
-            out[key] = value if not isinstance(value, str) else _parse_init(value)
-        elif key == "arch":
-            out[key] = value if isinstance(value, tuple) else _parse_arch(value)
-        else:
-            out[key] = value
-    return out
-
-
 def _build_config(args, file_values: dict | None = None) -> ExperimentConfig:
-    merged = dict(file_values or {})
-    for key in _CONFIG_KEYS:
-        attr = "lam" if key == "lambda" else key
-        val = getattr(args, attr, None)
-        if val is not None:
-            merged[key] = val
-    merged = _coerce(merged)
-    rename = {"lambda": "lam", "batch": "batch_size"}
-    kwargs = {rename.get(k, k): v for k, v in merged.items()}
+    """Config from file values overridden by the flags that were given.
+
+    A malformed value is a ConfigurationError; so is an out-of-range one,
+    raised by the constructor it reaches.
+    """
+    texts = dict(file_values or {})
+    texts.update((key, getattr(args, key)) for key in _FIELDS
+                 if getattr(args, key, None) is not None)
+    kwargs = {}
+    for key, text in texts.items():
+        name, parse = _FIELDS[key]
+        try:
+            kwargs[name] = parse(text)
+        except ConfigurationError:
+            raise
+        except (LookupError, TypeError, ValueError):
+            form = f"; use {_FORMS[name]}" if name in _FORMS else ""
+            raise ConfigurationError(f"bad {key} {text!r}{form}") from None
     return ExperimentConfig(**kwargs)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_method=True) -> None:
-    if with_method:
-        p.add_argument("--method", choices=("escbo", "vanilla", "fescbo"))
-    p.add_argument("--benchmark")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--particles", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--schedule")
-    p.add_argument("--init")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--stop-tol", dest="stop_tol", type=float)
-    p.add_argument("--success-tol", dest="success_tol", type=float)
-    p.add_argument("--arch")
-    p.add_argument("--data-seed", dest="data_seed", type=int)
+    for key in _FIELDS:
+        if with_method or key != "method":
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -167,10 +127,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     reports = []
+    config = _build_config(args)
     for method in ("escbo", "vanilla"):
-        args.method = method
-        config = _build_config(args)
-        report = run_many(config)
+        report = run_many(dataclasses.replace(config, method=method))
         _print_summary(report)
         reports.append(report)
     if args.out:
@@ -183,7 +142,7 @@ def _cmd_table(name: str, args) -> int:
     reports = []
     for config in table_preset(name, args.scale):
         if args.seed is not None:
-            config = ExperimentConfig(**{**config.__dict__, "seed": args.seed})
+            config = dataclasses.replace(config, seed=args.seed)
         report = run_many(config)
         _print_summary(report)
         reports.append(report)
@@ -196,7 +155,7 @@ def _cmd_table(name: str, args) -> int:
 def _cmd_diagnose(args) -> int:
     file_values = _read_config_file(args.config) if args.config else None
     config = _build_config(args, file_values)
-    record = run_once(config, args.seed if args.seed is not None else config.seed)
+    record = run_once(config, config.seed)
     report = diagnose(record, config, L_f=args.lipschitz)
     print(f"terminated by {record.terminated_by} after {record.iterations} "
           f"iterations ({record.evals} evaluations)")
@@ -247,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lipschitz", type=float,
                    help="declared Lipschitz constant for the bound overlay")
     _add_config_flags(p)
-    _add_output_flags(p)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("laplace", help="softmin value and error budget sweep")
@@ -267,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, theory.InvalidParametersError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -493,8 +493,8 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
 
     bound = None
     if L_f is not None:
-        target = _build_target(config)
-        lb = gradient_bounds(L_f, target.dim, config.sigma)
+        lb = gradient_bounds(L_f, record.final_positions.shape[1],
+                             config.sigma)
         if var_init is None:
             var_init = float(record.diameter[0]) / 2.0
         k_max = int(record.ks.max())

@@ -80,13 +80,18 @@ def flatten(weights, biases) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def unflatten(params, arch: MLPArchitecture):
-    """Split a flat vector back into weight matrices and bias vectors."""
+def _param_vector(params, arch: MLPArchitecture) -> np.ndarray:
     vec = np.asarray(params, dtype=float).ravel()
     if vec.size != arch.dim:
         raise ConfigurationError(
             f"parameter vector length {vec.size} != {arch.dim} "
             f"for architecture {arch}")
+    return vec
+
+
+def unflatten(params, arch: MLPArchitecture):
+    """Split a flat vector back into weight matrices and bias vectors."""
+    vec = _param_vector(params, arch)
     weights, biases, pos = [], [], 0
     w = arch.widths
     for i in range(arch.n_layers):
@@ -100,13 +105,10 @@ def unflatten(params, arch: MLPArchitecture):
 
 def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
     """Network output for inputs u of shape (N0,) or (M, N0)."""
-    weights, biases = unflatten(params, arch)
     x = np.asarray(u, dtype=float)
-    single = x.ndim == 1
-    h = np.atleast_2d(x)
-    for w, b in zip(weights, biases):
-        h = _sigmoid(h @ w.T + b)
-    return h[0] if single else h
+    h = _forward_population(arch, _param_vector(params, arch)[None],
+                            np.atleast_2d(x))[0]
+    return h[0] if x.ndim == 1 else h
 
 
 def _forward_population(arch: MLPArchitecture, pop: np.ndarray,

@@ -150,11 +150,9 @@ class StepSchedule:
         return self.c / (k + 1)
 
     @property
-    def summable(self) -> Optional[bool]:
-        """Whether sum_k alpha_k is finite; None means undetermined."""
-        if self.c == 0 or self.kind == "geometric":
-            return True
-        return False
+    def summable(self) -> bool:
+        """Whether sum_k alpha_k is finite."""
+        return self.c == 0 or self.kind == "geometric"
 
     def __str__(self):
         if self.kind == "geometric":

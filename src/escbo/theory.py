@@ -21,7 +21,6 @@ from .objective import ConfigurationError, gradient_bounds
 from .swarm import StepSchedule, softmin_weights
 
 __all__ = [
-    "BoundSeries",
     "ComplexityConstants",
     "ConsensusCondition",
     "EmptyIndicatorError",
@@ -50,25 +49,18 @@ class ParameterConditionWarning(UserWarning):
     """The contraction condition on (lam, delta) is not satisfied."""
 
 
-class InvalidParametersError(ValueError):
-    """Parameters violate a precondition of the requested bound."""
-
-
-class EmptyIndicatorError(ValueError):
-    """No particle lies inside the requested ball around the minimizer."""
+# Names for the two ways a bound cannot be computed (a violated precondition,
+# no particle inside the requested ball); both are the one error family.
+InvalidParametersError = EmptyIndicatorError = ConfigurationError
 
 
 @dataclass(frozen=True)
 class ConsensusCondition:
-    """(1-lam)^2 + delta^2 and whether it is below 1/2, plus step summability.
-
-    ``schedule_summable`` is True/False when decidable from the schedule kind
-    and None otherwise.
-    """
+    """(1-lam)^2 + delta^2, whether it is below 1/2, and step summability."""
 
     value: float
     satisfied: bool
-    schedule_summable: Optional[bool]
+    schedule_summable: bool
 
 
 def check_consensus_condition(lam: float, delta: float,
@@ -95,21 +87,20 @@ def _contraction_factor(lam: float, delta: float, alpha: float,
     return 2.0 * ((1.0 - lam) ** 2 + delta ** 2 + alpha ** 2 * L_g ** 2)
 
 
-@dataclass(frozen=True)
-class BoundSeries:
-    """Per-iteration contraction factors and their running products."""
+def consensus_bound_series(k_max: int, lam: float, delta: float,
+                           schedule: StepSchedule, L_g: float,
+                           var_init: float) -> np.ndarray:
+    """consensus_bound evaluated at every k in 0..k_max (inclusive).
 
-    factors: np.ndarray
-    products: np.ndarray  # products[k] bounds the decay after k iterations
-
-    @classmethod
-    def build(cls, k_max: int, lam: float, delta: float,
-              schedule: StepSchedule, L_g: float) -> "BoundSeries":
-        factors = np.array([
-            _contraction_factor(lam, delta, schedule.alpha(n), L_g)
-            for n in range(k_max)])
-        products = np.concatenate(([1.0], np.cumprod(factors)))
-        return cls(factors=factors, products=products)
+    The running product of contraction factors; it may overflow to inf, which
+    is a vacuous bound rather than an error.
+    """
+    if var_init < 0:
+        raise InvalidParametersError("var_init must be >= 0")
+    factors = [_contraction_factor(lam, delta, schedule.alpha(n), L_g)
+               for n in range(k_max)]
+    with np.errstate(over="ignore"):
+        return 2.0 * var_init * np.concatenate(([1.0], np.cumprod(factors)))
 
 
 def consensus_bound(k: int, lam: float, delta: float, schedule: StepSchedule,
@@ -119,22 +110,8 @@ def consensus_bound(k: int, lam: float, delta: float, schedule: StepSchedule,
     Returns 2 * prod_{n<k} factor_n * var_init; the empty product at k = 0
     gives 2 * var_init.
     """
-    if var_init < 0:
-        raise InvalidParametersError("var_init must be >= 0")
-    p = 1.0
-    for n in range(k):
-        p *= _contraction_factor(lam, delta, schedule.alpha(n), L_g)
-    return 2.0 * p * var_init
-
-
-def consensus_bound_series(k_max: int, lam: float, delta: float,
-                           schedule: StepSchedule, L_g: float,
-                           var_init: float) -> np.ndarray:
-    """consensus_bound evaluated at every k in 0..k_max (inclusive)."""
-    if var_init < 0:
-        raise InvalidParametersError("var_init must be >= 0")
-    return 2.0 * var_init * BoundSeries.build(
-        k_max, lam, delta, schedule, L_g).products
+    return float(consensus_bound_series(k, lam, delta, schedule, L_g,
+                                        var_init)[-1])
 
 
 def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
@@ -150,7 +127,7 @@ def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
     the contraction condition holds and the schedule is summable.
     """
     cc = (1.0 - lam) ** 2 + delta ** 2
-    if not (cc < 0.5 and schedule.summable is True):
+    if not (cc < 0.5 and schedule.summable):
         raise InvalidParametersError(
             "perturbation series diverges: needs (1-lam)^2 + delta^2 < 1/2 "
             "and a summable step schedule")
@@ -357,7 +334,7 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterConditionWarning)
         cond = check_consensus_condition(lam, delta, schedule)
-    if not cond.satisfied or cond.schedule_summable is not True:
+    if not (cond.satisfied and cond.schedule_summable):
         return ErrorBoundCheck(
             satisfied=False, lhs_log=math.nan, rhs_log=math.inf, c3=math.inf,
             note="perturbation series diverges for these parameters")
@@ -378,30 +355,34 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
                            lhs_log=lhs_log, rhs_log=rhs_log, c3=c3)
 
 
+def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
+    """Grid points of spacing ``resolution`` in the closed radius-ball about
+    the origin, as (n, d) offsets (dimension 1 or 2 only)."""
+    g = np.arange(-radius, radius + resolution / 2, resolution)
+    if d == 1:
+        return g[:, None]
+    if d == 2:
+        xx, yy = np.meshgrid(g, g)
+        off = np.column_stack([xx.ravel(), yy.ravel()])
+        return off[np.einsum("ij,ij->i", off, off) <= radius ** 2]
+    raise ConfigurationError("grid search supports dimension 1 or 2 only")
+
+
 def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
     """Grid-search maximum of fn over the closed ball (dimension 1 or 2 only).
 
     ``fn`` must accept a (B, d) array and return (B,) values; ``resolution``
-    is the grid spacing.
+    is the grid spacing.  In dimension 1 the far endpoint is always included.
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if not radius > 0:
         raise ConfigurationError("radius must be > 0")
     if not 0 < resolution <= radius:
         raise ConfigurationError("need 0 < resolution <= radius")
-    d = c.shape[0]
-    if d == 1:
-        xs = np.arange(c[0] - radius, c[0] + radius + resolution / 2,
-                       resolution)
-        xs = np.append(xs, c[0] + radius)
-        return float(np.max(fn(xs[:, None])))
-    if d == 2:
-        g = np.arange(-radius, radius + resolution / 2, resolution)
-        xx, yy = np.meshgrid(g, g)
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        pts = pts[np.einsum("ij,ij->i", pts, pts) <= radius ** 2] + c
-        return float(np.max(fn(pts)))
-    raise ConfigurationError("grid search supports dimension 1 or 2 only")
+    pts = _ball_offsets(c.shape[0], radius, resolution) + c
+    if c.shape[0] == 1:
+        pts = np.append(pts, [c + radius], axis=0)
+    return float(np.max(fn(pts)))
 
 
 def growth_radius(fn, center, fstar: float, q: float, R0: float,
@@ -415,22 +396,9 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if not (q > 0 and R0 > 0):
         raise ConfigurationError("need q > 0 and R0 > 0")
-    d = c.shape[0]
-    if d == 1:
-        off = np.arange(-R0, R0 + resolution / 2, resolution)
-        pts = (c[0] + off)[:, None]
-    elif d == 2:
-        g = np.arange(-R0, R0 + resolution / 2, resolution)
-        xx, yy = np.meshgrid(g, g)
-        off2 = np.column_stack([xx.ravel(), yy.ravel()])
-        off2 = off2[np.einsum("ij,ij->i", off2, off2) <= R0 ** 2]
-        pts = off2 + c
-        off = off2
-    else:
-        raise ConfigurationError("grid search supports dimension 1 or 2 only")
-    radii = np.linalg.norm(np.atleast_2d(off if d == 2 else off[:, None]),
-                           axis=1)
-    vals = np.asarray(fn(pts), dtype=float)
+    off = _ball_offsets(c.shape[0], R0, resolution)
+    radii = np.linalg.norm(off, axis=1)
+    vals = np.asarray(fn(off + c), dtype=float)
     order = np.argsort(radii)
     running = np.maximum.accumulate(vals[order])
     ok = running - fstar <= q

@@ -1,9 +1,13 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from escbo import cli
 from escbo.cli import main
+from escbo.harness import ExperimentConfig
 
 
 def run_cli(args):
@@ -113,3 +117,45 @@ def test_dnn_run_via_flags(capsys):
                     "--max-iters", "40"])
     assert code == 0
     assert "train-err=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("route, text", [
+    ("file", "dim = abc\n"),
+    ("flag", ["--schedule", "geometric:1,abc"]),
+    ("flag", ["--dim", "abc"]),
+], ids=["file-dim", "flag-schedule", "flag-dim"])
+def test_bad_value_is_an_error_not_a_crash(tmp_path, capsys, route, text):
+    if route == "file":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        args = ["run", "--config", str(cfg)]
+    else:
+        args = ["run", *text]
+    assert run_cli(args + ["--runs", "1", "--max-iters", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad ")
+
+
+def test_every_config_field_is_a_flag_and_a_file_key(tmp_path):
+    # One non-default value per ExperimentConfig field, under its CLI key.
+    values = {"method": "fescbo", "benchmark": "dnn", "dim": "3",
+              "particles": "12", "lambda": "0.5", "delta": "0.2",
+              "beta": "1e6", "sigma": "1e-3", "schedule": "harmonic:0.5",
+              "init": "gaussian:0,2", "batch": "4", "max_iters": "7",
+              "stop_tol": "1e-7", "success_tol": "1e-2", "runs": "3",
+              "seed": "5", "arch": "2,3,1", "data_seed": "9"}
+    renamed = {"lam": "lambda", "batch_size": "batch"}
+    fields = dataclasses.fields(ExperimentConfig)
+    assert {renamed.get(f.name, f.name) for f in fields} == set(values)
+
+    flags = [a for key, text in values.items()
+             for a in ("--" + key.replace("_", "-"), text)]
+    by_flag = cli._build_config(cli.build_parser().parse_args(
+        ["run", *flags]))
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    by_file = cli._build_config(cli.build_parser().parse_args(["run"]),
+                                cli._read_config_file(str(cfg)))
+    assert by_flag == by_file
+    default = ExperimentConfig()
+    assert all(getattr(by_flag, f.name) != getattr(default, f.name)
+               for f in fields)

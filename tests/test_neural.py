@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from escbo.neural import (NOISE_STD, MLPArchitecture, dnn_objective, flatten,
-                          forward, generate_synthetic, load_dataset,
-                          save_dataset, train_error, unflatten)
+from escbo.neural import (NOISE_STD, MLPArchitecture, _forward_population,
+                          dnn_objective, flatten, forward, generate_synthetic,
+                          load_dataset, save_dataset, train_error, unflatten)
 from escbo.neural import test_error as held_out_error
 from escbo.objective import (ConfigurationError, FiniteDiffConfig,
                              forward_difference_gradient,
@@ -240,3 +242,17 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("3 2 80\n")
     with pytest.raises(ConfigurationError):
         load_dataset(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+       m=st.integers(1, 12), single=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_is_the_one_network_population_pass(widths, m, single, seed):
+    arch = MLPArchitecture(tuple(widths))
+    gen = np.random.default_rng(seed)
+    params = gen.normal(0.0, 2.0, size=arch.dim)
+    u = gen.normal(size=(1 if single else m, widths[0]))
+    pop = _forward_population(arch, params[None], u)[0]
+    out = forward(arch, params, u[0] if single else u)
+    assert np.array_equal(out, pop[0] if single else pop)

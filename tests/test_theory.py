@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escbo.benchmarks import rastrigin1d
 from escbo.objective import ConfigurationError
@@ -365,3 +367,27 @@ def test_growth_radius_self_consistent():
         assert 0 < r < 1
         assert _fr_grid(r) <= q + 1e-9
         assert _fr_grid(min(r + 5e-3, 1.0)) > q
+
+
+# ------------------------------------------------- bound series, property
+
+@settings(max_examples=60, deadline=None)
+@given(k_max=st.integers(0, 120),
+       lam=st.floats(0.0, 2.0), delta=st.floats(0.0, 2.0),
+       kind=st.sampled_from(["constant", "geometric", "harmonic"]),
+       c=st.floats(0.0, 3.0), r=st.floats(0.01, 0.99),
+       L_g=st.floats(0.0, 100.0), var_init=st.floats(0.0, 1e3))
+def test_consensus_bound_is_an_entry_of_the_series(k_max, lam, delta, kind, c,
+                                                   r, L_g, var_init):
+    schedule = StepSchedule(kind, c, r if kind == "geometric" else 0.0)
+    series = consensus_bound_series(k_max, lam, delta, schedule, L_g,
+                                    var_init)
+    assert series.shape == (k_max + 1,)
+    for k in range(k_max + 1):
+        bound = consensus_bound(k, lam, delta, schedule, L_g, var_init)
+        assert bound == series[k] or (math.isnan(bound)
+                                      and math.isnan(series[k]))
+
+
+def test_error_names_are_one_class():
+    assert InvalidParametersError is EmptyIndicatorError is ConfigurationError
