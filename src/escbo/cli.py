@@ -114,35 +114,10 @@ def _print_summary(report) -> None:
     print("  ".join(parts))
 
 
-def _cmd_run(args) -> int:
-    file_values = _read_config_file(args.config) if args.config else None
-    config = _build_config(args, file_values)
-    report = run_many(config)
-    _print_summary(report)
-    if args.out:
-        for path in emit_report(report, args.format, args.out):
-            print(f"wrote {path}")
-    return 0
-
-
-def _cmd_compare(args) -> int:
+def _run_campaigns(configs, args) -> int:
+    """Run each campaign, print its summary, and emit all if --out is set."""
     reports = []
-    config = _build_config(args)
-    for method in ("escbo", "vanilla"):
-        report = run_many(dataclasses.replace(config, method=method))
-        _print_summary(report)
-        reports.append(report)
-    if args.out:
-        for path in emit_report(reports, args.format, args.out):
-            print(f"wrote {path}")
-    return 0
-
-
-def _cmd_table(name: str, args) -> int:
-    reports = []
-    for config in table_preset(name, args.scale):
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
+    for config in configs:
         report = run_many(config)
         _print_summary(report)
         reports.append(report)
@@ -150,6 +125,24 @@ def _cmd_table(name: str, args) -> int:
         for path in emit_report(reports, args.format, args.out):
             print(f"wrote {path}")
     return 0
+
+
+def _cmd_run(args) -> int:
+    file_values = _read_config_file(args.config) if args.config else None
+    return _run_campaigns([_build_config(args, file_values)], args)
+
+
+def _cmd_compare(args) -> int:
+    config = _build_config(args)
+    return _run_campaigns([dataclasses.replace(config, method=method)
+                           for method in ("escbo", "vanilla")], args)
+
+
+def _cmd_table(name: str, args) -> int:
+    configs = table_preset(name, args.scale)
+    if args.seed is not None:
+        configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
+    return _run_campaigns(configs, args)
 
 
 def _cmd_diagnose(args) -> int:
@@ -164,11 +157,14 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_laplace(args) -> int:
+    try:
+        betas = [float(b) for b in args.beta_grid.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"bad beta-grid {args.beta_grid!r}") from None
     spec = benchmarks.lookup(args.benchmark, args.dim)
     gen = np.random.default_rng(args.seed if args.seed is not None else 0)
     pts = gen.uniform(spec.lo, spec.hi, size=(args.samples, spec.dim))
     f_samples = spec.objective.eval_many(pts)
-    betas = [float(b) for b in args.beta_grid.split(",")]
     print("beta,laplace_value,error_budget")
     for beta in betas:
         lap = theory.laplace_value(beta, f_samples)

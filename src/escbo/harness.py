@@ -110,10 +110,9 @@ class ExperimentConfig:
 @dataclass(eq=False)
 class _Target:
     objective: object
-    dim: int
-    x_star: Optional[np.ndarray]      # (n_minimizers, dim) or None
-    f_star: Optional[float]
     init: object
+    x_star: Optional[np.ndarray] = None   # (n_minimizers, dim)
+    f_star: Optional[float] = None
     arch: Optional[neural.MLPArchitecture] = None
     data: Optional[neural.SyntheticDataset] = None
 
@@ -123,22 +122,24 @@ def _build_target(config: ExperimentConfig) -> _Target:
         arch = neural.MLPArchitecture(tuple(config.arch))
         data = neural.generate_synthetic(arch, config.data_seed)
         init = config.init if config.init is not None else UniformBox(-3.0, 3.0)
-        return _Target(objective=neural.dnn_objective(arch, data),
-                       dim=arch.dim, x_star=None, f_star=None, init=init,
+        return _Target(objective=neural.dnn_objective(arch, data), init=init,
                        arch=arch, data=data)
     spec = benchmarks.lookup(config.benchmark, config.dim)
     init = config.init if config.init is not None else UniformBox(*spec.default_box)
-    return _Target(objective=spec.objective, dim=spec.dim, x_star=spec.x_star,
-                   f_star=spec.f_star, init=init)
+    return _Target(objective=spec.objective, init=init, x_star=spec.x_star,
+                   f_star=spec.f_star)
 
 
 @dataclass(eq=False)
 class RunRecord:
-    """Per-run trajectory diagnostics and the terminal swarm.
+    """Per-run trajectory diagnostics, the terminal swarm and its scores.
 
-    For training targets, ``train_err`` and ``test_err`` are evaluated at the
-    best terminal particle and ``init_train_err`` is the swarm's mean
-    objective value at k = 0 (the expected error of a random initialization).
+    ``success`` (ended by the stop rule or max_iters with every particle
+    within success_tol of one minimizer) and ``fun_err`` (mean |f - f*|) are
+    None without a known minimizer.  For training targets, ``train_err`` and
+    ``test_err`` are evaluated at the best terminal particle and
+    ``init_train_err`` is the swarm's mean objective value at k = 0 (the
+    expected error of a random initialization).
     """
 
     seed: int
@@ -150,8 +151,10 @@ class RunRecord:
     diameter: np.ndarray
     w_k: Optional[np.ndarray]
     best_f: np.ndarray
-    consensus: np.ndarray
+    consensus: np.ndarray  # (1, d): the final consensus point
     evals: int
+    success: Optional[bool] = None
+    fun_err: Optional[float] = None
     train_err: Optional[float] = None
     test_err: Optional[float] = None
     init_train_err: Optional[float] = None
@@ -186,18 +189,17 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
     obj.reset_count()
     params = config.params
     rng = RngStream(seed)
-    ks, diam, wks, best, cons = [], [], [], [], []
+    ks, diam, wks, best = [], [], [], []
 
     def record(st: SwarmState) -> None:
         ks.append(st.k)
         diam.append(swarm_diameter(st.positions))
         wks.append(_w_value(st.positions, target.x_star))
         best.append(float(st.values.min()))
-        cons.append(consensus_point(st, params.beta).xbar)
 
     with np.errstate(all="ignore"):
         state = refresh_values(
-            init_swarm(target.init, config.particles, target.dim, rng), obj)
+            init_swarm(target.init, config.particles, obj.dim, rng), obj)
         init_mean_f = float(state.values.mean())
         record(state)
         terminated_by = "max_iters"
@@ -225,14 +227,20 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
                 break
         if ks[-1] != state.k:
             record(state)
-
-    rec = RunRecord(
-        seed=seed, iterations=state.k, terminated_by=terminated_by,
-        final_positions=state.positions, final_values=state.values,
-        ks=np.array(ks), diameter=np.array(diam),
-        w_k=None if target.x_star is None else np.array(wks),
-        best_f=np.array(best), consensus=np.array(cons),
-        evals=obj.eval_count)
+        rec = RunRecord(
+            seed=seed, iterations=state.k, terminated_by=terminated_by,
+            final_positions=state.positions, final_values=state.values,
+            ks=np.array(ks), diameter=np.array(diam),
+            w_k=None if target.x_star is None else np.array(wks),
+            best_f=np.array(best),
+            consensus=consensus_point(state, params.beta).xbar[None],
+            evals=obj.eval_count)
+        if target.x_star is not None:
+            dist = min(np.linalg.norm(state.positions - xs, axis=1).max()
+                       for xs in target.x_star)
+            rec.success = bool(terminated_by in ("stop_rule", "max_iters")
+                               and dist < config.success_tol)
+            rec.fun_err = float(np.mean(np.abs(state.values - target.f_star)))
     if target.data is not None:
         best_idx = int(np.argmin(state.values))
         best_params = state.positions[best_idx]
@@ -242,13 +250,10 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
     return rec
 
 
-def _success_distance(positions: np.ndarray, x_star: np.ndarray) -> float:
-    """min over listed minimizers of max_i ||x_i - x*||."""
-    best = math.inf
-    for xs in x_star:
-        dist = np.linalg.norm(positions - xs, axis=1).max()
-        best = min(best, float(dist))
-    return best
+def _mean(values) -> float:
+    """Mean of the values that are not None; nan when none are."""
+    present = [v for v in values if v is not None]
+    return float(np.mean(present)) if present else math.nan
 
 
 @dataclass(eq=False)
@@ -269,32 +274,17 @@ class AggregateReport:
     @classmethod
     def from_records(cls, config: ExperimentConfig,
                      records: list[RunRecord]) -> "AggregateReport":
-        if not records:
-            return cls(config=config, records=[], rate=math.nan,
-                       sol_err=math.nan, fun_err=math.nan,
-                       mean_iters=math.nan, mean_evals=math.nan, n_diverged=0)
-        target = _build_target(config)
-        successes, sol, fun = [], [], []
-        for rec in records:
-            if target.x_star is not None:
-                hit = (_success_distance(rec.final_positions, target.x_star)
-                       < config.success_tol)
-                successes.append(hit and rec.terminated_by
-                                 in ("stop_rule", "max_iters"))
-                sol.append(_w_value(rec.final_positions, target.x_star))
-                fun.append(float(np.mean(
-                    np.abs(rec.final_values - target.f_star))))
         report = cls(
             config=config, records=records,
-            rate=float(np.mean(successes)) if successes else math.nan,
-            sol_err=float(np.mean(sol)) if sol else math.nan,
-            fun_err=float(np.mean(fun)) if fun else math.nan,
-            mean_iters=float(np.mean([r.iterations for r in records])),
-            mean_evals=float(np.mean([r.evals for r in records])),
+            rate=_mean(r.success for r in records),
+            sol_err=_mean(r.w_k[-1] for r in records if r.w_k is not None),
+            fun_err=_mean(r.fun_err for r in records),
+            mean_iters=_mean(r.iterations for r in records),
+            mean_evals=_mean(r.evals for r in records),
             n_diverged=sum(r.terminated_by == "divergence" for r in records))
-        if records[0].train_err is not None:
-            report.train_err = float(np.mean([r.train_err for r in records]))
-            report.test_err = float(np.mean([r.test_err for r in records]))
+        if any(r.train_err is not None for r in records):
+            report.train_err = _mean(r.train_err for r in records)
+            report.test_err = _mean(r.test_err for r in records)
         return report
 
 
@@ -378,12 +368,11 @@ def _fmt(v) -> str:
 def _summary_row(report: AggregateReport) -> dict:
     cfg = report.config
     target_name = cfg.benchmark if cfg.arch is None \
-        else f"dnn({'-'.join(str(w) for w in cfg.arch)})"
-    dim = cfg.dim if cfg.arch is None \
-        else neural.MLPArchitecture(tuple(cfg.arch)).dim
+        else f"dnn({neural.MLPArchitecture(cfg.arch)})"
     init = cfg.init if cfg.init is not None else "default"
     row = {
-        "method": cfg.method, "benchmark": target_name, "d": dim,
+        "method": cfg.method, "benchmark": target_name,
+        "d": report.records[0].final_positions.shape[1],
         "N": cfg.particles, "init": str(init),
         "rate": None if math.isnan(report.rate) else report.rate,
         "sol_err": None if math.isnan(report.sol_err) else report.sol_err,

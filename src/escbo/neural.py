@@ -184,19 +184,24 @@ def generate_synthetic(arch: MLPArchitecture, seed: int, M: int = 80,
                             M_test=M_test, truth_params=truth)
 
 
-def _mse(arch, params, inputs, targets) -> float:
-    resid = forward(arch, params, inputs) - targets
-    return float(np.mean(np.sum(resid * resid, axis=1)))
+def _mse(arch, pop: np.ndarray, inputs, targets) -> np.ndarray:
+    """Mean squared error of each parameter vector in a (..., d) array."""
+    resid = _forward_population(arch, pop.reshape(-1, arch.dim), inputs)
+    resid -= targets
+    sq = np.sum(resid * resid, axis=2)
+    return np.mean(sq, axis=1).reshape(pop.shape[:-1])
 
 
 def train_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     """Mean squared error over the training split."""
-    return _mse(arch, params, data.train_inputs, data.train_targets)
+    return float(_mse(arch, _param_vector(params, arch), data.train_inputs,
+                      data.train_targets))
 
 
 def test_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     """Mean squared error over the held-out split."""
-    return _mse(arch, params, data.test_inputs, data.test_targets)
+    return float(_mse(arch, _param_vector(params, arch), data.test_inputs,
+                      data.test_targets))
 
 
 class _ProbeKernel:
@@ -304,19 +309,8 @@ def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
     forward pass up to the probed layer (see ``_ProbeKernel``).
     """
     u, v = data.train_inputs, data.train_targets
-
-    def batch_train_error(pop):
-        resid = _forward_population(arch, pop, u) - v
-        return np.mean(np.sum(resid * resid, axis=2), axis=1)
-
-    def kernel(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return batch_train_error(x[None, :])[0]
-        return batch_train_error(x)
-
-    return Objective(dim=arch.dim, fn=kernel, vectorized=True,
-                     name=f"dnn({arch})",
+    return Objective(dim=arch.dim, fn=lambda pop: _mse(arch, pop, u, v),
+                     vectorized=True, name=f"dnn({arch})",
                      probe_kernel=_ProbeKernel(arch, u, v))
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .objective import ConfigurationError, gradient_bounds
-from .swarm import StepSchedule, softmin_weights
+from .swarm import StepSchedule, SwarmState, consensus_point
 
 __all__ = [
     "ComplexityConstants",
@@ -250,7 +250,8 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     Requires r in (0, R0], q > 0 with q + f_r - fstar <= f_inf, and at least
     one particle within distance r of the minimizer.  ``f_r`` is the maximum
     of f over the r-ball (supply it from a grid search).  The deviation is
-    recomputed from ``fvals`` at the given beta with shift-normalized weights.
+    that of the swarm's consensus point at the given beta, recomputed from
+    ``fvals``, which must hold one finite value per particle.
     """
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
     xs = np.broadcast_to(np.asarray(xstar, dtype=float), (pts.shape[1],))
@@ -269,8 +270,12 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
             f"no particle within distance {r} of the minimizer")
     bound = (q + f_r - fstar) ** gcp.nu / gcp.mu \
         + math.exp(-beta * q) / inside * float(dists.sum())
-    w = softmin_weights(fvals, beta)
-    deviation = float(np.linalg.norm(w @ pts - xs))
+    fvals = np.asarray(fvals, dtype=float)
+    if fvals.shape != (pts.shape[0],):
+        raise InvalidParametersError(
+            f"need one value per particle: {fvals.shape} for {pts.shape}")
+    xbar = consensus_point(SwarmState(pts, values=fvals), beta).xbar
+    deviation = float(np.linalg.norm(xbar - xs))
     return ProximityResult(bound=float(bound), holds=bool(deviation <= bound),
                            deviation=deviation)
 

@@ -88,6 +88,13 @@ def test_laplace_sweep(capsys):
     assert beta == 10.0 and 0 < lap and budget > 0
 
 
+def test_bad_beta_grid_is_an_error_not_a_crash(capsys):
+    code = run_cli(["laplace", "--benchmark", "rastrigin", "--dim", "2",
+                    "--beta-grid", "1,x"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: bad beta-grid '1,x'\n"
+
+
 def test_unknown_benchmark_exits_nonzero(capsys):
     code = run_cli(["run", "--method", "escbo", "--benchmark", "nosuch",
                     "--dim", "2", "--runs", "1", "--max-iters", "5"])

@@ -5,13 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escbo import harness
 from escbo.benchmarks import lookup
 from escbo.harness import (AggregateReport, ExperimentConfig, diagnose,
                            emit_report, run_many, run_once, table_preset)
 from escbo.objective import ConfigurationError, Objective
-from escbo.swarm import ComponentGaussian, StepSchedule, UniformBox
+from escbo.swarm import (ComponentGaussian, StepSchedule, SwarmState,
+                         UniformBox, consensus_point)
 from escbo.theory import ParameterConditionWarning
 
 
@@ -50,6 +53,57 @@ def test_eval_accounting_exact():
     rec = run_once(quick_config(method="fescbo", batch_size=3, **stop_never),
                    seed=0)
     assert rec.evals == n + iters * (3 * (d + 1) + n)
+
+
+@settings(max_examples=60)
+@given(method=st.sampled_from(["escbo", "vanilla", "fescbo"]),
+       n=st.integers(2, 10), d=st.integers(1, 4), k=st.integers(0, 12),
+       data=st.data())
+def test_eval_accounting_exact_everywhere(method, n, d, k, data):
+    b = data.draw(st.integers(1, n), label="batch_size")
+    rec = run_once(quick_config(method=method, dim=d, particles=n,
+                                batch_size=b, max_iters=k, stop_tol=1e-300),
+                   seed=data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    per_step = {"escbo": n * (d + 2), "vanilla": n,
+                "fescbo": b * (d + 1) + n}[method]
+    assert rec.iterations == k
+    assert rec.evals == n + k * per_step
+
+
+def test_run_many_builds_each_target_once(monkeypatch):
+    builds = []
+    build_target = harness._build_target
+
+    def counting_build(config):
+        builds.append(config)
+        return build_target(config)
+
+    monkeypatch.setattr(harness, "_build_target", counting_build)
+    report = run_many(quick_config(runs=3, max_iters=20))
+    assert len(builds) == 3
+    assert report.sol_err == np.mean([r.w_k[-1] for r in report.records])
+
+
+def test_consensus_is_the_final_point():
+    cfg = quick_config(max_iters=40)
+    rec = run_once(cfg, seed=2)
+    final = SwarmState(rec.final_positions, rec.iterations, rec.final_values)
+    assert rec.consensus.shape == (1, 2)
+    assert np.array_equal(rec.consensus[0],
+                          consensus_point(final, cfg.beta).xbar)
+
+
+def test_runs_without_a_minimizer_have_no_minimizer_scores():
+    dnn = ExperimentConfig(method="fescbo", benchmark="dnn", dim=0,
+                           arch=(2, 3, 1), particles=6, batch_size=2,
+                           max_iters=5, runs=2)
+    report = run_many(dnn)
+    for rec in report.records:
+        assert rec.success is None and rec.fun_err is None
+        assert rec.train_err is not None
+    assert math.isnan(report.rate) and math.isnan(report.fun_err)
+    rec = run_once(quick_config(max_iters=5), seed=0)
+    assert isinstance(rec.success, bool) and rec.fun_err >= 0.0
 
 
 def test_divergence_is_recorded_not_raised():

@@ -1,13 +1,18 @@
 """MLP flattening, forward pass, synthetic data, and the training objective."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from escbo.neural import (NOISE_STD, MLPArchitecture, _forward_population,
-                          dnn_objective, flatten, forward, generate_synthetic,
-                          load_dataset, save_dataset, train_error, unflatten)
+from escbo.neural import (NOISE_STD, MLPArchitecture, SyntheticDataset,
+                          _forward_population, dnn_objective, flatten,
+                          forward, generate_synthetic, load_dataset,
+                          save_dataset, train_error, unflatten)
 from escbo.neural import test_error as held_out_error
 from escbo.objective import (ConfigurationError, FiniteDiffConfig,
                              forward_difference_gradient,
@@ -235,6 +240,25 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert loaded.truth_params is None
     header = path.read_text().splitlines()[0]
     assert header == "3 2 80 20"
+
+
+@settings(max_examples=60)
+@given(data=st.data(), n0=st.integers(1, 4), nl=st.integers(1, 3),
+       m=st.integers(1, 6), m_test=st.integers(0, 4))
+def test_dataset_save_load_round_trip_property(data, n0, nl, m, m_test):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(arrays(np.float64, (m + m_test, n0 + nl),
+                            elements=finite), label="rows")
+    original = SyntheticDataset(inputs=rows[:, :n0], targets=rows[:, n0:],
+                                M=m, M_test=m_test)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dataset.txt"
+        save_dataset(original, path)
+        loaded = load_dataset(path)
+    assert np.array_equal(loaded.inputs, original.inputs)
+    assert np.array_equal(loaded.targets, original.targets)
+    assert (loaded.M, loaded.M_test) == (m, m_test)
+    assert loaded.truth_params is None
 
 
 def test_load_rejects_malformed(tmp_path):

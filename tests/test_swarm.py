@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from escbo.benchmarks import rastrigin
 from escbo.objective import ConfigurationError, FiniteDiffConfig, Objective
@@ -126,6 +129,27 @@ def test_consensus_convex_hull_and_weight_sum():
         lo = state.positions.min(axis=0) - 1e-12
         hi = state.positions.max(axis=0) + 1e-12
         assert np.all(cp.xbar >= lo) and np.all(cp.xbar <= hi)
+
+
+@st.composite
+def swarms(draw, max_n=12, max_d=4):
+    """Positions of shape (n, d) with finite, normal or zero coordinates."""
+    shape = (draw(st.integers(1, max_n)), draw(st.integers(1, max_d)))
+    return draw(arrays(np.float64, shape, elements=st.floats(
+        -1e3, 1e3, allow_subnormal=False)))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), pts=swarms(), beta=st.floats(0.0, 1e20))
+def test_consensus_weights_and_hull_property(data, pts, beta):
+    values = data.draw(arrays(np.float64, pts.shape[0], elements=st.floats(
+        -1e6, 1e6, allow_subnormal=False)), label="values")
+    cp = consensus_point(SwarmState(pts, values=values), beta)
+    n, eps = pts.shape[0], np.finfo(float).eps
+    assert abs(cp.weights.sum() - 1.0) <= n * eps
+    tol = 2 * n * eps * np.abs(pts).max()
+    assert np.all(cp.xbar >= pts.min(axis=0) - tol)
+    assert np.all(cp.xbar <= pts.max(axis=0) + tol)
 
 
 def test_consensus_shift_invariance():
@@ -316,6 +340,25 @@ def test_coupling_identity_small():
                 lhs = new.positions[i] - new.positions[j]
                 rhs = factor * (pts[i] - pts[j])
                 assert np.all(np.abs(lhs - rhs) <= tol)
+
+
+@settings(max_examples=100)
+@given(pts=swarms(max_n=8), lam=st.floats(0.0, 1.5),
+       delta=st.floats(0.0, 0.5), beta=st.floats(0.0, 1e20, exclude_min=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_coupling_identity_property(pts, lam, delta, beta, seed):
+    # x_i' - x_j' = (1 - lam - eta) * (x_i - x_j) coordinate-wise, to a
+    # rounding error of a few ulps of the largest term involved.
+    n, d = pts.shape
+    obj = sphere(d)
+    new = vanilla_cbo_step(make_state(pts, obj), obj,
+                           params(lam=lam, delta=delta, beta=beta),
+                           RngStream(seed))
+    factor = (1.0 - lam) - draw_noise(delta, d, RngStream(seed))
+    tol = 32 * np.spacing(np.abs(pts).max() * (1.0 + np.abs(factor).max()))
+    lhs = new.positions[:, None, :] - new.positions[None, :, :]
+    rhs = factor * (pts[:, None, :] - pts[None, :, :])
+    assert np.all(np.abs(lhs - rhs) <= tol)
 
 
 # ------------------------------------------------------------- stopping

@@ -233,6 +233,15 @@ def test_distance_bound_errors():
                                  GCP_1D, r=1.5, q=0.1, beta=10.0, f_r=1.0)
 
 
+@pytest.mark.parametrize("fvals", [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0],
+                                   [0.0, math.nan]],
+                         ids=["too-many", "too-many-best-last", "nan"])
+def test_distance_bound_rejects_bad_values(fvals):
+    with pytest.raises(ConfigurationError):
+        consensus_distance_bound(np.zeros((2, 1)), fvals, [0.0], 0.0, GCP_1D,
+                                 r=0.05, q=0.1, beta=10.0, f_r=_fr_grid(0.05))
+
+
 def test_distance_bound_random_instances():
     gen = np.random.default_rng(2)
     betas = [1.0, 10.0, 1e3, 1e6, 1e20]
