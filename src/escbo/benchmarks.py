@@ -32,7 +32,10 @@ _TWO_PI = 2.0 * np.pi
 def rastrigin(x):
     """Dimension-averaged Rastrigin; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    return np.mean(x * x - 10.0 * np.cos(_TWO_PI * x) + 10.0, axis=-1)
+    v = x * x
+    v -= 10.0 * np.cos(_TWO_PI * x)
+    v += 10.0
+    return np.add.reduce(v, axis=-1) / x.shape[-1]  # np.mean, unwrapped
 
 
 def salomon(x):

@@ -9,8 +9,8 @@ import sys
 import numpy as np
 
 from . import benchmarks, theory
-from .harness import (ExperimentConfig, diagnose, emit_report, run_many,
-                      run_once, table_preset)
+from .harness import (ExperimentConfig, _summary_row, diagnose, emit_report,
+                      run_many, run_once, table_preset)
 from .objective import ConfigurationError
 from .swarm import ComponentGaussian, StepSchedule, UniformBox
 
@@ -64,6 +64,20 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _parse(key: str, text, parse):
+    """parse(text), or None for an absent flag; a malformed text is a
+    ConfigurationError naming ``key``."""
+    if text is None:
+        return None
+    try:
+        return parse(text)
+    except ConfigurationError:
+        raise
+    except (LookupError, TypeError, ValueError):
+        form = f"; use {_FORMS[key]}" if key in _FORMS else ""
+        raise ConfigurationError(f"bad {key} {text!r}{form}") from None
+
+
 def _build_config(args, file_values: dict | None = None) -> ExperimentConfig:
     """Config from file values overridden by the flags that were given.
 
@@ -73,17 +87,9 @@ def _build_config(args, file_values: dict | None = None) -> ExperimentConfig:
     texts = dict(file_values or {})
     texts.update((key, getattr(args, key)) for key in _FIELDS
                  if getattr(args, key, None) is not None)
-    kwargs = {}
-    for key, text in texts.items():
-        name, parse = _FIELDS[key]
-        try:
-            kwargs[name] = parse(text)
-        except ConfigurationError:
-            raise
-        except (LookupError, TypeError, ValueError):
-            form = f"; use {_FORMS[name]}" if name in _FORMS else ""
-            raise ConfigurationError(f"bad {key} {text!r}{form}") from None
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{
+        _FIELDS[key][0]: _parse(key, text, _FIELDS[key][1])
+        for key, text in texts.items()})
 
 
 def _add_config_flags(p: argparse.ArgumentParser, with_method=True) -> None:
@@ -98,20 +104,13 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _print_summary(report) -> None:
-    cfg = report.config
-    parts = [f"method={cfg.method}", f"benchmark={cfg.benchmark}",
-             f"N={cfg.particles}", f"runs={cfg.runs}"]
-    if not np.isnan(report.rate):
-        parts += [f"rate={report.rate:.3f}", f"sol-err={report.sol_err:.3e}",
-                  f"fun-err={report.fun_err:.3e}"]
-    if report.train_err is not None:
-        parts += [f"train-err={report.train_err:.3e}",
-                  f"test-err={report.test_err:.3e}"]
-    parts += [f"mean-iters={report.mean_iters:.1f}",
-              f"mean-evals={report.mean_evals:.1f}"]
-    if report.n_diverged:
-        parts.append(f"diverged={report.n_diverged}")
-    print("  ".join(parts))
+    """The report's summary row, the run count and the divergences."""
+    row = dict(_summary_row(report), runs=len(report.records),
+               diverged=report.n_diverged)
+    texts = {key: format(v, ".4g") if isinstance(v, float) else str(v)
+             for key, v in row.items() if v is not None}
+    print("  ".join(f"{key.replace('_', '-')}={text}"
+                    for key, text in texts.items()))
 
 
 def _run_campaigns(configs, args) -> int:
@@ -139,17 +138,19 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_table(name: str, args) -> int:
-    configs = table_preset(name, args.scale)
-    if args.seed is not None:
-        configs = [dataclasses.replace(c, seed=args.seed) for c in configs]
+    seed = _parse("seed", args.seed, int)
+    configs = table_preset(name, _parse("scale", args.scale, float))
+    if seed is not None:
+        configs = [dataclasses.replace(c, seed=seed) for c in configs]
     return _run_campaigns(configs, args)
 
 
 def _cmd_diagnose(args) -> int:
     file_values = _read_config_file(args.config) if args.config else None
     config = _build_config(args, file_values)
+    lipschitz = _parse("lipschitz", args.lipschitz, float)
     record = run_once(config, config.seed)
-    report = diagnose(record, config, L_f=args.lipschitz)
+    report = diagnose(record, config, L_f=lipschitz)
     print(f"terminated by {record.terminated_by} after {record.iterations} "
           f"iterations ({record.evals} evaluations)")
     print(report.summary())
@@ -157,18 +158,19 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_laplace(args) -> int:
-    try:
-        betas = [float(b) for b in args.beta_grid.split(",")]
-    except ValueError:
-        raise ConfigurationError(f"bad beta-grid {args.beta_grid!r}") from None
-    spec = benchmarks.lookup(args.benchmark, args.dim)
-    gen = np.random.default_rng(args.seed if args.seed is not None else 0)
-    pts = gen.uniform(spec.lo, spec.hi, size=(args.samples, spec.dim))
+    betas = _parse("beta-grid", args.beta_grid,
+                   lambda text: [float(b) for b in text.split(",")])
+    dim, samples, eps, seed = (
+        _parse(key, getattr(args, key), parse) for key, parse in
+        (("dim", int), ("samples", int), ("eps", float), ("seed", int)))
+    spec = benchmarks.lookup(args.benchmark, dim)
+    gen = np.random.default_rng(seed)
+    pts = gen.uniform(spec.lo, spec.hi, size=(samples, spec.dim))
     f_samples = spec.objective.eval_many(pts)
     print("beta,laplace_value,error_budget")
     for beta in betas:
         lap = theory.laplace_value(beta, f_samples)
-        budget = theory.error_budget(beta, args.eps, f_samples, spec.f_star)
+        budget = theory.error_budget(beta, eps, f_samples, spec.f_star)
         print(f"{beta!r},{lap!r},{budget!r}")
     return 0
 
@@ -192,26 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("table2", "table3", "table4"):
         p = sub.add_parser(name, help=f"run the {name} preset grid")
-        p.add_argument("--scale", type=float, default=0.1)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--scale", default="0.1")
+        p.add_argument("--seed")
         _add_output_flags(p)
         p.set_defaults(func=lambda a, _n=name: _cmd_table(_n, a))
 
     p = sub.add_parser("diagnose", help="single-run diagnostics vs bounds")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--lipschitz", type=float,
+    p.add_argument("--lipschitz",
                    help="declared Lipschitz constant for the bound overlay")
     _add_config_flags(p)
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("laplace", help="softmin value and error budget sweep")
     p.add_argument("--benchmark", required=True)
-    p.add_argument("--dim", type=int)
+    p.add_argument("--dim")
     p.add_argument("--beta-grid", dest="beta_grid", required=True,
                    help="comma-separated beta values")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", default="100000")
+    p.add_argument("--eps", default="0.5")
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=_cmd_laplace)
     return parser
 

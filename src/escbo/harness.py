@@ -20,9 +20,10 @@ from . import benchmarks, neural, theory
 from .objective import (ConfigurationError, EstimationError, FiniteDiffConfig,
                         gradient_bounds)
 from .swarm import (CBOParams, ComponentGaussian, DivergenceError, RngStream,
-                    StepSchedule, SwarmState, UniformBox, check_stop,
-                    consensus_point, escbo_step, fescbo_step, init_swarm,
-                    refresh_values, swarm_diameter, vanilla_cbo_step)
+                    StepSchedule, SwarmState, UniformBox, _check_finite,
+                    check_stop, consensus_point, escbo_step, fescbo_step,
+                    init_swarm, refresh_values, swarm_diameter,
+                    vanilla_cbo_step)
 
 __all__ = [
     "AggregateReport",
@@ -181,8 +182,9 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
     Runs until the stopping rule fires, max_iters is reached, a particle
     diverges, or a gradient estimate meets a non-finite objective value.  The
     last two are recorded as ``divergence`` or ``estimation`` with the last
-    finite state, not raised.  Floating-point warnings are silenced for the
-    whole run: the steppers' finiteness checks detect what they signal.
+    finite state, not raised; a non-finite initial swarm is a divergence at
+    iteration 0, with a nan consensus point.  Floating-point warnings are
+    silenced for the whole run: the finiteness checks detect what they signal.
     """
     target = _build_target(config)
     obj = target.objective
@@ -203,9 +205,10 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
         init_mean_f = float(state.values.mean())
         record(state)
         terminated_by = "max_iters"
-        while state.k < config.max_iters:
-            prev = state
-            try:
+        try:
+            _check_finite(state.positions, state.values, 0)
+            while state.k < config.max_iters:
+                prev = state
                 if config.method == "escbo":
                     state = escbo_step(state, obj, params, config.schedule,
                                        rng)
@@ -214,26 +217,26 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
                 else:
                     state = fescbo_step(state, obj, params, config.schedule,
                                         config.batch_size, rng)
-            except (DivergenceError, EstimationError) as exc:
-                state = prev
-                terminated_by = ("divergence"
-                                 if isinstance(exc, DivergenceError)
-                                 else "estimation")
-                break
-            if _is_checkpoint(state.k):
-                record(state)
-            if check_stop(prev, state, config.stop_tol):
-                terminated_by = "stop_rule"
-                break
+                if _is_checkpoint(state.k):
+                    record(state)
+                if check_stop(prev, state, config.stop_tol):
+                    terminated_by = "stop_rule"
+                    break
+        except (DivergenceError, EstimationError) as exc:
+            # The failed step assigned nothing: state is the last finite one.
+            terminated_by = ("divergence" if isinstance(exc, DivergenceError)
+                             else "estimation")
         if ks[-1] != state.k:
             record(state)
+        consensus = (consensus_point(state, params.beta).xbar
+                     if np.isfinite(state.values).all()
+                     else np.full(obj.dim, np.nan))
         rec = RunRecord(
             seed=seed, iterations=state.k, terminated_by=terminated_by,
             final_positions=state.positions, final_values=state.values,
             ks=np.array(ks), diameter=np.array(diam),
             w_k=None if target.x_star is None else np.array(wks),
-            best_f=np.array(best),
-            consensus=consensus_point(state, params.beta).xbar[None],
+            best_f=np.array(best), consensus=consensus[None],
             evals=obj.eval_count)
         if target.x_star is not None:
             dist = min(np.linalg.norm(state.positions - xs, axis=1).max()

@@ -158,42 +158,48 @@ def minibatch_gradients(obj: Objective, positions, batch,
                         cfg: FiniteDiffConfig) -> np.ndarray:
     """Forward-difference gradients for a subset of particles, zeros elsewhere.
 
-    ``batch`` is a set of particle indices into ``positions``.  Consumes
-    exactly |batch| * (d + 1) evaluations: one ``eval_many`` call on the
-    batch's base points, then one on its coordinate probes.  Particles
-    outside the batch get a zero vector.
+    ``batch`` is a set of particle indices into ``positions``; a sorted,
+    duplicate-free integer array is used as it is.  Consumes exactly
+    |batch| * (d + 1) evaluations: one ``eval_many`` call on the batch's
+    base points, then one on its coordinate probes.  Particles outside the
+    batch get a zero vector.
     """
-    pts = np.asarray(positions, dtype=float)
+    pts = np.ascontiguousarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != obj.dim:
         raise ConfigurationError(
             f"positions must be (N, {obj.dim}), got {pts.shape}")
     n, d = pts.shape
-    idx = np.unique(np.asarray(list(batch), dtype=int))
-    grads = np.zeros_like(pts)
+    idx = batch
+    if not (isinstance(idx, np.ndarray) and idx.ndim == 1
+            and idx.dtype.kind in "iu" and (idx[1:] > idx[:-1]).all()):
+        idx = np.unique(np.asarray(list(batch), dtype=int))
     if idx.size == 0:
-        return grads
-    if idx.min() < 0 or idx.max() >= n:
+        return np.zeros_like(pts)
+    if idx[0] < 0 or idx[-1] >= n:
         raise ConfigurationError(
-            f"batch indices must lie in [0, {n - 1}], got {idx.min()}..{idx.max()}")
-    centers = pts[idx]
+            f"batch indices must lie in [0, {n - 1}], got {idx[0]}..{idx[-1]}")
+    # Sorted, unique and in range: a batch of size n is every particle.
+    centers = pts if idx.size == n else pts[idx]
     base = obj.eval_many(centers)
     probes = np.repeat(centers, d, axis=0)
-    diag = np.arange(d)
-    probes.reshape(idx.size, d, d)[:, diag, diag] += cfg.sigma
+    probes.reshape(idx.size, d * d)[:, ::d + 1] += cfg.sigma
     vals = obj.eval_many(probes, centers=centers).reshape(idx.size, d)
-    bad_base = np.flatnonzero(~np.isfinite(base))
-    if bad_base.size:
+    if not np.isfinite(base).all():
+        i = np.flatnonzero(~np.isfinite(base))[0]
         raise EstimationError(
-            f"objective non-finite at particle {idx[bad_base[0]]}",
-            coordinate=None, particle=int(idx[bad_base[0]]))
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        i, l = bad[0]
+            f"objective non-finite at particle {idx[i]}",
+            coordinate=None, particle=int(idx[i]))
+    if not np.isfinite(vals).all():
+        i, l = np.argwhere(~np.isfinite(vals))[0]
         raise EstimationError(
             f"objective non-finite at probe coordinate {l} of particle {idx[i]}",
             coordinate=int(l), particle=int(idx[i]))
-    grads[idx] = (vals - base[:, None]) / cfg.sigma
-    return grads
+    grads = (vals - base[:, None]) / cfg.sigma
+    if idx.size == n:
+        return grads
+    out = np.zeros_like(pts)
+    out[idx] = grads
+    return out
 
 
 def estimate_lipschitz(obj: Objective, lo, hi, samples: int = 256,

@@ -40,6 +40,9 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _STREAM_IDS = {"init": 0, "noise": 1, "batch": 2}
+# The Gram-form swarm_diameter's two (N, N) work arrays, kept between calls
+# so that a call does not page in fresh ones; replaced when N changes.
+_gram_pair: list = []
 
 
 class DivergenceError(RuntimeError):
@@ -170,7 +173,11 @@ class UniformBox:
     hi: float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.lo) >= np.asarray(self.hi)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = np.subtract(self.hi, self.lo, dtype=float)
+        if not np.isfinite(width).all():  # also an inf or nan bound
+            raise ConfigurationError("UniformBox needs finite lo, hi, hi - lo")
+        if np.any(width <= 0):
             raise ConfigurationError("UniformBox needs lo < hi in every coordinate")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
@@ -190,8 +197,8 @@ class ComponentGaussian:
     variance: float
 
     def __post_init__(self):
-        if self.variance < 0:
-            raise ConfigurationError("variance must be >= 0")
+        if not (np.isfinite(self.mean).all() and 0 <= self.variance < np.inf):
+            raise ConfigurationError("need a finite mean and variance >= 0")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(self.mean, np.sqrt(self.variance), size=(n, d))
@@ -273,6 +280,8 @@ def _drift_diffusion(positions: np.ndarray, xbar: np.ndarray, lam: float,
 
 
 def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
+    if np.isfinite(positions).all() and np.isfinite(values).all():
+        return
     bad = np.flatnonzero(~np.all(np.isfinite(positions), axis=1))
     if bad.size:
         raise DivergenceError(k, int(bad[0]))
@@ -301,7 +310,7 @@ def escbo_step(state: SwarmState, obj: Objective, params: CBOParams,
     Costs N*(d+1) evaluations for the gradients plus N for the value refresh.
     """
     grads = minibatch_gradients(obj, state.positions,
-                                range(state.n_particles), params.fd)
+                                np.arange(state.n_particles), params.fd)
     return _advance(state, obj, params, rng, grads,
                     schedule.alpha(state.k))
 
@@ -340,13 +349,12 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
     """
     if prev.k + 1 != nxt.k:
         raise ConfigurationError("check_stop expects consecutive iterates")
-    dx = np.linalg.norm(nxt.positions - prev.positions, axis=1)
+    diff = nxt.positions - prev.positions
+    dx = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm
     if dx.max() > tol:
         return False
     df = np.abs(nxt.values - prev.values)
-    moved = dx > 0
-    ratios = np.zeros_like(dx)
-    ratios[moved] = df[moved] / dx[moved]
+    ratios = np.divide(df, dx, out=np.zeros_like(dx), where=dx > 0)
     return bool(ratios.max() <= tol)
 
 
@@ -355,7 +363,8 @@ def swarm_diameter(positions: np.ndarray) -> float:
 
     Small swarms use exact pairwise differences; large ones fall back to a
     Gram-matrix form whose absolute error is ~1e-16 * scale^2, fine for
-    reporting.
+    reporting.  The Gram form writes into module-level work arrays, so the
+    function is not reentrant: nothing calls it from several threads.
     """
     pts = np.asarray(positions, dtype=float)
     n = pts.shape[0]
@@ -365,5 +374,12 @@ def swarm_diameter(positions: np.ndarray) -> float:
         diff = pts[:, None, :] - pts[None, :, :]
         return float(np.einsum("ijk,ijk->ij", diff, diff).max())
     sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    if not _gram_pair or _gram_pair[0].shape != (n, n):
+        _gram_pair[:] = np.empty((2, n, n))
+    gram, d2 = _gram_pair
+    # sq_i + sq_j - 2.0 * G_ij, rounded as written.
+    np.matmul(pts, pts.T, out=gram)
+    gram *= 2.0
+    np.add.outer(sq, sq, out=d2)
+    d2 -= gram
     return float(max(d2.max(), 0.0))

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from escbo.benchmarks import (ackley, available, bartels_conn, griewank,
                               lookup, rastrigin, rastrigin1d, salomon,
@@ -16,6 +19,26 @@ def test_rastrigin_values():
     assert float(rastrigin(np.array([1.0, 1.0]))) == pytest.approx(1.0, abs=1e-12)
     assert float(rastrigin(np.array([0.5, 0.5]))) == pytest.approx(20.25,
                                                                    abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       shape=array_shapes(min_dims=1, max_dims=2, max_side=12),
+       scale=st.floats(1e-3, 1e200))
+def test_rastrigin_equals_reference_mean(data, seed, shape, scale):
+    # Random points at every scale up to overflow, and hypothesis' own.
+    x = scale * np.random.default_rng(seed).normal(size=shape)
+    drawn = data.draw(arrays(np.float64, shape,
+                             elements=st.floats(-1e200, 1e200)))
+    with np.errstate(over="ignore"):
+        for points in (x, drawn):
+            # The reference is the textbook expression through np.mean.
+            reference = np.asarray(np.mean(
+                points * points - 10.0 * np.cos(2.0 * np.pi * points) + 10.0,
+                axis=-1))
+            value = np.asarray(rastrigin(points))
+            assert value.shape == reference.shape
+            assert value.tobytes() == reference.tobytes()
 
 
 def test_rastrigin1d_values():

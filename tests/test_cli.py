@@ -142,6 +142,24 @@ def test_bad_value_is_an_error_not_a_crash(tmp_path, capsys, route, text):
     assert capsys.readouterr().err.startswith("error: bad ")
 
 
+_LAPLACE = ["laplace", "--benchmark", "rastrigin", "--beta-grid", "1"]
+
+
+@pytest.mark.parametrize("args", [
+    _LAPLACE + ["--dim", "abc"],
+    _LAPLACE + ["--dim", "2", "--samples", "1e3"],
+    _LAPLACE + ["--dim", "2", "--eps", "x"],
+    _LAPLACE + ["--dim", "2", "--seed", "1.5"],
+    ["table2", "--scale", "abc"],
+    ["table3", "--seed", "x"],
+    ["diagnose", "--lipschitz", "x"],
+], ids=["laplace-dim", "laplace-samples", "laplace-eps", "laplace-seed",
+        "table-scale", "table-seed", "diagnose-lipschitz"])
+def test_bad_command_flag_is_an_error_not_a_usage_exit(capsys, args):
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: bad ")
+
+
 def test_every_config_field_is_a_flag_and_a_file_key(tmp_path):
     # One non-default value per ExperimentConfig field, under its CLI key.
     values = {"method": "fescbo", "benchmark": "dnn", "dim": "3",

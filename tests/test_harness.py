@@ -148,6 +148,22 @@ def test_estimation_failure_is_recorded_not_raised(monkeypatch):
     assert report.rate == 0.0 and report.n_diverged == 0
 
 
+@pytest.mark.parametrize("method", ["escbo", "vanilla", "fescbo"])
+def test_non_finite_initial_swarm_is_a_divergence(method):
+    # A valid but huge box: rastrigin overflows to inf on the initial swarm.
+    cfg = ExperimentConfig(method=method, init=UniformBox(-1e200, 1e200),
+                           batch_size=5, runs=2, max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_many(cfg)
+    for rec in report.records:
+        assert rec.terminated_by == "divergence" and rec.iterations == 0
+        assert rec.evals == cfg.particles and rec.success is False
+        assert rec.consensus.shape == (1, cfg.dim)
+        assert np.all(np.isnan(rec.consensus))
+    assert report.n_diverged == 2 and report.rate == 0.0
+
+
 def test_divergent_run_emits_no_warning():
     cfg = quick_config(lam=0.0, delta=50.0, max_iters=200, stop_tol=1e-300)
     with warnings.catch_warnings():

@@ -4,7 +4,10 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from escbo.benchmarks import rastrigin
 from escbo.objective import (ConfigurationError, EstimationError,
                              FiniteDiffConfig, Objective, estimate_lipschitz,
                              forward_difference_gradient, gradient_bounds,
@@ -159,6 +162,52 @@ def test_minibatch_partial_hand_value():
                                 FiniteDiffConfig(0.1))
     np.testing.assert_allclose(grads, [[0.0], [2.1]], rtol=1e-12)
     assert obj.eval_count == 2
+
+
+def minibatch_reference(obj, positions, batch, cfg):
+    # Every batch through np.unique, centers by fancy index, the probe
+    # diagonal by index arrays, and the gradients scattered into zeros.
+    pts = np.asarray(positions, dtype=float)
+    d = pts.shape[1]
+    idx = np.unique(np.asarray(list(batch), dtype=int))
+    grads = np.zeros_like(pts)
+    if idx.size == 0:
+        return grads
+    centers = pts[idx]
+    base = obj.eval_many(centers)
+    probes = np.repeat(centers, d, axis=0)
+    diag = np.arange(d)
+    probes.reshape(idx.size, d, d)[:, diag, diag] += cfg.sigma
+    vals = obj.eval_many(probes, centers=centers).reshape(idx.size, d)
+    grads[idx] = (vals - base[:, None]) / cfg.sigma
+    return grads
+
+
+@settings(max_examples=150)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       d=st.integers(1, 6), sigma=st.floats(1e-8, 1.0))
+def test_minibatch_batch_forms_equal_reference(data, seed, n, d, sigma):
+    gen = np.random.default_rng(seed)
+    positions = 3.0 * gen.normal(size=(n, d))
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True,
+                                max_size=n))
+    cfg = FiniteDiffConfig(sigma)
+    forms = [list(subset), np.array(sorted(subset), dtype=int),
+             gen.permutation(np.array(subset, dtype=int)),
+             list(subset) + list(subset)]
+    if len(subset) == n:
+        forms.append(range(n))
+    reference = Objective(d, rastrigin, vectorized=True)
+    expected = minibatch_reference(reference, positions, subset, cfg)
+    for batch in forms:
+        obj = Objective(d, rastrigin, vectorized=True)
+        grads = minibatch_gradients(obj, positions, batch, cfg)
+        assert grads.tobytes() == expected.tobytes()
+        assert obj.eval_count == reference.eval_count == len(subset) * (d + 1)
+    # Full-batch rows equal the partial-batch rows of the same particles.
+    every = minibatch_gradients(Objective(d, rastrigin, vectorized=True),
+                                positions, np.arange(n), cfg)
+    assert every[subset].tobytes() == expected[subset].tobytes()
 
 
 def test_minibatch_rejects_out_of_range():

@@ -65,6 +65,23 @@ def test_uniform_box_bounds_and_validation():
         UniformBox(1.0, 1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: UniformBox(-np.inf, 1.0), lambda: UniformBox(0.0, np.inf),
+    lambda: UniformBox(np.nan, 1.0), lambda: UniformBox(-1e308, 1e308),
+    lambda: ComponentGaussian(0.0, np.inf),
+    lambda: ComponentGaussian(np.inf, 1.0),
+    lambda: ComponentGaussian(np.nan, 1.0),
+    lambda: ComponentGaussian(0.0, np.nan),
+], ids=["uniform-lo-inf", "uniform-hi-inf", "uniform-lo-nan",
+        "uniform-width-overflows", "gaussian-variance-inf",
+        "gaussian-mean-inf", "gaussian-mean-nan", "gaussian-variance-nan"])
+def test_init_distribution_rejects_non_finite_parameters(make):
+    # Each of these used to pass and then fail inside the sampler or the
+    # first consensus point, partway through a campaign.
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_component_gaussian_variance_convention():
     rng = RngStream(1)
     state = init_swarm(ComponentGaussian(0.0, 3.0), 4000, 5, rng)
@@ -388,6 +405,43 @@ def test_check_stop_ratio_rule():
     assert not check_stop(prev, worse, 1e-6)
 
 
+def check_stop_reference(prev, nxt, tol):
+    dx = np.linalg.norm(nxt.positions - prev.positions, axis=1)
+    if dx.max() > tol:
+        return False
+    df = np.abs(nxt.values - prev.values)
+    moved = dx > 0
+    ratios = np.zeros_like(dx)
+    ratios[moved] = df[moved] / dx[moved]
+    return bool(ratios.max() <= tol)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       d=st.integers(1, 12), move=st.floats(1e-12, 1.0),
+       fscale=st.floats(0.0, 10.0), still=st.integers(0, 30),
+       tol_rule=st.sampled_from(["dx", "ratio", "free"]),
+       tol=st.floats(1e-12, 1.0))
+def test_check_stop_equals_norm_reference(seed, n, d, move, fscale, still,
+                                          tol_rule, tol):
+    gen = np.random.default_rng(seed)
+    before = gen.normal(size=(n, d))
+    after = before + move * gen.normal(size=(n, d))
+    after[:still] = before[:still]
+    values = gen.normal(size=n)
+    if tol_rule == "dx":
+        fscale = 0.0  # only the distance test decides
+    prev = SwarmState(before, 0, values)
+    nxt = SwarmState(after, 1, values + fscale * move * gen.normal(size=n))
+    # Put tol exactly on a reference maximum, where one ulp decides.
+    dx = np.linalg.norm(after - before, axis=1)
+    if tol_rule == "dx":
+        tol = float(dx.max())
+    elif tol_rule == "ratio" and np.any(dx > 0):
+        tol = float(np.max(np.abs(nxt.values - values)[dx > 0] / dx[dx > 0]))
+    assert check_stop(prev, nxt, tol) == check_stop_reference(prev, nxt, tol)
+
+
 def test_check_stop_requires_consecutive():
     prev = SwarmState(np.zeros((2, 1)), 0, np.zeros(2))
     nxt = SwarmState(np.zeros((2, 1)), 2, np.zeros(2))
@@ -406,6 +460,31 @@ def test_swarm_diameter_matches_bruteforce():
             for i in range(n) for j in range(i + 1, n))
         assert abs(swarm_diameter(pts) - brute) <= 1e-9 * max(1.0, brute)
     assert swarm_diameter(np.zeros((1, 4))) == 0.0
+
+
+def gram_reference(pts):
+    sq = np.einsum("ij,ij->i", pts, pts)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
+    return float(max(d2.max(), 0.0))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3),
+       sizes=st.lists(st.integers(65, 220), min_size=1, max_size=3))
+def test_gram_diameter_equals_reference(seed, d, scale, shift, sizes):
+    gen = np.random.default_rng(seed)
+    pts = shift + scale * gen.normal(size=(220, d))
+    # Alternating sizes replace the kept work arrays between calls.
+    for n in sizes + [180, 200, 180]:
+        swarm = pts[:n]
+        value = swarm_diameter(swarm)
+        assert value == gram_reference(swarm)
+        diff = swarm[:, None, :] - swarm[None, :, :]
+        exact = float(np.einsum("ijk,ijk->ij", diff, diff).max())
+        sq_max = float(np.einsum("ij,ij->i", swarm, swarm).max())
+        eps = np.finfo(float).eps
+        assert abs(value - exact) <= 16 * (d + 2) * eps * sq_max
 
 
 def test_empirical_consensus_decay_and_bound():
