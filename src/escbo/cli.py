@@ -104,9 +104,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _print_summary(report) -> None:
-    """The report's summary row, the run count and the divergences."""
-    row = dict(_summary_row(report), runs=len(report.records),
-               diverged=report.n_diverged)
+    """The report's summary row and the run count."""
+    row = dict(_summary_row(report), runs=len(report.records))
     texts = {key: format(v, ".4g") if isinstance(v, float) else str(v)
              for key, v in row.items() if v is not None}
     print("  ".join(f"{key.replace('_', '-')}={text}"

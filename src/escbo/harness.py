@@ -172,7 +172,8 @@ def _w_value(positions: np.ndarray, x_star: Optional[np.ndarray]) -> float:
     best = math.inf
     for xs in x_star:
         diff = positions - xs
-        best = min(best, float(np.mean(np.einsum("ij,ij->i", diff, diff))))
+        sq = np.einsum("ij,ij->i", diff, diff)
+        best = min(best, float(np.add.reduce(sq) / sq.size))  # np.mean
     return best
 
 
@@ -381,6 +382,9 @@ def _summary_row(report: AggregateReport) -> dict:
         "sol_err": None if math.isnan(report.sol_err) else report.sol_err,
         "fun_err": None if math.isnan(report.fun_err) else report.fun_err,
         "mean_iters": report.mean_iters, "mean_evals": report.mean_evals,
+        "n_diverged": report.n_diverged,
+        "n_estimation": sum(r.terminated_by == "estimation"
+                            for r in report.records),
     }
     if report.train_err is not None:
         row["train_err"] = report.train_err

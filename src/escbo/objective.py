@@ -38,6 +38,10 @@ class EstimationError(RuntimeError):
         self.particle = particle
 
 
+def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 class Objective:
     """A function f: R^d -> R wrapped with an evaluation counter.
 
@@ -158,11 +162,11 @@ def minibatch_gradients(obj: Objective, positions, batch,
                         cfg: FiniteDiffConfig) -> np.ndarray:
     """Forward-difference gradients for a subset of particles, zeros elsewhere.
 
-    ``batch`` is a set of particle indices into ``positions``; a sorted,
-    duplicate-free integer array is used as it is.  Consumes exactly
-    |batch| * (d + 1) evaluations: one ``eval_many`` call on the batch's
-    base points, then one on its coordinate probes.  Particles outside the
-    batch get a zero vector.
+    ``batch`` is a set of integer particle indices into ``positions``, or
+    None for every particle; a sorted, duplicate-free integer array is used
+    as it is.  Consumes exactly |batch| * (d + 1) evaluations: one
+    ``eval_many`` call on the batch's base points, then one on its
+    coordinate probes.  Particles outside the batch get a zero vector.
     """
     pts = np.ascontiguousarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != obj.dim:
@@ -170,32 +174,39 @@ def minibatch_gradients(obj: Objective, positions, batch,
             f"positions must be (N, {obj.dim}), got {pts.shape}")
     n, d = pts.shape
     idx = batch
-    if not (isinstance(idx, np.ndarray) and idx.ndim == 1
-            and idx.dtype.kind in "iu" and (idx[1:] > idx[:-1]).all()):
-        idx = np.unique(np.asarray(list(batch), dtype=int))
-    if idx.size == 0:
+    if batch is None:
+        idx = range(n)
+    elif not (isinstance(idx, np.ndarray) and idx.ndim == 1
+              and idx.dtype.kind in "iu" and (idx[1:] > idx[:-1]).all()):
+        raw = np.asarray(list(batch))
+        if raw.size and raw.dtype.kind not in "iu":  # a mask, 1.7, ...
+            raise ConfigurationError(
+                f"batch must hold integer indices, got {raw.dtype}")
+        idx = np.unique(raw.astype(int))
+    b = len(idx)
+    if b == 0:
         return np.zeros_like(pts)
     if idx[0] < 0 or idx[-1] >= n:
         raise ConfigurationError(
             f"batch indices must lie in [0, {n - 1}], got {idx[0]}..{idx[-1]}")
     # Sorted, unique and in range: a batch of size n is every particle.
-    centers = pts if idx.size == n else pts[idx]
+    centers = pts if b == n else pts[idx]
     base = obj.eval_many(centers)
-    probes = np.repeat(centers, d, axis=0)
-    probes.reshape(idx.size, d * d)[:, ::d + 1] += cfg.sigma
-    vals = obj.eval_many(probes, centers=centers).reshape(idx.size, d)
-    if not np.isfinite(base).all():
+    probes = centers.repeat(d, axis=0)
+    probes.reshape(b, d * d)[:, ::d + 1] += cfg.sigma
+    vals = obj.eval_many(probes, centers=centers).reshape(b, d)
+    if not _all_finite(base):
         i = np.flatnonzero(~np.isfinite(base))[0]
         raise EstimationError(
             f"objective non-finite at particle {idx[i]}",
             coordinate=None, particle=int(idx[i]))
-    if not np.isfinite(vals).all():
+    if not _all_finite(vals):
         i, l = np.argwhere(~np.isfinite(vals))[0]
         raise EstimationError(
             f"objective non-finite at probe coordinate {l} of particle {idx[i]}",
             coordinate=int(l), particle=int(idx[i]))
     grads = (vals - base[:, None]) / cfg.sigma
-    if idx.size == n:
+    if b == n:
         return grads
     out = np.zeros_like(pts)
     out[idx] = grads

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .objective import (ConfigurationError, FiniteDiffConfig, Objective,
-                        minibatch_gradients)
+                        _all_finite, minibatch_gradients)
 
 __all__ = [
     "CBOParams",
@@ -239,8 +239,12 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if beta < 0:
         raise ConfigurationError("beta must be >= 0")
-    w = np.exp(-beta * (f - f.min()))
-    return w / w.sum()
+    # exp(-beta * (f - min f)) / sum, in place on one fresh array.
+    w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
+    w *= -beta
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def consensus_point(state: SwarmState, beta: float) -> ConsensusPoint:
@@ -253,10 +257,10 @@ def consensus_point(state: SwarmState, beta: float) -> ConsensusPoint:
     if state.values is None:
         raise ConfigurationError(
             "swarm values not populated; call refresh_values first")
-    if not np.all(np.isfinite(state.values)):
+    if not _all_finite(state.values):
         raise ConfigurationError("non-finite objective values in swarm")
     w = softmin_weights(state.values, beta)
-    anchor = state.positions[int(np.argmax(w))]
+    anchor = state.positions[w.argmax()]
     return ConsensusPoint(xbar=anchor + w @ (state.positions - anchor),
                           weights=w)
 
@@ -276,11 +280,15 @@ def _drift_diffusion(positions: np.ndarray, xbar: np.ndarray, lam: float,
     # Single fused factor per coordinate: keeps the pairwise-difference
     # contraction identity tight to rounding error, and makes full
     # contraction (lam = 1, delta = 0) land every particle exactly on xbar.
-    return xbar + (positions - xbar) * ((1.0 - lam) - eta)
+    # xbar + (positions - xbar) * ((1 - lam) - eta), in place.
+    out = positions - xbar
+    out *= (1.0 - lam) - eta
+    out += xbar
+    return out
 
 
 def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
-    if np.isfinite(positions).all() and np.isfinite(values).all():
+    if _all_finite(positions) and _all_finite(values):
         return
     bad = np.flatnonzero(~np.all(np.isfinite(positions), axis=1))
     if bad.size:
@@ -296,7 +304,8 @@ def _advance(state: SwarmState, obj: Objective, params: CBOParams,
     eta = draw_noise(params.delta, state.dim, rng)
     new_positions = _drift_diffusion(state.positions, cp.xbar, params.lam, eta)
     if grads is not None and alpha != 0.0:
-        new_positions = new_positions - alpha * grads
+        grads *= alpha  # the caller's fresh array: new - alpha * grads
+        new_positions -= grads
     new_values = obj.eval_many(new_positions)
     _check_finite(new_positions, new_values, state.k + 1)
     return SwarmState(new_positions, state.k + 1, new_values)
@@ -309,8 +318,7 @@ def escbo_step(state: SwarmState, obj: Objective, params: CBOParams,
     Gradients are estimated at the pre-step positions for every particle.
     Costs N*(d+1) evaluations for the gradients plus N for the value refresh.
     """
-    grads = minibatch_gradients(obj, state.positions,
-                                np.arange(state.n_particles), params.fd)
+    grads = minibatch_gradients(obj, state.positions, None, params.fd)
     return _advance(state, obj, params, rng, grads,
                     schedule.alpha(state.k))
 
@@ -350,11 +358,14 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
     if prev.k + 1 != nxt.k:
         raise ConfigurationError("check_stop expects consecutive iterates")
     diff = nxt.positions - prev.positions
-    dx = np.sqrt(np.add.reduce(diff * diff, axis=1))  # np.linalg.norm
-    if dx.max() > tol:
+    diff *= diff
+    dx = np.add.reduce(diff, axis=1)
+    np.sqrt(dx, out=dx)  # np.linalg.norm
+    if dx[dx.argmax()] > tol:  # dx.max(), unwrapped
         return False
-    df = np.abs(nxt.values - prev.values)
-    ratios = np.divide(df, dx, out=np.zeros_like(dx), where=dx > 0)
+    df = nxt.values - prev.values
+    np.abs(df, out=df)
+    ratios = np.divide(df, dx, out=np.zeros(dx.shape), where=dx > 0)
     return bool(ratios.max() <= tol)
 
 

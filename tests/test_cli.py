@@ -50,6 +50,15 @@ def test_run_with_config_file_and_override(tmp_path, capsys):
     assert "runs=2" in capsys.readouterr().out
 
 
+def test_summary_line_counts_failed_runs(capsys):
+    # A constant step of 1e300 sends every run off to infinity.
+    assert run_cli(["run", "--benchmark", "rastrigin", "--dim", "2",
+                    "--particles", "6", "--schedule", "constant:1e300",
+                    "--runs", "3", "--max-iters", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "n-diverged=3  n-estimation=0  runs=3" in out
+
+
 def test_compare_reports_both_methods(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     code = run_cli(["compare", "--benchmark", "rastrigin", "--dim", "2",

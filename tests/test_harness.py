@@ -327,6 +327,41 @@ def test_emit_json_round_trip(tmp_path):
     assert len(doc["series"]) == len(report.records[0].ks)
 
 
+def test_json_summary_counts_failed_runs(tmp_path):
+    import json
+    cfg = quick_config(runs=4, max_iters=5)
+    records = run_many(cfg).records
+    records[0].terminated_by = "estimation"
+    records[2].terminated_by = "divergence"
+    records[3].terminated_by = "divergence"
+    report = AggregateReport.from_records(cfg, records)
+    emit_report(report, "json", tmp_path / "out.json")
+    row = json.loads((tmp_path / "out.json").read_text())["summary"][0]
+    assert (row["n_diverged"], row["n_estimation"]) == (2, 1)
+    emit_report(report, "csv", tmp_path / "out.csv")
+    header = (tmp_path / "out.csv").read_text().splitlines()[0]
+    assert header.split(",") == list(harness.SUMMARY_COLUMNS)
+
+
+def w_value_reference(positions, x_star):
+    return min(float(np.mean(np.einsum("ij,ij->i", positions - xs,
+                                       positions - xs)))
+               for xs in x_star)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 250),
+       d=st.integers(1, 12), m=st.integers(1, 3),
+       scale=st.sampled_from([1e-3, 1.0, 1e3, 1e150]))
+def test_w_value_equals_mean_reference(seed, n, d, m, scale):
+    gen = np.random.default_rng(seed)
+    positions = scale * gen.normal(size=(n, d))
+    x_star = scale * gen.normal(size=(m, d))
+    assert harness._w_value(positions, x_star) == \
+        w_value_reference(positions, x_star)
+    assert math.isnan(harness._w_value(positions, None))
+
+
 def test_emit_empty_report_header_only(tmp_path):
     empty = AggregateReport.from_records(quick_config(), [])
     path = tmp_path / "empty.csv"

@@ -216,6 +216,50 @@ def test_minibatch_rejects_out_of_range():
         minibatch_gradients(obj, np.zeros((3, 2)), [3], FiniteDiffConfig(0.1))
 
 
+@pytest.mark.parametrize("batch", [
+    [True, False, True, False], np.array([True, False, True, False]),
+    [1.7], np.array([0.0, 2.0]), [np.True_], ["1"]])
+def test_minibatch_rejects_batches_that_are_not_indices(batch):
+    # A mask or a float used to read as indices (the mask above as
+    # particles 0 and 1, [1.7] as particle 1).
+    obj = sphere_objective()
+    with pytest.raises(ConfigurationError, match="integer indices"):
+        minibatch_gradients(obj, np.ones((4, 2)), batch, FiniteDiffConfig(0.1))
+    assert obj.eval_count == 0
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30),
+       d=st.integers(1, 6), sigma=st.floats(1e-8, 1.0),
+       spike=st.sampled_from([None, "base", "probe"]))
+def test_minibatch_none_batch_equals_arange(seed, n, d, sigma, spike):
+    gen = np.random.default_rng(seed)
+    positions = 3.0 * gen.normal(size=(n, d))
+    cfg = FiniteDiffConfig(sigma)
+    if spike and n:
+        # One particle sits on a nan of the objective, or one of its
+        # probes does.
+        i, l = gen.integers(n), gen.integers(d)
+        positions[i, l] = 7.0 - (sigma if spike == "probe" else 0.0)
+
+    def fn(x):
+        return np.where((x == 7.0).any(axis=-1), np.nan, rastrigin(x))
+
+    outcomes = []
+    for batch in (None, np.arange(n)):
+        obj = Objective(d, fn, vectorized=True)
+        try:
+            grads = minibatch_gradients(obj, positions, batch, cfg)
+            outcomes.append((grads.tobytes(), obj.eval_count))
+        except EstimationError as exc:
+            outcomes.append((exc.particle, exc.coordinate, obj.eval_count))
+    assert outcomes[0] == outcomes[1]
+    reference = Objective(d, fn, vectorized=True)
+    if len(outcomes[0]) == 2:  # no spike hit: also the parent's expression
+        expected = minibatch_reference(reference, positions, range(n), cfg)
+        assert outcomes[0] == (expected.tobytes(), reference.eval_count)
+
+
 def test_gradient_bounds_hand_values():
     lb = gradient_bounds(1.0, 4, 0.5)
     assert lb.M_g == 2.0 and lb.L_g == 8.0

@@ -1,5 +1,7 @@
 """Swarm state, consensus point, noise draws, and the three steppers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from escbo.benchmarks import rastrigin
-from escbo.objective import ConfigurationError, FiniteDiffConfig, Objective
+from escbo.objective import (ConfigurationError, EstimationError,
+                             FiniteDiffConfig, Objective, minibatch_gradients)
 from escbo.swarm import (CBOParams, ComponentGaussian, DivergenceError,
                          RngStream, StepSchedule, SwarmState, UniformBox,
                          check_stop, consensus_point, draw_noise, escbo_step,
@@ -190,6 +193,26 @@ def test_consensus_requires_values():
         consensus_point(state, 1.0)
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and (a.tobytes() == b.tobytes() or (
+        np.isnan(a).any() and np.array_equal(a, b, equal_nan=True)))
+
+
+@settings(max_examples=300)
+@given(f=arrays(np.float64, st.integers(1, 40), elements=st.one_of(
+           st.floats(-10.0, 10.0),
+           st.floats(allow_nan=True, allow_infinity=True))),
+       beta=st.one_of(st.sampled_from([0.0, 1.0, 1e20]),
+                      st.floats(0.0, 10.0), st.floats(0.0, 1e300)))
+def test_softmin_in_place_equals_reference(f, beta):
+    # Signed zeros, subnormals, nan, inf and values whose sums overflow.
+    with np.errstate(all="ignore"):
+        w = np.exp(-beta * (f - f.min()))
+        expected = w / w.sum()
+        assert same_bits(softmin_weights(f, beta), expected)
+
+
 # ------------------------------------------------------------------ noise
 
 def test_noise_zero_delta():
@@ -309,6 +332,71 @@ def test_fescbo_eval_accounting_and_validation():
     with pytest.raises(ConfigurationError):
         fescbo_step(state, obj, params(), StepSchedule.constant(0.1), 21,
                     RngStream(0))
+
+
+def reference_step(state, obj, prm, schedule, rng, method, batch_size):
+    # A step in the parent's expressions: gradients of the np.arange (or
+    # drawn) batch by fancy index, softmin as one expression, and the drift
+    # and gradient step as one expression.
+    pts = state.positions
+    n, d = pts.shape
+    grads = None
+    if method != "vanilla":
+        idx = np.arange(n) if method == "escbo" else np.unique(
+            rng.stream("batch").choice(n, size=batch_size, replace=False))
+        centers = pts[idx]
+        base = obj.eval_many(centers)
+        probes = np.repeat(centers, d, axis=0)
+        diag = np.arange(d)
+        probes.reshape(idx.size, d, d)[:, diag, diag] += prm.fd.sigma
+        vals = obj.eval_many(probes).reshape(idx.size, d)
+        grads = np.zeros_like(pts)
+        grads[idx] = (vals - base[:, None]) / prm.fd.sigma
+    f = state.values
+    w = np.exp(-prm.beta * (f - f.min()))
+    w = w / w.sum()
+    anchor = pts[int(np.argmax(w))]
+    xbar = anchor + w @ (pts - anchor)
+    eta = rng.stream("noise").normal(0.0, prm.delta, size=d)
+    new = xbar + (pts - xbar) * ((1.0 - prm.lam) - eta)
+    alpha = 0.0 if grads is None else schedule.alpha(state.k)
+    if alpha != 0.0:
+        new = new - alpha * grads
+    return new, obj.eval_many(new)
+
+
+@settings(max_examples=60)
+@given(method=st.sampled_from(["escbo", "vanilla", "fescbo"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+       d=st.integers(1, 5), lam=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+       delta=st.sampled_from([0.0, 0.1, 1.0]),
+       beta=st.sampled_from([1.0, 100.0, 1e20]),
+       c=st.sampled_from([0.0, 0.5, 3.0]), batch_frac=st.floats(0.0, 1.0))
+def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
+                                        c, batch_frac):
+    prm = params(lam=lam, delta=delta, beta=beta, sigma=1e-4)
+    schedule = StepSchedule.harmonic(c)
+    batch_size = max(1, round(batch_frac * n))
+    obj = Objective(d, rastrigin, vectorized=True)
+    ref_obj = Objective(d, rastrigin, vectorized=True)
+    rng, ref_rng = RngStream(seed), RngStream(seed)
+    state = refresh_values(init_swarm(UniformBox(-5, 5), n, d, rng), obj)
+    ref = refresh_values(init_swarm(UniformBox(-5, 5), n, d, ref_rng),
+                         ref_obj)
+    for _ in range(4):
+        if method == "escbo":
+            state = escbo_step(state, obj, prm, schedule, rng)
+        elif method == "vanilla":
+            state = vanilla_cbo_step(state, obj, prm, rng)
+        else:
+            state = fescbo_step(state, obj, prm, schedule, batch_size, rng)
+        new, values = reference_step(ref, ref_obj, prm, schedule, ref_rng,
+                                     method, batch_size)
+        ref = SwarmState(new, ref.k + 1, values)
+        assert state.k == ref.k
+        assert state.positions.tobytes() == ref.positions.tobytes()
+        assert state.values.tobytes() == ref.values.tobytes()
+        assert obj.eval_count == ref_obj.eval_count
 
 
 def test_step_divergence_reports_iteration_and_particle():
@@ -515,3 +603,134 @@ def test_empirical_consensus_decay_and_bound():
     keep = (ks >= 15) & (mean > 0)
     slope = np.polyfit(ks[keep], np.log(mean[keep]), 1)[0]
     assert slope < 0
+
+
+# ----------------------------------------------------- non-finite inputs
+
+def trap(x):
+    # max_l x_l, but inf wherever a coordinate is exactly 1.0.  It passes
+    # nan, inf and huge values through without a floating-point warning.
+    return np.where((x == 1.0).any(axis=-1), np.inf, x.max(axis=-1))
+
+
+BASE = np.array([[0.0, -1.0], [-2.0, 0.0], [-1.0, -3.0], [-0.5, -2.0]])
+HUGE = 1.5e308  # finite, but the sum of two overflows
+
+
+def with_entry(index, value, arr=BASE):
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
+def outcome(call):
+    """The error a call raises, by type and location, or None.
+
+    Any warning fails the call: an alternative check order that computes
+    inf - inf or a sum of huge values before checking would warn here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call()
+        except (EstimationError, DivergenceError, ConfigurationError) as exc:
+            return (type(exc).__name__, getattr(exc, "particle", None),
+                    getattr(exc, "coordinate", None),
+                    getattr(exc, "iteration", None))
+    return None
+
+
+def est(particle, coordinate=None):
+    return ("EstimationError", particle, coordinate, None)
+
+
+# (positions, batch, outcome); sigma = 0.25, so 0.75 probes onto the trap.
+GRADIENT_CASES = [
+    (with_entry((2, 0), np.nan), None, est(2)),
+    (with_entry((2, 0), np.nan), [3, 2, 1, 0], est(2)),
+    (with_entry((2, 0), np.nan), [0, 1], None),
+    (with_entry((1, 0), np.inf), None, est(1)),   # inf - inf if unchecked
+    (with_entry((1, 0), np.inf), np.array([1, 3]), est(1)),
+    (with_entry((3, 1), -np.inf), None, None),
+    (with_entry((0, 1), 0.75), None, est(0, 1)),
+    (with_entry((0, 1), 0.75), [2, 0], est(0, 1)),
+    (np.column_stack([np.full(4, HUGE), BASE[:, 1]]), None, None),
+]
+
+
+@pytest.mark.parametrize("positions,batch,expected", GRADIENT_CASES)
+def test_minibatch_non_finite_errors_without_warnings(positions, batch,
+                                                      expected):
+    obj = Objective(2, trap, vectorized=True)
+    assert outcome(lambda: minibatch_gradients(
+        obj, positions, batch, FiniteDiffConfig(0.25))) == expected
+
+
+ON_TRAP = np.array([[0.5, 0.0], [1.5, 0.0], [0.5, 0.0], [1.5, 0.0]])
+VALUES = np.array([0.0, 0.0, -1.0, -0.5])
+CONFIG_ERROR = ("ConfigurationError", None, None, None)
+DIVERGED_4_0 = ("DivergenceError", 0, None, 4)
+ANY = "not checked"
+
+# (positions, values, lam, delta, beta, alpha, outcome by escbo, vanilla,
+# fescbo with a full batch).
+STEP_CASES = [
+    (with_entry((2, 0), np.nan), VALUES, 0.5, 0.1, 1e20, 0.25,
+     (est(2), DIVERGED_4_0, est(2))),
+    # vanilla is not checked here: its consensus point multiplies the inf
+    # row by a zero weight, which warns (run_once's errstate silences it).
+    (with_entry((1, 0), np.inf), VALUES, 0.5, 0.1, 1e20, 0.25,
+     (est(1), ANY, est(1))),
+    (BASE, with_entry(3, np.nan, VALUES), 0.5, 0.1, 1e20, 0.25,
+     (CONFIG_ERROR,) * 3),
+    (BASE, with_entry(3, np.inf, VALUES), 0.5, 0.1, 1e20, 0.25,
+     (CONFIG_ERROR,) * 3),
+    (BASE, with_entry(0, -np.inf, VALUES), 0.5, 0.1, 1e20, 0.25,
+     (CONFIG_ERROR,) * 3),
+    (BASE, np.full(4, HUGE), 0.5, 0.1, 1e20, 0.25, (None,) * 3),
+    # Full contraction onto the swarm mean, which is on the trap.
+    (ON_TRAP, np.zeros(4), 1.0, 0.0, 1e-300, 0.0, (DIVERGED_4_0,) * 3),
+]
+
+
+@pytest.mark.parametrize("positions,values,lam,delta,beta,alpha,expected",
+                         STEP_CASES)
+def test_steps_non_finite_errors_without_warnings(positions, values, lam,
+                                                  delta, beta, alpha,
+                                                  expected):
+    prm = params(lam=lam, delta=delta, beta=beta, sigma=0.25)
+    schedule = StepSchedule.constant(alpha)
+    state = SwarmState(positions, 3, values)
+    obj = Objective(2, trap, vectorized=True)
+    steps = (lambda: escbo_step(state, obj, prm, schedule, RngStream(0)),
+             lambda: vanilla_cbo_step(state, obj, prm, RngStream(0)),
+             lambda: fescbo_step(state, obj, prm, schedule, 4, RngStream(0)))
+    for step, want in zip(steps, expected):
+        if want != ANY:
+            assert outcome(step) == want
+    if expected[1] != ANY:
+        consensus = CONFIG_ERROR if CONFIG_ERROR in expected else None
+        assert outcome(lambda: consensus_point(state, beta)) == consensus
+
+
+@pytest.mark.parametrize("after,values_after", [
+    (with_entry((2, 0), np.nan, BASE + 1e-3), trap(BASE + 1e-3)),
+    (with_entry((1, 1), np.inf, BASE + 1e-3), trap(BASE + 1e-3)),
+    (with_entry((1, 1), -np.inf, BASE + 1e-3), trap(BASE + 1e-3)),
+    (BASE + 1e-9, with_entry(0, np.inf, trap(BASE))),
+    (BASE + 1e-9, with_entry(0, np.nan, trap(BASE))),
+    (BASE, trap(BASE)),
+])
+@pytest.mark.parametrize("values_before", ["trap", "huge"])
+def test_check_stop_non_finite_without_warnings(after, values_after,
+                                                values_before):
+    before = trap(BASE) if values_before == "trap" else np.full(4, HUGE)
+    if values_before == "huge":
+        values_after = np.where(np.isfinite(values_after), HUGE,
+                                values_after)
+    prev, nxt = SwarmState(BASE, 0, before), SwarmState(after, 1, values_after)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (0.0, 1e-6, 1.0):
+            assert check_stop(prev, nxt, tol) == \
+                check_stop_reference(prev, nxt, tol)
