@@ -96,13 +96,10 @@ def rastrigin1d(x):
     """Unnormalized one-dimensional Rastrigin; minimum 0 at the origin.
 
     Satisfies the local growth condition with f_inf = 1, R0 = 1, nu = 1/2,
-    mu = 1.
+    mu = 1.  ``x`` is a scalar or has shape (..., 1); with one coordinate,
+    ``rastrigin``'s mean over coordinates is this sum.
     """
-    x = np.asarray(x, dtype=float)
-    v = x * x - 10.0 * np.cos(_TWO_PI * x) + 10.0
-    if v.ndim == 0:
-        return v
-    return np.sum(v, axis=-1)
+    return rastrigin(np.atleast_1d(x))
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,8 +92,8 @@ class ExperimentConfig:
                 f"got {self.batch_size}")
         if self.benchmark == "dnn" and self.arch is None:
             raise ConfigurationError("dnn target needs arch widths")
-        if self.max_iters < 0 or self.runs < 0:
-            raise ConfigurationError("max_iters and runs must be >= 0")
+        if self.max_iters < 0 or self.runs < 1:
+            raise ConfigurationError("need max_iters >= 0 and runs >= 1")
         if not 0 <= self.stop_tol < math.inf:
             raise ConfigurationError(
                 f"stop_tol must be finite and >= 0, got {self.stop_tol}")
@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"success_tol must be finite and > 0, got {self.success_tol}")
         self.params  # CBOParams and FiniteDiffConfig check lam..sigma
+        if self.benchmark == "dnn":  # the target's own checks
+            neural.MLPArchitecture(tuple(self.arch))
+        else:
+            benchmarks.lookup(self.benchmark, self.dim)
 
     @property
     def params(self) -> CBOParams:
@@ -299,8 +303,6 @@ def run_many(config: ExperimentConfig) -> AggregateReport:
     could execute concurrently; aggregation is ordered by run index either
     way.
     """
-    if config.runs < 1:
-        raise ConfigurationError("runs must be >= 1")
     records = [run_once(config, config.seed + i) for i in range(config.runs)]
     return AggregateReport.from_records(config, records)
 

@@ -89,18 +89,22 @@ def _param_vector(params, arch: MLPArchitecture) -> np.ndarray:
     return vec
 
 
+def _layers(arch: MLPArchitecture, pop: np.ndarray) -> list:
+    """Per layer, the views (W (B, n_out, n_in), b (B, n_out)) of a (B, d)
+    array of flattened parameter vectors; writing to them writes to pop."""
+    b_count, pos, layers = pop.shape[0], 0, []
+    for n_in, n_out in zip(arch.widths, arch.widths[1:]):
+        end = pos + n_out * n_in
+        layers.append((pop[:, pos:end].reshape(b_count, n_out, n_in),
+                       pop[:, end:end + n_out]))
+        pos = end + n_out
+    return layers
+
+
 def unflatten(params, arch: MLPArchitecture):
     """Split a flat vector back into weight matrices and bias vectors."""
-    vec = _param_vector(params, arch)
-    weights, biases, pos = [], [], 0
-    w = arch.widths
-    for i in range(arch.n_layers):
-        n_in, n_out = w[i], w[i + 1]
-        weights.append(vec[pos:pos + n_out * n_in].reshape(n_out, n_in))
-        pos += n_out * n_in
-        biases.append(vec[pos:pos + n_out])
-        pos += n_out
-    return weights, biases
+    layers = _layers(arch, _param_vector(params, arch)[None])
+    return [wm[0] for wm, _ in layers], [bias[0] for _, bias in layers]
 
 
 def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
@@ -114,16 +118,8 @@ def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
 def _forward_population(arch: MLPArchitecture, pop: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
     """Outputs (B, M, NL) for a population of parameter vectors (B, d)."""
-    w = arch.widths
-    b_count = pop.shape[0]
-    h = np.broadcast_to(u, (b_count,) + u.shape)
-    pos = 0
-    for i in range(arch.n_layers):
-        n_in, n_out = w[i], w[i + 1]
-        wm = pop[:, pos:pos + n_out * n_in].reshape(b_count, n_out, n_in)
-        pos += n_out * n_in
-        bias = pop[:, pos:pos + n_out]
-        pos += n_out
+    h = np.broadcast_to(u, (pop.shape[0],) + u.shape)
+    for wm, bias in _layers(arch, pop):
         h = h @ wm.transpose(0, 2, 1)
         h += bias[:, None, :]
         h = _sigmoid(h, out=h)
@@ -211,7 +207,7 @@ class _ProbeKernel:
     activations a, in (B, width, M) layout.  A probe of weight (j, k) of
     layer i, or of bias j as input k = n_in, moves only z_i[j], by delta
     times input k (1 for the bias), where delta = fl(x_l + sigma) - x_l is
-    read from the probe row itself.  Then a_i[j] changes, layer i+1's
+    the probe's step (see ``Objective``).  Then a_i[j] changes, layer i+1's
     pre-activation moves by that change times column j of W_{i+1}, and only
     the layers after that run in full; an output-layer probe changes only
     that output's residual.  All probes of a layer are evaluated together as
@@ -221,7 +217,7 @@ class _ProbeKernel:
     """
 
     def __init__(self, arch: MLPArchitecture, u: np.ndarray, v: np.ndarray):
-        self.widths = arch.widths
+        self.arch = arch
         self.u = np.ascontiguousarray(u.T)   # (N0, M)
         self.v = np.ascontiguousarray(v.T)   # (NL, M)
         self._work: dict = {}
@@ -232,27 +228,23 @@ class _ProbeKernel:
             buf = self._work[key] = np.empty(shape)
         return buf
 
-    def __call__(self, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def __call__(self, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:
         b_count, d = centers.shape
         m = self.u.shape[1]
-        diag = np.arange(d)
-        delta = rows.reshape(b_count, d, d)[:, diag, diag] - centers
-        # Per layer: W (B, n_out, n_in), and the parameters' deltas laid out
-        # as (B, n_out, n_in + 1) with the bias in the last column.
-        weights, biases, deltas, pos = [], [], [], 0
-        for i, (n_in, n_out) in enumerate(zip(self.widths, self.widths[1:])):
-            end = pos + n_out * n_in
-            weights.append(centers[:, pos:end].reshape(b_count, n_out, n_in))
-            biases.append(centers[:, end:end + n_out])
+        layers = _layers(self.arch, centers)
+        # Per layer, the parameters' deltas laid out as (B, n_out, n_in + 1)
+        # with the bias in the last column.
+        deltas = []
+        for i, (dw, db) in enumerate(_layers(self.arch, delta)):
+            _, n_out, n_in = dw.shape
             dl = self._buffer(("delta", i), (b_count, n_out, n_in + 1))
-            dl[:, :, :n_in] = delta[:, pos:end].reshape(b_count, n_out, n_in)
-            dl[:, :, n_in] = delta[:, end:end + n_out]
+            dl[:, :, :n_in] = dw
+            dl[:, :, n_in] = db
             deltas.append(dl)
-            pos = end + n_out
         # Base pass; inputs[i] is layer i's input with a row of ones below.
         zs, acts, inputs = [], [], []
         h = self.u
-        for i, (wm, bias) in enumerate(zip(weights, biases)):
+        for i, (wm, bias) in enumerate(layers):
             ext = self._buffer(("in", i), (b_count, wm.shape[2] + 1, m))
             ext[:, :-1] = h
             ext[:, -1] = 1.0
@@ -265,39 +257,36 @@ class _ProbeKernel:
         resid = h - self.v
         sq_out = np.einsum("bom,bom->bo", resid, resid)   # (B, NL)
         out = np.empty((b_count, d))
-        pos, last = 0, len(weights) - 1
-        for i, dl in enumerate(deltas):
+        for i, (dl, (out_w, out_b)) in enumerate(
+                zip(deltas, _layers(self.arch, out))):
             _, n_out, n_ext = dl.shape
             z = self._buffer(("z", i), (b_count, n_out, n_ext, m))
             np.multiply(dl[:, :, :, None], inputs[i][:, None, :, :], out=z)
             z += zs[i][:, :, None, :]
             a = _sigmoid(z, out=z)                   # (B, n_out, n_ext, M)
-            if i == last:
+            if i == len(layers) - 1:
                 a -= self.v[:, None, :]
                 a *= a
                 vals = (sq_out.sum(axis=1)[:, None, None] - sq_out[:, :, None]
                         + a.sum(axis=3))
             else:
                 a -= acts[i][:, :, None, :]          # change in a_i[j]
-                wm = weights[i + 1]
+                wm = layers[i + 1][0]
                 h = self._buffer(("h", i, i + 1), wm.shape[:2] + a.shape[1:])
                 np.multiply(wm[:, :, :, None, None], a[:, None], out=h)
                 h += zs[i + 1][:, :, None, None, :]
                 h = _sigmoid(h, out=h).reshape(wm.shape[:2] + (-1,))
-                for j in range(i + 2, last + 1):
-                    wm = weights[j]
+                for j, (wm, bias) in enumerate(layers[i + 2:], i + 2):
                     nxt = self._buffer(("h", i, j), wm.shape[:2] + h.shape[2:])
                     np.matmul(wm, h, out=nxt)
-                    nxt += biases[j][:, :, None]
+                    nxt += bias[:, :, None]
                     h = _sigmoid(nxt, out=nxt)
                 h = h.reshape(h.shape[:2] + a.shape[1:])
                 h -= self.v[:, None, None, :]
                 h *= h
                 vals = h.sum(axis=(1, 4))
-            end = pos + n_out * (n_ext - 1)
-            out[:, pos:end] = vals[:, :, :-1].reshape(b_count, -1)
-            out[:, end:end + n_out] = vals[:, :, -1]
-            pos = end + n_out
+            out_w[...] = vals[:, :, :-1]
+            out_b[...] = vals[:, :, -1]
         out /= m
         return out.ravel()
 

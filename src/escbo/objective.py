@@ -52,10 +52,10 @@ class Objective:
     accept arrays of shape (..., d) and reduce over the last axis; otherwise
     it is called one point at a time.
 
-    ``probe_kernel(centers, rows)``, when given, returns f at the (B*d, d)
+    ``probe_kernel(centers, delta)``, when given, returns f at the (B*d, d)
     coordinate probes ``rows[i*d + l] = fl(centers[i] + sigma e_l)`` of a
-    (B, d) batch of centers, exploiting that each probe moves one coordinate;
-    ``minibatch_gradients`` uses it through ``eval_many``.
+    (B, d) batch of centers from the steps ``delta[i, l] = rows[i*d + l, l]
+    - centers[i, l]``; ``minibatch_gradients`` uses it through ``eval_many``.
     """
 
     def __init__(self, dim: int, fn: Callable, vectorized: bool = False,
@@ -95,7 +95,10 @@ class Objective:
                 f"expected a (B, {self.dim}) batch, got shape {pts.shape}")
         self._count += pts.shape[0]
         if centers is not None and self._probe_kernel is not None:
-            return self._probe_kernel(np.asarray(centers, dtype=float), pts)
+            c = np.asarray(centers, dtype=float)
+            # Row i*d + l differs from center i in coordinate l only.
+            delta = pts.reshape(len(c), -1)[:, ::self.dim + 1] - c
+            return self._probe_kernel(c, delta)
         if self._vectorized:
             return np.asarray(self._fn(pts), dtype=float)
         return np.array([float(self._fn(row)) for row in pts])
@@ -163,21 +166,18 @@ def minibatch_gradients(obj: Objective, positions, batch,
     """Forward-difference gradients for a subset of particles, zeros elsewhere.
 
     ``batch`` is a set of integer particle indices into ``positions``, or
-    None for every particle; a sorted, duplicate-free integer array is used
-    as it is.  Consumes exactly |batch| * (d + 1) evaluations: one
-    ``eval_many`` call on the batch's base points, then one on its
-    coordinate probes.  Particles outside the batch get a zero vector.
+    None for every particle.  Consumes exactly |batch| * (d + 1)
+    evaluations: one ``eval_many`` call on the batch's base points, then one
+    on its coordinate probes.  Particles outside the batch get a zero vector.
     """
     pts = np.ascontiguousarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != obj.dim:
         raise ConfigurationError(
             f"positions must be (N, {obj.dim}), got {pts.shape}")
     n, d = pts.shape
-    idx = batch
     if batch is None:
         idx = range(n)
-    elif not (isinstance(idx, np.ndarray) and idx.ndim == 1
-              and idx.dtype.kind in "iu" and (idx[1:] > idx[:-1]).all()):
+    else:
         raw = np.asarray(list(batch))
         if raw.size and raw.dtype.kind not in "iu":  # a mask, 1.7, ...
             raise ConfigurationError(

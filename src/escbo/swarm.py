@@ -157,13 +157,6 @@ class StepSchedule:
         """Whether sum_k alpha_k is finite."""
         return self.c == 0 or self.kind == "geometric"
 
-    def __str__(self):
-        if self.kind == "geometric":
-            return f"geometric({self.c}*{self.r}^k)"
-        if self.kind == "harmonic":
-            return f"harmonic({self.c}/(k+1))"
-        return f"constant({self.c})"
-
 
 @dataclass(frozen=True)
 class UniformBox:
@@ -288,8 +281,6 @@ def _drift_diffusion(positions: np.ndarray, xbar: np.ndarray, lam: float,
 
 
 def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
-    if _all_finite(positions) and _all_finite(values):
-        return
     bad = np.flatnonzero(~np.all(np.isfinite(positions), axis=1))
     if bad.size:
         raise DivergenceError(k, int(bad[0]))
@@ -307,7 +298,10 @@ def _advance(state: SwarmState, obj: Objective, params: CBOParams,
         grads *= alpha  # the caller's fresh array: new - alpha * grads
         new_positions -= grads
     new_values = obj.eval_many(new_positions)
-    _check_finite(new_positions, new_values, state.k + 1)
+    if not (_all_finite(new_positions) and _all_finite(new_values)):
+        # A non-finite input particle reaches every particle through xbar.
+        _check_finite(state.positions, state.values, state.k)
+        _check_finite(new_positions, new_values, state.k + 1)
     return SwarmState(new_positions, state.k + 1, new_values)
 
 

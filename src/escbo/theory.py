@@ -63,6 +63,10 @@ class ConsensusCondition:
     schedule_summable: bool
 
 
+def _consensus_value(lam: float, delta: float) -> float:
+    return (1.0 - lam) ** 2 + delta ** 2
+
+
 def check_consensus_condition(lam: float, delta: float,
                               schedule: StepSchedule) -> ConsensusCondition:
     """Evaluate the exponential-consensus parameter condition.
@@ -70,7 +74,7 @@ def check_consensus_condition(lam: float, delta: float,
     Violations raise a warning rather than an error: in practice consensus
     often still emerges when (1-lam)^2 + delta^2 >= 1/2.
     """
-    value = (1.0 - lam) ** 2 + delta ** 2
+    value = _consensus_value(lam, delta)
     satisfied = bool(value < 0.5)
     if not satisfied:
         warnings.warn(
@@ -84,7 +88,7 @@ def check_consensus_condition(lam: float, delta: float,
 
 def _contraction_factor(lam: float, delta: float, alpha: float,
                         L_g: float) -> float:
-    return 2.0 * ((1.0 - lam) ** 2 + delta ** 2 + alpha ** 2 * L_g ** 2)
+    return 2.0 * (_consensus_value(lam, delta) + alpha ** 2 * L_g ** 2)
 
 
 def consensus_bound_series(k_max: int, lam: float, delta: float,
@@ -126,8 +130,7 @@ def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
     discarded tail is below the same relative tolerance.  Finite only when
     the contraction condition holds and the schedule is summable.
     """
-    cc = (1.0 - lam) ** 2 + delta ** 2
-    if not (cc < 0.5 and schedule.summable):
+    if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
         raise InvalidParametersError(
             "perturbation series diverges: needs (1-lam)^2 + delta^2 < 1/2 "
             "and a summable step schedule")
@@ -162,7 +165,6 @@ class ComplexityConstants:
     xi: float
     gamma: float
     kappa: float
-    K_eps: Optional[int] = None
 
 
 def contraction_constants(lam: float, delta: float,
@@ -336,10 +338,7 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     """
     if not 0 < epsilon < 1:
         raise InvalidParametersError("epsilon must lie in (0, 1)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParameterConditionWarning)
-        cond = check_consensus_condition(lam, delta, schedule)
-    if not (cond.satisfied and cond.schedule_summable):
+    if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
         return ErrorBoundCheck(
             satisfied=False, lhs_log=math.nan, rhs_log=math.inf, c3=math.inf,
             note="perturbation series diverges for these parameters")

@@ -118,6 +118,40 @@ def test_bad_config_file_exits_nonzero(tmp_path, capsys):
     assert "expected" in capsys.readouterr().err
 
 
+def test_table3_preset_writes_every_row(tmp_path, capsys):
+    texts = []
+    for seed in ("5", "6"):
+        out = tmp_path / f"table3_{seed}.csv"
+        assert run_cli(["table3", "--scale", "0.001", "--seed", seed,
+                        "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    rows = texts[0].splitlines()[1:]
+    assert len(rows) == 42
+    assert sum(",gaussian(0.0,3.0)," in r for r in rows) == 14
+    assert texts[0] != texts[1]
+
+
+def test_table4_preset_reports_training_errors(tmp_path, capsys):
+    out = tmp_path / "table4.csv"
+    assert run_cli(["table4", "--scale", "0.001", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header.endswith(",train_err,test_err")
+    assert len(rows) == 6
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--config", "bogus.cfg"], "error: bogus.cfg:1: unknown key 'bogus'"),
+    (["--schedule", "geometric:1,2"],
+     "error: geometric schedule needs 0 < r < 1"),
+    (["--out", "missing/summary.csv"], "i/o error: "),
+], ids=["unknown-config-key", "geometric-ratio", "out-missing-directory"])
+def test_run_errors_exit_one(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
+    assert run_cli(["run", "--runs", "1", "--max-iters", "1", *args]) == 1
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_bad_schedule_flag(capsys):
     code = run_cli(["run", "--method", "escbo", "--benchmark", "rastrigin",
                     "--dim", "2", "--schedule", "quadratic:1", "--runs", "1"])

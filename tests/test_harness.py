@@ -252,6 +252,21 @@ def test_config_rejects_invalid_field(overrides):
         quick_config(**overrides)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(benchmark="nope"),
+    dict(benchmark="bartels_conn", dim=3),
+    dict(benchmark="rastrigin", dim=0),
+    dict(benchmark="rastrigin1d"),
+    dict(benchmark="dnn", arch=(5, 0, 1)),
+    dict(benchmark="dnn", arch=(5,)),
+    dict(runs=0),
+], ids=["unknown-benchmark", "fixed-dim-mismatch", "dim-zero",
+        "rastrigin1d-default-dim", "zero-width", "one-width", "no-runs"])
+def test_config_rejects_invalid_target_when_built(overrides):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**overrides)
+
+
 # ------------------------------------------------------------------ presets
 
 def test_table2_preset_grid():

@@ -242,6 +242,15 @@ def test_dataset_save_load_round_trip(tmp_path):
     assert header == "3 2 80 20"
 
 
+def test_load_dataset_rejects_body_that_does_not_match_header(tmp_path):
+    path = tmp_path / "dataset.txt"
+    save_dataset(generate_synthetic(MLPArchitecture((3, 5, 2)), seed=9), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")  # one sample short
+    with pytest.raises(ConfigurationError, match="does not match header"):
+        load_dataset(path)
+
+
 @settings(max_examples=60)
 @given(data=st.data(), n0=st.integers(1, 4), nl=st.integers(1, 3),
        m=st.integers(1, 6), m_test=st.integers(0, 4))

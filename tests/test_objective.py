@@ -56,17 +56,40 @@ def test_centers_ignored_without_probe_kernel():
 def test_probe_kernel_serves_only_calls_with_centers():
     seen = []
 
-    def probe(centers, rows):
-        seen.append((centers.shape, rows.shape))
-        return np.full(rows.shape[0], -1.0)
+    def probe(centers, delta):
+        seen.append((centers, delta))
+        return np.full(delta.size, -1.0)
 
     obj = Objective(2, lambda x: np.sum(x * x, axis=-1), vectorized=True,
                     probe_kernel=probe)
-    grads = minibatch_gradients(obj, np.ones((3, 2)), [0, 2],
-                                FiniteDiffConfig(0.5))
-    assert seen == [((2, 2), (4, 2))]
-    np.testing.assert_array_equal(grads[[0, 2]], np.full((2, 2), -6.0))
+    positions = np.array([[1.0, 1.0], [5.0, 5.0], [0.1, 1e8]])
+    grads = minibatch_gradients(obj, positions, [0, 2],
+                                FiniteDiffConfig(0.2))
+    [(centers, delta)] = seen
+    np.testing.assert_array_equal(centers, positions[[0, 2]])
+    # delta is the step each probe took, fl(x + sigma) - x, not sigma.
+    np.testing.assert_array_equal(delta, (centers + 0.2) - centers)
+    assert delta.shape == (2, 2) and 0.2 not in delta[1]
+    base = np.sum(centers * centers, axis=1)
+    np.testing.assert_array_equal(grads[[0, 2]],
+                                  np.repeat((-1.0 - base)[:, None] / 0.2, 2, 1))
     assert obj.eval_count == 2 * 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Objective(0, np.sum),
+    lambda: forward_difference_gradient(sphere_objective(), np.zeros(3),
+                                        FiniteDiffConfig(0.1)),
+    lambda: forward_difference_gradient(sphere_objective(),
+                                        np.array([0.0, np.nan]),
+                                        FiniteDiffConfig(0.1)),
+    lambda: minibatch_gradients(sphere_objective(), np.zeros((4, 3)), None,
+                                FiniteDiffConfig(0.1)),
+], ids=["dim-zero", "gradient-shape", "gradient-non-finite",
+        "minibatch-shape"])
+def test_objective_validation_errors(call):
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def test_counter_is_thread_safe():

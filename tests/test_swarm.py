@@ -112,6 +112,18 @@ def test_rng_stream_labels():
     assert not np.allclose(a, c)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: init_swarm(UniformBox(-1, 1), 0, 2, RngStream(0)),
+     ConfigurationError),
+    (lambda: softmin_weights(np.zeros(3), -1.0), ConfigurationError),
+    (lambda: draw_noise(-0.1, 2, RngStream(0)), ConfigurationError),
+    (lambda: RngStream(0).stream("bogus"), KeyError),
+], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream"])
+def test_swarm_validation_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
 # ------------------------------------------------------------- consensus
 
 def test_consensus_single_particle():
@@ -676,7 +688,7 @@ ANY = "not checked"
 # fescbo with a full batch).
 STEP_CASES = [
     (with_entry((2, 0), np.nan), VALUES, 0.5, 0.1, 1e20, 0.25,
-     (est(2), DIVERGED_4_0, est(2))),
+     (est(2), ("DivergenceError", 2, None, 3), est(2))),
     # vanilla is not checked here: its consensus point multiplies the inf
     # row by a zero weight, which warns (run_once's errstate silences it).
     (with_entry((1, 0), np.inf), VALUES, 0.5, 0.1, 1e20, 0.25,

@@ -398,5 +398,35 @@ def test_consensus_bound_is_an_entry_of_the_series(k_max, lam, delta, kind, c,
                                       and math.isnan(series[k]))
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: perturbation_series(0.5, 0.1, GEO, 1.0, 1.0, 1.0, max_terms=1),
+     ArithmeticError),
+    # core = 2e-17 > 0, but gamma = 1 - 1e-17 rounds to 1.
+    (lambda: contraction_constants(1e-17, 0.0), InvalidParametersError),
+    (lambda: iteration_budget(0.0, 0.1, 0.5), InvalidParametersError),
+    (lambda: iteration_budget(1.0, 0.0, 0.5), InvalidParametersError),
+    (lambda: iteration_budget(1.0, 0.1, 1.0), InvalidParametersError),
+    (lambda: growth_margin(GCP_1D, 0.0), InvalidParametersError),
+    (lambda: consensus_distance_bound(np.zeros((2, 1)), [0.0, 0.0], [0.0],
+                                      0.0, GCP_1D, r=0.05, q=0.0, beta=10.0,
+                                      f_r=0.0), InvalidParametersError),
+    (lambda: laplace_value(1.0, [0.0, math.nan]), InvalidParametersError),
+    (lambda: check_error_bound_condition(
+        1.0, 0.5, 0.1, GEO, 1.0, 1.0, 1.0, [0.0, 1.0], 0.0, 1, 0.1),
+     InvalidParametersError),
+    (lambda: max_on_ball(np.sum, [0.0], 0.0), ConfigurationError),
+    (lambda: max_on_ball(np.sum, [0.0], 1.0, resolution=2.0),
+     ConfigurationError),
+    (lambda: growth_radius(np.sum, [0.0], 0.0, 0.0, 1.0),
+     ConfigurationError),
+], ids=["series-max-terms", "gamma-rounds-to-one", "budget-W0", "budget-eps",
+        "budget-gamma", "margin-c4k", "distance-q", "laplace-nan",
+        "error-bound-epsilon", "ball-radius", "ball-resolution",
+        "growth-radius-q"])
+def test_theory_validation_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_error_names_are_one_class():
     assert InvalidParametersError is EmptyIndicatorError is ConfigurationError
