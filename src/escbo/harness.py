@@ -7,6 +7,7 @@ config therefore reproduces report files byte for byte.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -165,10 +166,6 @@ class RunRecord:
     init_train_err: Optional[float] = None
 
 
-def _is_checkpoint(k: int) -> bool:
-    return k <= CHECKPOINT_DENSE_UNTIL or k % CHECKPOINT_STRIDE == 0
-
-
 def _w_value(positions: np.ndarray, x_star: Optional[np.ndarray]) -> float:
     if x_star is None:
         return math.nan
@@ -193,16 +190,14 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
     """
     target = _build_target(config)
     obj = target.objective
-    obj.reset_count()
     params = config.params
     rng = RngStream(seed)
-    ks, diam, wks, best = [], [], [], []
+    series = []  # (k, diameter, w_k, best_f) at each checkpoint
 
     def record(st: SwarmState) -> None:
-        ks.append(st.k)
-        diam.append(swarm_diameter(st.positions))
-        wks.append(_w_value(st.positions, target.x_star))
-        best.append(float(st.values.min()))
+        series.append((st.k, swarm_diameter(st.positions),
+                       _w_value(st.positions, target.x_star),
+                       float(st.values.min())))
 
     with np.errstate(all="ignore"):
         state = refresh_values(
@@ -222,7 +217,8 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
                 else:
                     state = fescbo_step(state, obj, params, config.schedule,
                                         config.batch_size, rng)
-                if _is_checkpoint(state.k):
+                if (state.k <= CHECKPOINT_DENSE_UNTIL
+                        or state.k % CHECKPOINT_STRIDE == 0):
                     record(state)
                 if check_stop(prev, state, config.stop_tol):
                     terminated_by = "stop_rule"
@@ -231,17 +227,17 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
             # The failed step assigned nothing: state is the last finite one.
             terminated_by = ("divergence" if isinstance(exc, DivergenceError)
                              else "estimation")
-        if ks[-1] != state.k:
+        if series[-1][0] != state.k:
             record(state)
+        ks, diam, wks, best = (np.array(col) for col in zip(*series))
         consensus = (consensus_point(state, params.beta).xbar
                      if np.isfinite(state.values).all()
                      else np.full(obj.dim, np.nan))
         rec = RunRecord(
             seed=seed, iterations=state.k, terminated_by=terminated_by,
             final_positions=state.positions, final_values=state.values,
-            ks=np.array(ks), diameter=np.array(diam),
-            w_k=None if target.x_star is None else np.array(wks),
-            best_f=np.array(best), consensus=consensus[None],
+            ks=ks, diameter=diam, w_k=None if target.x_star is None else wks,
+            best_f=best, consensus=consensus[None],
             evals=obj.eval_count)
         if target.x_star is not None:
             dist = min(np.linalg.norm(state.positions - xs, axis=1).max()
@@ -276,6 +272,7 @@ class AggregateReport:
     mean_iters: float
     mean_evals: float
     n_diverged: int
+    n_estimation: int
     train_err: Optional[float] = None
     test_err: Optional[float] = None
 
@@ -289,7 +286,8 @@ class AggregateReport:
             fun_err=_mean(r.fun_err for r in records),
             mean_iters=_mean(r.iterations for r in records),
             mean_evals=_mean(r.evals for r in records),
-            n_diverged=sum(r.terminated_by == "divergence" for r in records))
+            n_diverged=sum(r.terminated_by == "divergence" for r in records),
+            n_estimation=sum(r.terminated_by == "estimation" for r in records))
         if any(r.train_err is not None for r in records):
             report.train_err = _mean(r.train_err for r in records)
             report.test_err = _mean(r.test_err for r in records)
@@ -299,9 +297,10 @@ class AggregateReport:
 def run_many(config: ExperimentConfig) -> AggregateReport:
     """Independent seeded runs aggregated into success and error statistics.
 
-    Runs are a pure function of (config, seed) and share no state, so they
-    could execute concurrently; aggregation is ordered by run index either
-    way.
+    Runs are a pure function of (config, seed), so they could go to
+    separate processes; not to threads, since the Gram diameter's work space
+    (``swarm._gram_pair``) is shared by every run.  Aggregation is ordered by
+    run index either way.
     """
     records = [run_once(config, config.seed + i) for i in range(config.runs)]
     return AggregateReport.from_records(config, records)
@@ -363,12 +362,11 @@ def table_preset(name: str, scale: float = 1.0) -> list[ExperimentConfig]:
     return configs
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return "" if math.isnan(v) else repr(v)
-    return str(v)
+def _blank(row: dict, missing) -> dict:
+    """``row`` with each float value for which ``missing`` holds as None,
+    which csv writes as an empty field and json as null."""
+    return {key: None if isinstance(v, float) and missing(v) else v
+            for key, v in row.items()}
 
 
 def _summary_row(report: AggregateReport) -> dict:
@@ -379,29 +377,25 @@ def _summary_row(report: AggregateReport) -> dict:
     row = {
         "method": cfg.method, "benchmark": target_name,
         "d": report.records[0].final_positions.shape[1],
-        "N": cfg.particles, "init": str(init),
-        "rate": None if math.isnan(report.rate) else report.rate,
-        "sol_err": None if math.isnan(report.sol_err) else report.sol_err,
-        "fun_err": None if math.isnan(report.fun_err) else report.fun_err,
+        "N": cfg.particles, "init": str(init), "rate": report.rate,
+        "sol_err": report.sol_err, "fun_err": report.fun_err,
         "mean_iters": report.mean_iters, "mean_evals": report.mean_evals,
-        "n_diverged": report.n_diverged,
-        "n_estimation": sum(r.terminated_by == "estimation"
-                            for r in report.records),
+        "n_diverged": report.n_diverged, "n_estimation": report.n_estimation,
     }
     if report.train_err is not None:
         row["train_err"] = report.train_err
         row["test_err"] = report.test_err
-    return row
+    return _blank(row, math.isnan)
 
 
 def _series_rows(report: AggregateReport):
     for i, rec in enumerate(report.records):
-        w = rec.w_k
-        for j, k in enumerate(rec.ks):
-            yield {"run": i, "k": int(k),
-                   "diameter": float(rec.diameter[j]),
-                   "w_k": None if w is None else float(w[j]),
-                   "best_f": float(rec.best_f[j])}
+        w_k = [None] * len(rec.ks) if rec.w_k is None else rec.w_k.tolist()
+        for k, diameter, w, best_f in zip(rec.ks.tolist(),
+                                          rec.diameter.tolist(), w_k,
+                                          rec.best_f.tolist()):
+            yield _blank({"run": i, "k": k, "diameter": diameter, "w_k": w,
+                          "best_f": best_f}, math.isnan)
 
 
 def emit_report(reports, fmt: str, path) -> list[str]:
@@ -409,7 +403,9 @@ def emit_report(reports, fmt: str, path) -> list[str]:
 
     ``reports`` is one AggregateReport or a list of them.  csv writes the
     summary at ``path`` and the series beside it with a ``_series`` suffix;
-    json writes a single document holding both.  Returns the written paths.
+    json writes a single document holding both, with null for each
+    non-finite number (csv writes inf and leaves nan empty).  Returns the
+    written paths.
     """
     if isinstance(reports, AggregateReport):
         reports = [reports]
@@ -418,9 +414,10 @@ def emit_report(reports, fmt: str, path) -> list[str]:
     series = [row for r in reports for row in _series_rows(r)]
     path = os.fspath(path)
     if fmt == "json":
-        doc = {"summary": rows, "series": series}
+        doc = {"summary": [_blank(r, math.isinf) for r in rows],
+               "series": [_blank(r, math.isinf) for r in series]}
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, allow_nan=False)
             fh.write("\n")
         return [path]
     if fmt != "csv":
@@ -429,15 +426,12 @@ def emit_report(reports, fmt: str, path) -> list[str]:
     series_path = f"{base}_series{ext or '.csv'}"
     extra = ("train_err", "test_err") if any("train_err" in r for r in rows) \
         else ()
-    columns = SUMMARY_COLUMNS + extra
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
-    with open(series_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for row in series:
-            fh.write(",".join(_fmt(row[c]) for c in SERIES_COLUMNS) + "\n")
+    for out, columns, table in ((path, SUMMARY_COLUMNS + extra, rows),
+                                (series_path, SERIES_COLUMNS, series)):
+        with open(out, "w", encoding="ascii", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([row.get(c) for c in columns] for row in table)
     return [path, series_path]
 
 

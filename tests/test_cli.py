@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -125,9 +126,11 @@ def test_table3_preset_writes_every_row(tmp_path, capsys):
         assert run_cli(["table3", "--scale", "0.001", "--seed", seed,
                         "--out", str(out)]) == 0
         texts.append(out.read_text())
-    rows = texts[0].splitlines()[1:]
+    header, *rows = csv.reader(texts[0].splitlines())
     assert len(rows) == 42
-    assert sum(",gaussian(0.0,3.0)," in r for r in rows) == 14
+    assert all(len(row) == len(header) for row in rows)
+    init = header.index("init")
+    assert sum(row[init] == "gaussian(0.0,3.0)" for row in rows) == 14
     assert texts[0] != texts[1]
 
 

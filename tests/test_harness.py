@@ -245,8 +245,12 @@ def test_config_validation():
     dict(sigma=0.0),
     dict(particles=0),
     dict(method="fescbo", particles=5, batch_size=50),
+    dict(success_tol=0.0),
+    dict(success_tol=math.nan),
+    dict(success_tol=math.inf),
 ], ids=["lam-nan", "stop_tol-nan", "delta-inf", "beta-negative", "sigma-zero",
-        "no-particles", "batch-over-particles"])
+        "no-particles", "batch-over-particles", "success_tol-zero",
+        "success_tol-nan", "success_tol-inf"])
 def test_config_rejects_invalid_field(overrides):
     with pytest.raises(ConfigurationError):
         quick_config(**overrides)
@@ -353,9 +357,32 @@ def test_json_summary_counts_failed_runs(tmp_path):
     emit_report(report, "json", tmp_path / "out.json")
     row = json.loads((tmp_path / "out.json").read_text())["summary"][0]
     assert (row["n_diverged"], row["n_estimation"]) == (2, 1)
+    assert (report.n_diverged, report.n_estimation) == (2, 1)
     emit_report(report, "csv", tmp_path / "out.csv")
     header = (tmp_path / "out.csv").read_text().splitlines()[0]
     assert header.split(",") == list(harness.SUMMARY_COLUMNS)
+
+
+def test_json_after_divergence_is_strict_json(tmp_path):
+    import json
+    report = run_many(ExperimentConfig(init=UniformBox(-1e200, 1e200),
+                                       runs=1, max_iters=5))
+    emit_report(report, "json", tmp_path / "out.json")
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    doc = json.loads((tmp_path / "out.json").read_text(),
+                     parse_constant=reject)
+    summary, series = doc["summary"][0], doc["series"][0]
+    assert summary["sol_err"] is None and summary["fun_err"] is None
+    assert series == dict(run=0, k=0, diameter=None, w_k=None, best_f=None)
+    # csv keeps writing inf.
+    emit_report(report, "csv", tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text().endswith(
+        ",0.0,inf,inf,0.0,20.0\n")
+    assert (tmp_path / "out_series.csv").read_text().splitlines()[1] == \
+        "0,0,inf,inf,inf"
 
 
 def w_value_reference(positions, x_star):

@@ -378,6 +378,12 @@ def test_growth_radius_self_consistent():
         assert _fr_grid(min(r + 5e-3, 1.0)) > q
 
 
+def test_growth_radius_is_zero_when_the_center_exceeds_q():
+    # f - fstar = 1 > q already at the innermost grid point.
+    assert growth_radius(lambda p: np.ones(len(p)), [0.0], 0.0, 0.5,
+                         R0=1.0) == 0.0
+
+
 # ------------------------------------------------- bound series, property
 
 @settings(max_examples=60, deadline=None)
