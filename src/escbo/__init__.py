@@ -19,20 +19,18 @@ from .objective import (ConfigurationError, EstimationError, FiniteDiffConfig,
                         LipschitzData, Objective, estimate_lipschitz,
                         forward_difference_gradient, gradient_bounds,
                         minibatch_gradients)
-from .swarm import (CBOParams, ComponentGaussian, ConsensusPoint,
-                    DivergenceError, RngStream, StepSchedule, SwarmState,
-                    UniformBox, check_stop, consensus_point, draw_noise,
-                    escbo_step, fescbo_step, init_swarm, refresh_values,
-                    softmin_weights, swarm_diameter, vanilla_cbo_step)
-from .theory import (ComplexityConstants, ConsensusCondition,
-                     EmptyIndicatorError, ErrorBoundCheck,
-                     GrowthConditionParams, InvalidParametersError,
-                     ParameterConditionWarning, ProximityResult,
-                     check_consensus_condition, check_error_bound_condition,
-                     consensus_bound, consensus_bound_series,
-                     consensus_distance_bound, contraction_constants,
-                     error_budget, growth_margin, growth_radius,
-                     iteration_budget, laplace_value, max_on_ball,
-                     perturbation_series)
+from .swarm import (CBOParams, ComponentGaussian, DivergenceError,
+                    RngStream, StepSchedule, SwarmState, UniformBox,
+                    check_stop, consensus_point, draw_noise, escbo_step,
+                    fescbo_step, init_swarm, refresh_values, softmin_weights,
+                    swarm_diameter, vanilla_cbo_step)
+from .theory import (ComplexityConstants, ConsensusCondition, ErrorBoundCheck,
+                     GrowthConditionParams, ParameterConditionWarning,
+                     ProximityResult, check_consensus_condition,
+                     check_error_bound_condition, consensus_bound,
+                     consensus_bound_series, consensus_distance_bound,
+                     contraction_constants, error_budget, growth_margin,
+                     growth_radius, iteration_budget, laplace_value,
+                     max_on_ball, perturbation_series)
 
 __version__ = "0.1.0"

@@ -114,10 +114,6 @@ class BenchmarkSpec:
     lo: float
     hi: float
 
-    @property
-    def default_box(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
 
 _SCHAFFER4_A = 1.253115
 
@@ -175,6 +171,6 @@ def lookup(name: str, d: int | None = None) -> BenchmarkSpec:
         raise ConfigurationError(
             f"benchmark {name} failed minimizer verification: "
             f"max |f(x*) - f*| = {np.max(np.abs(vals - f_star)):.3e}")
-    obj = Objective(dim=d, fn=kernel, vectorized=True, name=name)
+    obj = Objective(dim=d, fn=kernel, name=name)
     return BenchmarkSpec(name=name, dim=d, objective=obj, x_star=x_star,
                          f_star=float(f_star), lo=lo, hi=hi)

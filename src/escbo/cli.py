@@ -78,6 +78,13 @@ def _parse(key: str, text, parse):
         raise ConfigurationError(f"bad {key} {text!r}{form}") from None
 
 
+def _natural(text: str) -> int:
+    """int(text), where a negative number is as bad as a malformed one."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _build_config(args, file_values: dict | None = None) -> ExperimentConfig:
     """Config from file values overridden by the flags that were given.
 
@@ -161,7 +168,8 @@ def _cmd_laplace(args) -> int:
                    lambda text: [float(b) for b in text.split(",")])
     dim, samples, eps, seed = (
         _parse(key, getattr(args, key), parse) for key, parse in
-        (("dim", int), ("samples", int), ("eps", float), ("seed", int)))
+        (("dim", int), ("samples", _natural), ("eps", float),
+         ("seed", _natural)))
     spec = benchmarks.lookup(args.benchmark, dim)
     gen = np.random.default_rng(seed)
     pts = gen.uniform(spec.lo, spec.hi, size=(samples, spec.dim))

@@ -86,15 +86,16 @@ class ExperimentConfig:
         if self.particles < 1:
             raise ConfigurationError(
                 f"particles must be >= 1, got {self.particles}")
-        if self.method == "fescbo" and not (
-                self.batch_size and 1 <= self.batch_size <= self.particles):
+        if (self.method == "fescbo" or self.batch_size is not None) and not (
+                1 <= (self.batch_size or 0) <= self.particles):
             raise ConfigurationError(
-                f"fescbo needs batch_size in [1, {self.particles}], "
+                f"batch_size must lie in [1, {self.particles}], "
                 f"got {self.batch_size}")
         if self.benchmark == "dnn" and self.arch is None:
             raise ConfigurationError("dnn target needs arch widths")
-        if self.max_iters < 0 or self.runs < 1:
-            raise ConfigurationError("need max_iters >= 0 and runs >= 1")
+        if self.max_iters < 0 or self.runs < 1 or self.data_seed < 0:
+            raise ConfigurationError(
+                "need max_iters >= 0, runs >= 1 and data_seed >= 0")
         if not 0 <= self.stop_tol < math.inf:
             raise ConfigurationError(
                 f"stop_tol must be finite and >= 0, got {self.stop_tol}")
@@ -131,7 +132,7 @@ def _build_target(config: ExperimentConfig) -> _Target:
         return _Target(objective=neural.dnn_objective(arch, data), init=init,
                        arch=arch, data=data)
     spec = benchmarks.lookup(config.benchmark, config.dim)
-    init = config.init if config.init is not None else UniformBox(*spec.default_box)
+    init = config.init if config.init is not None else UniformBox(spec.lo, spec.hi)
     return _Target(objective=spec.objective, init=init, x_star=spec.x_star,
                    f_star=spec.f_star)
 
@@ -157,7 +158,7 @@ class RunRecord:
     diameter: np.ndarray
     w_k: Optional[np.ndarray]
     best_f: np.ndarray
-    consensus: np.ndarray  # (1, d): the final consensus point
+    consensus: np.ndarray  # (d,): the final consensus point
     evals: int
     success: Optional[bool] = None
     fun_err: Optional[float] = None
@@ -230,14 +231,14 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
         if series[-1][0] != state.k:
             record(state)
         ks, diam, wks, best = (np.array(col) for col in zip(*series))
-        consensus = (consensus_point(state, params.beta).xbar
+        consensus = (consensus_point(state, params.beta)
                      if np.isfinite(state.values).all()
                      else np.full(obj.dim, np.nan))
         rec = RunRecord(
             seed=seed, iterations=state.k, terminated_by=terminated_by,
             final_positions=state.positions, final_values=state.values,
             ks=ks, diameter=diam, w_k=None if target.x_star is None else wks,
-            best_f=best, consensus=consensus[None],
+            best_f=best, consensus=consensus,
             evals=obj.eval_count)
         if target.x_star is not None:
             dist = min(np.linalg.norm(state.positions - xs, axis=1).max()
@@ -506,7 +507,7 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
             constants = theory.contraction_constants(config.lam, config.delta,
                                                      xi=xi)
             w_bound = record.w_k[0] * constants.gamma ** record.ks.astype(float)
-        except theory.InvalidParametersError as exc:
+        except ConfigurationError as exc:
             notes.append(f"gamma^k overlay unavailable: {exc}")
     return DiagnosticReport(condition=condition, ks=record.ks,
                             diameter=record.diameter, diameter_bound=bound,

@@ -299,8 +299,7 @@ def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
     """
     u, v = data.train_inputs, data.train_targets
     return Objective(dim=arch.dim, fn=lambda pop: _mse(arch, pop, u, v),
-                     vectorized=True, name=f"dnn({arch})",
-                     probe_kernel=_ProbeKernel(arch, u, v))
+                     name=f"dnn({arch})", probe_kernel=_ProbeKernel(arch, u, v))
 
 
 def save_dataset(data: SyntheticDataset, path) -> None:

@@ -43,14 +43,13 @@ def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
 
 
 class Objective:
-    """A function f: R^d -> R wrapped with an evaluation counter.
+    """A batch function f: (B, d) -> (B,) wrapped with an evaluation counter.
 
     The counter increases by exactly one per evaluated point, including every
     probe point consumed by gradient estimation.  It is a plain integer with
     no lock, because nothing evaluates an objective from several threads.
-    ``fn`` must be deterministic.  When ``vectorized`` is true, ``fn`` must
-    accept arrays of shape (..., d) and reduce over the last axis; otherwise
-    it is called one point at a time.
+    ``fn`` must be deterministic and map a (B, d) array to B values;
+    ``eval`` is the B = 1 case of ``eval_many``.
 
     ``probe_kernel(centers, delta)``, when given, returns f at the (B*d, d)
     coordinate probes ``rows[i*d + l] = fl(centers[i] + sigma e_l)`` of a
@@ -58,14 +57,12 @@ class Objective:
     - centers[i, l]``; ``minibatch_gradients`` uses it through ``eval_many``.
     """
 
-    def __init__(self, dim: int, fn: Callable, vectorized: bool = False,
-                 name: str | None = None,
+    def __init__(self, dim: int, fn: Callable, name: str | None = None,
                  probe_kernel: Optional[Callable] = None):
         if dim < 1:
             raise ConfigurationError(f"dimension must be >= 1, got {dim}")
         self.dim = int(dim)
         self._fn = fn
-        self._vectorized = bool(vectorized)
         self._probe_kernel = probe_kernel
         self.name = name or getattr(fn, "__name__", "objective")
         self._count = 0
@@ -78,30 +75,37 @@ class Objective:
         self._count = 0
 
     def eval(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        self._count += 1
-        return float(self._fn(x))
+        """f at one point of shape (d,): the batch of that one point."""
+        return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
 
     def eval_many(self, points, centers=None) -> np.ndarray:
         """Evaluate a (B, d) batch of points; counts B evaluations.
 
         ``centers`` marks ``points`` as the coordinate probes of those
-        centers (see the class docstring); an objective with a probe kernel
-        then evaluates them through it, any other ignores it.
+        (B // d, d) centers (see the class docstring), which an objective
+        with a probe kernel evaluates through it.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+        d = self.dim
+        if pts.ndim != 2 or pts.shape[1] != d:
+            raise ConfigurationError(f"{self.name}: expected a (B, {d}) "
+                                     f"batch, got shape {pts.shape}")
+        b = pts.shape[0]
+        if centers is not None and (b % d or np.shape(centers) != (b // d, d)):
             raise ConfigurationError(
-                f"expected a (B, {self.dim}) batch, got shape {pts.shape}")
-        self._count += pts.shape[0]
+                f"{self.name}: {b} probe rows need ({b // d}, {d}) centers, "
+                f"got shape {np.shape(centers)}")
+        self._count += b
         if centers is not None and self._probe_kernel is not None:
             c = np.asarray(centers, dtype=float)
             # Row i*d + l differs from center i in coordinate l only.
-            delta = pts.reshape(len(c), -1)[:, ::self.dim + 1] - c
+            delta = pts.reshape(b // d, d * d)[:, ::d + 1] - c
             return self._probe_kernel(c, delta)
-        if self._vectorized:
-            return np.asarray(self._fn(pts), dtype=float)
-        return np.array([float(self._fn(row)) for row in pts])
+        vals = np.asarray(self._fn(pts), dtype=float)
+        if vals.shape != (b,):
+            raise ConfigurationError(f"{self.name}: fn gave shape "
+                                     f"{vals.shape} for {b} points, not ({b},)")
+        return vals
 
     def __repr__(self):
         return f"Objective({self.name!r}, dim={self.dim}, evals={self._count})"

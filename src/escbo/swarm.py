@@ -20,7 +20,6 @@ from .objective import (ConfigurationError, FiniteDiffConfig, Objective,
 __all__ = [
     "CBOParams",
     "ComponentGaussian",
-    "ConsensusPoint",
     "DivergenceError",
     "RngStream",
     "StepSchedule",
@@ -200,14 +199,6 @@ class ComponentGaussian:
         return f"gaussian({self.mean},{self.variance})"
 
 
-@dataclass(frozen=True)
-class ConsensusPoint:
-    """Softmin-weighted average of the particle positions."""
-
-    xbar: np.ndarray
-    weights: np.ndarray
-
-
 def init_swarm(dist, n_particles: int, dim: int, rng: RngStream) -> SwarmState:
     """Draw n i.i.d. initial positions from ``dist``; values start unset."""
     if n_particles < 1 or dim < 1:
@@ -240,8 +231,8 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     return w
 
 
-def consensus_point(state: SwarmState, beta: float) -> ConsensusPoint:
-    """Weighted average position with weights proportional to exp(-beta f).
+def consensus_point(state: SwarmState, beta: float) -> np.ndarray:
+    """The (d,) average position under ``softmin_weights(values, beta)``.
 
     The sum is anchored at the heaviest particle, which is algebraically
     neutral (weights sum to one) but keeps a collapsed swarm's average equal
@@ -254,8 +245,7 @@ def consensus_point(state: SwarmState, beta: float) -> ConsensusPoint:
         raise ConfigurationError("non-finite objective values in swarm")
     w = softmin_weights(state.values, beta)
     anchor = state.positions[w.argmax()]
-    return ConsensusPoint(xbar=anchor + w @ (state.positions - anchor),
-                          weights=w)
+    return anchor + w @ (state.positions - anchor)
 
 
 def draw_noise(delta: float, dim: int, rng: RngStream) -> np.ndarray:
@@ -291,9 +281,9 @@ def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
 
 def _advance(state: SwarmState, obj: Objective, params: CBOParams,
              rng: RngStream, grads, alpha: float) -> SwarmState:
-    cp = consensus_point(state, params.beta)
+    xbar = consensus_point(state, params.beta)
     eta = draw_noise(params.delta, state.dim, rng)
-    new_positions = _drift_diffusion(state.positions, cp.xbar, params.lam, eta)
+    new_positions = _drift_diffusion(state.positions, xbar, params.lam, eta)
     if grads is not None and alpha != 0.0:
         grads *= alpha  # the caller's fresh array: new - alpha * grads
         new_positions -= grads

@@ -23,10 +23,8 @@ from .swarm import StepSchedule, SwarmState, consensus_point
 __all__ = [
     "ComplexityConstants",
     "ConsensusCondition",
-    "EmptyIndicatorError",
     "ErrorBoundCheck",
     "GrowthConditionParams",
-    "InvalidParametersError",
     "ParameterConditionWarning",
     "ProximityResult",
     "check_consensus_condition",
@@ -47,11 +45,6 @@ __all__ = [
 
 class ParameterConditionWarning(UserWarning):
     """The contraction condition on (lam, delta) is not satisfied."""
-
-
-# Names for the two ways a bound cannot be computed (a violated precondition,
-# no particle inside the requested ball); both are the one error family.
-InvalidParametersError = EmptyIndicatorError = ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,7 @@ def consensus_bound_series(k_max: int, lam: float, delta: float,
     is a vacuous bound rather than an error.
     """
     if var_init < 0:
-        raise InvalidParametersError("var_init must be >= 0")
+        raise ConfigurationError("var_init must be >= 0")
     factors = [_contraction_factor(lam, delta, schedule.alpha(n), L_g)
                for n in range(k_max)]
     with np.errstate(over="ignore"):
@@ -131,7 +124,7 @@ def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
     the contraction condition holds and the schedule is summable.
     """
     if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
-        raise InvalidParametersError(
+        raise ConfigurationError(
             "perturbation series diverges: needs (1-lam)^2 + delta^2 < 1/2 "
             "and a summable step schedule")
     total = 0.0
@@ -176,15 +169,15 @@ def contraction_constants(lam: float, delta: float,
     splits the contraction between the two; 0.5 is a reasonable default.
     """
     if not 0 < xi < 1:
-        raise InvalidParametersError(f"xi must lie in (0, 1), got {xi}")
+        raise ConfigurationError(f"xi must lie in (0, 1), got {xi}")
     core = 2.0 * lam - 2.0 * lam ** 2 - 2.0 * delta ** 2
     if core <= 0:
-        raise InvalidParametersError(
+        raise ConfigurationError(
             "contraction requires 2*lam - 2*lam^2 - 2*delta^2 > 0; "
             f"got {core:.6g} for lam={lam}, delta={delta}")
     gamma = 1.0 - (1.0 - xi) * core
     if not 0 < gamma < 1:
-        raise InvalidParametersError(f"gamma = {gamma:.6g} outside (0, 1)")
+        raise ConfigurationError(f"gamma = {gamma:.6g} outside (0, 1)")
     a = lam ** 2 + delta ** 2
     kappa = min(
         xi * core / (4.0 * (2.0 * a + math.sqrt(a) + 1.0)),
@@ -196,11 +189,11 @@ def contraction_constants(lam: float, delta: float,
 def iteration_budget(W0: float, eps: float, gamma: float) -> int:
     """Smallest k with gamma^k * W0 <= eps; zero when the target is already met."""
     if not W0 > 0:
-        raise InvalidParametersError("W0 must be > 0")
+        raise ConfigurationError("W0 must be > 0")
     if not eps > 0:
-        raise InvalidParametersError("eps must be > 0")
+        raise ConfigurationError("eps must be > 0")
     if not 0 < gamma < 1:
-        raise InvalidParametersError("gamma must lie in (0, 1)")
+        raise ConfigurationError("gamma must lie in (0, 1)")
     if eps >= W0:
         return 0
     k = max(1, math.ceil(math.log(W0 / eps) / math.log(1.0 / gamma)))
@@ -226,14 +219,14 @@ class GrowthConditionParams:
 
     def __post_init__(self):
         if min(self.f_inf, self.R0, self.nu, self.mu) <= 0:
-            raise InvalidParametersError(
+            raise ConfigurationError(
                 "f_inf, R0, nu, mu must all be positive")
 
 
 def growth_margin(gcp: GrowthConditionParams, c4k: float) -> float:
     """Value margin q = min(f_inf, (mu * c4k / sqrt(2))^(1/nu)) / 2."""
     if not c4k > 0:
-        raise InvalidParametersError("c4k must be > 0")
+        raise ConfigurationError("c4k must be > 0")
     return 0.5 * min(gcp.f_inf,
                      (gcp.mu * c4k / math.sqrt(2.0)) ** (1.0 / gcp.nu))
 
@@ -258,25 +251,25 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
     xs = np.broadcast_to(np.asarray(xstar, dtype=float), (pts.shape[1],))
     if not 0 < r <= gcp.R0:
-        raise InvalidParametersError(f"r must lie in (0, {gcp.R0}], got {r}")
+        raise ConfigurationError(f"r must lie in (0, {gcp.R0}], got {r}")
     if not q > 0:
-        raise InvalidParametersError("q must be > 0")
+        raise ConfigurationError("q must be > 0")
     if q + f_r - fstar > gcp.f_inf:
-        raise InvalidParametersError(
+        raise ConfigurationError(
             f"hypothesis q + f_r - f* <= f_inf violated: "
             f"{q + f_r - fstar:.6g} > {gcp.f_inf:.6g}")
     dists = np.linalg.norm(pts - xs, axis=1)
     inside = int(np.count_nonzero(dists <= r))
     if inside == 0:
-        raise EmptyIndicatorError(
+        raise ConfigurationError(
             f"no particle within distance {r} of the minimizer")
     bound = (q + f_r - fstar) ** gcp.nu / gcp.mu \
         + math.exp(-beta * q) / inside * float(dists.sum())
     fvals = np.asarray(fvals, dtype=float)
     if fvals.shape != (pts.shape[0],):
-        raise InvalidParametersError(
+        raise ConfigurationError(
             f"need one value per particle: {fvals.shape} for {pts.shape}")
-    xbar = consensus_point(SwarmState(pts, values=fvals), beta).xbar
+    xbar = consensus_point(SwarmState(pts, values=fvals), beta)
     deviation = float(np.linalg.norm(xbar - xs))
     return ProximityResult(bound=float(bound), holds=bool(deviation <= bound),
                            deviation=deviation)
@@ -290,12 +283,12 @@ def laplace_value(beta: float, f_samples) -> float:
     as beta grows.
     """
     if not beta > 0:
-        raise InvalidParametersError("beta must be > 0")
+        raise ConfigurationError("beta must be > 0")
     f = np.asarray(f_samples, dtype=float)
     if f.size == 0:
-        raise InvalidParametersError("need at least one sample")
+        raise ConfigurationError("need at least one sample")
     if not np.all(np.isfinite(f)):
-        raise InvalidParametersError("samples must be finite")
+        raise ConfigurationError("samples must be finite")
     m = float(f.min())
     return m - math.log(float(np.mean(np.exp(-beta * (f - m))))) / beta
 
@@ -304,7 +297,7 @@ def error_budget(beta: float, epsilon: float, f_samples,
                  fstar: float) -> float:
     """Optimality-gap budget E(beta) = laplace_value - fstar - log(eps)/beta."""
     if not 0 < epsilon <= 1:
-        raise InvalidParametersError("epsilon must lie in (0, 1]")
+        raise ConfigurationError("epsilon must lie in (0, 1]")
     return laplace_value(beta, f_samples) - fstar - math.log(epsilon) / beta
 
 
@@ -337,7 +330,7 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     beta does not overflow.
     """
     if not 0 < epsilon < 1:
-        raise InvalidParametersError("epsilon must lie in (0, 1)")
+        raise ConfigurationError("epsilon must lie in (0, 1)")
     if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
         return ErrorBoundCheck(
             satisfied=False, lhs_log=math.nan, rhs_log=math.inf, c3=math.inf,

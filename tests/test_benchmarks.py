@@ -103,7 +103,7 @@ def test_lookup_dimensions():
     assert s4.dim == 2 and s4.x_star.shape == (4, 2)
 
     one_d = lookup("rastrigin1d")
-    assert one_d.dim == 1 and one_d.default_box == (-3.0, 3.0)
+    assert one_d.dim == 1 and (one_d.lo, one_d.hi) == (-3.0, 3.0)
 
 
 def test_lookup_errors():

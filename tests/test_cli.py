@@ -147,7 +147,13 @@ def test_table4_preset_reports_training_errors(tmp_path, capsys):
     (["--schedule", "geometric:1,2"],
      "error: geometric schedule needs 0 < r < 1"),
     (["--out", "missing/summary.csv"], "i/o error: "),
-], ids=["unknown-config-key", "geometric-ratio", "out-missing-directory"])
+    (["--method", "escbo", "--batch", "-3"],
+     "error: batch_size must lie in [1, 20], got -3"),
+    (["--benchmark", "dnn", "--arch", "2,2,1", "--dim", "0",
+      "--data-seed", "-1"], "error: need max_iters >= 0, runs >= 1 and "
+                            "data_seed >= 0"),
+], ids=["unknown-config-key", "geometric-ratio", "out-missing-directory",
+        "escbo-batch-negative", "data-seed-negative"])
 def test_run_errors_exit_one(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
@@ -196,11 +202,14 @@ _LAPLACE = ["laplace", "--benchmark", "rastrigin", "--beta-grid", "1"]
     _LAPLACE + ["--dim", "2", "--samples", "1e3"],
     _LAPLACE + ["--dim", "2", "--eps", "x"],
     _LAPLACE + ["--dim", "2", "--seed", "1.5"],
+    _LAPLACE + ["--dim", "2", "--samples", "-1"],
+    _LAPLACE + ["--dim", "2", "--seed", "-1"],
     ["table2", "--scale", "abc"],
     ["table3", "--seed", "x"],
     ["diagnose", "--lipschitz", "x"],
 ], ids=["laplace-dim", "laplace-samples", "laplace-eps", "laplace-seed",
-        "table-scale", "table-seed", "diagnose-lipschitz"])
+        "laplace-samples-negative", "laplace-seed-negative", "table-scale",
+        "table-seed", "diagnose-lipschitz"])
 def test_bad_command_flag_is_an_error_not_a_usage_exit(capsys, args):
     assert run_cli(args) == 1
     assert capsys.readouterr().err.startswith("error: bad ")

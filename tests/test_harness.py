@@ -88,9 +88,8 @@ def test_consensus_is_the_final_point():
     cfg = quick_config(max_iters=40)
     rec = run_once(cfg, seed=2)
     final = SwarmState(rec.final_positions, rec.iterations, rec.final_values)
-    assert rec.consensus.shape == (1, 2)
-    assert np.array_equal(rec.consensus[0],
-                          consensus_point(final, cfg.beta).xbar)
+    assert rec.consensus.shape == (2,)
+    assert np.array_equal(rec.consensus, consensus_point(final, cfg.beta))
 
 
 def test_runs_without_a_minimizer_have_no_minimizer_scores():
@@ -135,7 +134,7 @@ def test_estimation_failure_is_recorded_not_raised(monkeypatch):
                     vals[1] = np.nan
             return vals
 
-        target.objective = Objective(config.dim, spiky, vectorized=True)
+        target.objective = Objective(config.dim, spiky)
         return target
 
     monkeypatch.setattr(harness, "_build_target", nan_probe_target)
@@ -159,7 +158,7 @@ def test_non_finite_initial_swarm_is_a_divergence(method):
     for rec in report.records:
         assert rec.terminated_by == "divergence" and rec.iterations == 0
         assert rec.evals == cfg.particles and rec.success is False
-        assert rec.consensus.shape == (1, cfg.dim)
+        assert rec.consensus.shape == (cfg.dim,)
         assert np.all(np.isnan(rec.consensus))
     assert report.n_diverged == 2 and report.rate == 0.0
 
@@ -245,12 +244,16 @@ def test_config_validation():
     dict(sigma=0.0),
     dict(particles=0),
     dict(method="fescbo", particles=5, batch_size=50),
+    dict(method="escbo", batch_size=-3),
+    dict(method="vanilla", particles=5, batch_size=6),
+    dict(benchmark="dnn", arch=(2, 2, 1), dim=0, data_seed=-1),
     dict(success_tol=0.0),
     dict(success_tol=math.nan),
     dict(success_tol=math.inf),
 ], ids=["lam-nan", "stop_tol-nan", "delta-inf", "beta-negative", "sigma-zero",
-        "no-particles", "batch-over-particles", "success_tol-zero",
-        "success_tol-nan", "success_tol-inf"])
+        "no-particles", "batch-over-particles", "escbo-batch-negative",
+        "vanilla-batch-over-particles", "data_seed-negative",
+        "success_tol-zero", "success_tol-nan", "success_tol-inf"])
 def test_config_rejects_invalid_field(overrides):
     with pytest.raises(ConfigurationError):
         quick_config(**overrides)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escbo.benchmarks import rastrigin
+from escbo.benchmarks import lookup, rastrigin
+from escbo.neural import MLPArchitecture, dnn_objective, generate_synthetic
 from escbo.objective import (ConfigurationError, EstimationError,
                              FiniteDiffConfig, Objective, estimate_lipschitz,
                              forward_difference_gradient, gradient_bounds,
@@ -15,8 +16,7 @@ from escbo.objective import (ConfigurationError, EstimationError,
 
 
 def sphere_objective(dim=2):
-    return Objective(dim, lambda x: np.sum(x * x, axis=-1), vectorized=True,
-                     name="sphere")
+    return Objective(dim, lambda x: np.sum(x * x, axis=-1), name="sphere")
 
 
 def test_eval_counts_single_and_batch():
@@ -30,18 +30,53 @@ def test_eval_counts_single_and_batch():
     assert obj.eval_count == 0
 
 
-def test_row_loop_path_matches_vectorized():
-    slow = Objective(3, lambda x: float(np.sum(x * x)), vectorized=False)
-    fast = sphere_objective(3)
-    pts = np.random.default_rng(1).normal(size=(7, 3))
-    np.testing.assert_allclose(slow.eval_many(pts), fast.eval_many(pts))
-    assert slow.eval_count == 7
-
-
 def test_eval_many_rejects_bad_shapes():
     obj = sphere_objective()
     with pytest.raises(ConfigurationError):
         obj.eval_many(np.zeros((3, 5)))
+    rastrigin3 = lookup("rastrigin", 3).objective
+    for point in (np.zeros(5), np.zeros((1, 3)), 0.0):
+        with pytest.raises(ConfigurationError):
+            rastrigin3.eval(point)
+    assert obj.eval_count == rastrigin3.eval_count == 0
+
+
+@pytest.mark.parametrize("fn", [
+    lambda x: float(np.sum(x * x)),   # a per-point function: one value
+    lambda x: np.sum(x * x, axis=0),  # (d,) values for a (B, d) batch
+    lambda x: x * x,                  # (B, d) values
+], ids=["scalar", "wrong-axis", "no-reduction"])
+def test_eval_many_rejects_values_that_are_not_one_per_point(fn):
+    obj = Objective(3, fn, name="per_point")
+    with pytest.raises(ConfigurationError, match="per_point"):
+        obj.eval_many(np.ones((4, 3)))
+    with pytest.raises(ConfigurationError, match="per_point"):
+        obj.eval(np.ones(3))
+
+
+def dnn_5_2_1():
+    arch = MLPArchitecture((5, 2, 1))
+    return dnn_objective(arch, generate_synthetic(arch, 0))
+
+
+# (rows, centers) for a d-dimensional objective; none is a valid pairing.
+BAD_CENTERS = {
+    "garbage": lambda d: (2 * d, "garbage"),
+    "wrong-width": lambda d: (2 * d, np.zeros((2, d + 1))),
+    "too-few": lambda d: (2 * d, np.zeros((1, d))),
+    "ragged-rows": lambda d: (2 * d - 1, np.zeros((2, d))),
+}
+
+
+@pytest.mark.parametrize("make", [lambda: lookup("rastrigin", 3).objective,
+                                  dnn_5_2_1], ids=["benchmark", "dnn"])
+@pytest.mark.parametrize("bad", BAD_CENTERS.values(), ids=BAD_CENTERS)
+def test_eval_many_rejects_centers_that_do_not_match(make, bad):
+    obj = make()
+    rows, centers = bad(obj.dim)
+    with pytest.raises(ConfigurationError, match="centers"):
+        obj.eval_many(np.zeros((rows, obj.dim)), centers=centers)
+    assert obj.eval_count == 0
 
 
 def test_centers_ignored_without_probe_kernel():
@@ -60,8 +95,7 @@ def test_probe_kernel_serves_only_calls_with_centers():
         seen.append((centers, delta))
         return np.full(delta.size, -1.0)
 
-    obj = Objective(2, lambda x: np.sum(x * x, axis=-1), vectorized=True,
-                    probe_kernel=probe)
+    obj = Objective(2, lambda x: np.sum(x * x, axis=-1), probe_kernel=probe)
     positions = np.array([[1.0, 1.0], [5.0, 5.0], [0.1, 1e8]])
     grads = minibatch_gradients(obj, positions, [0, 2],
                                 FiniteDiffConfig(0.2))
@@ -111,11 +145,11 @@ def test_forward_difference_hand_values():
 
 
 def test_forward_difference_constant_and_1d():
-    const = Objective(3, lambda x: 7.0)
+    const = Objective(3, lambda x: np.full(len(x), 7.0))
     g = forward_difference_gradient(const, np.zeros(3), FiniteDiffConfig(0.5))
     np.testing.assert_array_equal(g, np.zeros(3))
 
-    square = Objective(1, lambda x: np.sum(x * x, axis=-1), vectorized=True)
+    square = Objective(1, lambda x: np.sum(x * x, axis=-1))
     g = forward_difference_gradient(square, np.zeros(1), FiniteDiffConfig(0.1))
     np.testing.assert_allclose(g, [0.1], rtol=1e-12)
 
@@ -142,9 +176,7 @@ def test_forward_difference_error_scaling():
 
 def test_forward_difference_nonfinite_reports_coordinate():
     def spiky(x):
-        if x[1] > 0.05:
-            return float("nan")
-        return float(np.sum(x))
+        return np.where(x[:, 1] > 0.05, np.nan, np.sum(x, axis=1))
 
     obj = Objective(3, spiky)
     with pytest.raises(EstimationError) as err:
@@ -153,7 +185,7 @@ def test_forward_difference_nonfinite_reports_coordinate():
 
 
 def test_forward_difference_nonfinite_base():
-    obj = Objective(2, lambda x: float("inf"))
+    obj = Objective(2, lambda x: np.full(len(x), np.inf))
     with pytest.raises(EstimationError) as err:
         forward_difference_gradient(obj, np.zeros(2), FiniteDiffConfig(0.1))
     assert err.value.coordinate is None
@@ -180,7 +212,7 @@ def test_minibatch_full_batch_matches_per_particle():
 
 def test_minibatch_partial_hand_value():
     # N=2, batch={second particle}, f(x)=x^2: ((1.1)^2 - 1)/0.1 = 2.1.
-    obj = Objective(1, lambda x: np.sum(x * x, axis=-1), vectorized=True)
+    obj = Objective(1, lambda x: np.sum(x * x, axis=-1))
     grads = minibatch_gradients(obj, np.array([[0.0], [1.0]]), [1],
                                 FiniteDiffConfig(0.1))
     np.testing.assert_allclose(grads, [[0.0], [2.1]], rtol=1e-12)
@@ -220,15 +252,15 @@ def test_minibatch_batch_forms_equal_reference(data, seed, n, d, sigma):
              list(subset) + list(subset)]
     if len(subset) == n:
         forms.append(range(n))
-    reference = Objective(d, rastrigin, vectorized=True)
+    reference = Objective(d, rastrigin)
     expected = minibatch_reference(reference, positions, subset, cfg)
     for batch in forms:
-        obj = Objective(d, rastrigin, vectorized=True)
+        obj = Objective(d, rastrigin)
         grads = minibatch_gradients(obj, positions, batch, cfg)
         assert grads.tobytes() == expected.tobytes()
         assert obj.eval_count == reference.eval_count == len(subset) * (d + 1)
     # Full-batch rows equal the partial-batch rows of the same particles.
-    every = minibatch_gradients(Objective(d, rastrigin, vectorized=True),
+    every = minibatch_gradients(Objective(d, rastrigin),
                                 positions, np.arange(n), cfg)
     assert every[subset].tobytes() == expected[subset].tobytes()
 
@@ -270,14 +302,14 @@ def test_minibatch_none_batch_equals_arange(seed, n, d, sigma, spike):
 
     outcomes = []
     for batch in (None, np.arange(n)):
-        obj = Objective(d, fn, vectorized=True)
+        obj = Objective(d, fn)
         try:
             grads = minibatch_gradients(obj, positions, batch, cfg)
             outcomes.append((grads.tobytes(), obj.eval_count))
         except EstimationError as exc:
             outcomes.append((exc.particle, exc.coordinate, obj.eval_count))
     assert outcomes[0] == outcomes[1]
-    reference = Objective(d, fn, vectorized=True)
+    reference = Objective(d, fn)
     if len(outcomes[0]) == 2:  # no spike hit: also the parent's expression
         expected = minibatch_reference(reference, positions, range(n), cfg)
         assert outcomes[0] == (expected.tobytes(), reference.eval_count)
@@ -303,7 +335,7 @@ def test_gradient_norm_respects_lipschitz_bound():
     # Salomon on [-5,5]^2: |f'(r)| <= 2*pi + 0.1, so L_f = 6.39 works for
     # every finite-difference interval.
     from escbo.benchmarks import salomon
-    obj = Objective(2, salomon, vectorized=True)
+    obj = Objective(2, salomon)
     L_f = 2 * np.pi + 0.11
     lb = gradient_bounds(L_f, 2, 0.05)
     gen = np.random.default_rng(5)
@@ -313,15 +345,15 @@ def test_gradient_norm_respects_lipschitz_bound():
 
 
 def test_estimate_lipschitz_linear_slope():
-    obj = Objective(1, lambda x: 3.0 * np.sum(x, axis=-1), vectorized=True)
+    obj = Objective(1, lambda x: 3.0 * np.sum(x, axis=-1))
     est = estimate_lipschitz(obj, 0.0, 1.0, samples=128, seed=0)
     assert 2.999 < est <= 3.0 + 1e-9
 
 
 def test_estimate_lipschitz_constant_and_abs():
-    const = Objective(2, lambda x: 1.5)
+    const = Objective(2, lambda x: np.full(len(x), 1.5))
     assert estimate_lipschitz(const, -1.0, 1.0, samples=32, seed=0) == 0.0
-    vee = Objective(1, lambda x: np.sum(np.abs(x), axis=-1), vectorized=True)
+    vee = Objective(1, lambda x: np.sum(np.abs(x), axis=-1))
     est = estimate_lipschitz(vee, -1.0, 1.0, samples=256, seed=1)
     assert 0.9 < est <= 1.0 + 1e-9
 

@@ -1,4 +1,4 @@
-"""The package's public names: every exported name exists."""
+"""The package's public names: every exported name exists, once."""
 
 import importlib
 import pkgutil
@@ -27,3 +27,12 @@ def test_star_import_and_all_resolve(name):
     exec(f"from escbo.{name} import *", namespace)
     if exported is not None:
         assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_object_is_exported_under_two_names(name):
+    module = importlib.import_module(f"escbo.{name}")
+    names_of: dict[int, list[str]] = {}
+    for attr in getattr(module, "__all__", ()):
+        names_of.setdefault(id(getattr(module, attr)), []).append(attr)
+    assert [names for names in names_of.values() if len(names) > 1] == []

@@ -19,7 +19,7 @@ from escbo.swarm import (CBOParams, ComponentGaussian, DivergenceError,
 
 
 def sphere(dim):
-    return Objective(dim, lambda x: np.sum(x * x, axis=-1), vectorized=True)
+    return Objective(dim, lambda x: np.sum(x * x, axis=-1))
 
 
 def make_state(positions, obj):
@@ -129,38 +129,38 @@ def test_swarm_validation_errors(call, error):
 def test_consensus_single_particle():
     obj = sphere(2)
     state = make_state([[1.0, -2.0]], obj)
-    cp = consensus_point(state, 5.0)
-    np.testing.assert_array_equal(cp.xbar, [1.0, -2.0])
-    np.testing.assert_array_equal(cp.weights, [1.0])
+    np.testing.assert_array_equal(consensus_point(state, 5.0), [1.0, -2.0])
+    np.testing.assert_array_equal(softmin_weights(state.values, 5.0), [1.0])
 
 
 def test_consensus_beta_zero_is_mean():
     obj = sphere(2)
     pts = np.random.default_rng(0).normal(size=(9, 2))
     state = make_state(pts, obj)
-    cp = consensus_point(state, 0.0)
-    np.testing.assert_allclose(cp.xbar, pts.mean(axis=0), rtol=1e-14)
-    np.testing.assert_allclose(cp.weights, np.full(9, 1 / 9), rtol=1e-14)
+    np.testing.assert_allclose(consensus_point(state, 0.0), pts.mean(axis=0),
+                               rtol=1e-14)
+    np.testing.assert_allclose(softmin_weights(state.values, 0.0),
+                               np.full(9, 1 / 9), rtol=1e-14)
 
 
 def test_consensus_softmin_limit_exact():
     obj = sphere(1)
     state = make_state([[0.0], [2.0]], obj)
-    cp = consensus_point(state, 1e20)
-    assert cp.xbar[0] == 0.0
-    np.testing.assert_array_equal(cp.weights, [1.0, 0.0])
+    assert consensus_point(state, 1e20)[0] == 0.0
+    np.testing.assert_array_equal(softmin_weights(state.values, 1e20),
+                                  [1.0, 0.0])
 
 
 def test_consensus_convex_hull_and_weight_sum():
     gen = np.random.default_rng(3)
-    obj = Objective(3, rastrigin, vectorized=True)
+    obj = Objective(3, rastrigin)
     for beta in (0.0, 1.0, 100.0, 1e20):
         state = make_state(gen.uniform(-5, 5, size=(12, 3)), obj)
-        cp = consensus_point(state, beta)
-        assert abs(cp.weights.sum() - 1.0) < 1e-14
+        xbar = consensus_point(state, beta)
+        assert abs(softmin_weights(state.values, beta).sum() - 1.0) < 1e-14
         lo = state.positions.min(axis=0) - 1e-12
         hi = state.positions.max(axis=0) + 1e-12
-        assert np.all(cp.xbar >= lo) and np.all(cp.xbar <= hi)
+        assert np.all(xbar >= lo) and np.all(xbar <= hi)
 
 
 @st.composite
@@ -176,12 +176,13 @@ def swarms(draw, max_n=12, max_d=4):
 def test_consensus_weights_and_hull_property(data, pts, beta):
     values = data.draw(arrays(np.float64, pts.shape[0], elements=st.floats(
         -1e6, 1e6, allow_subnormal=False)), label="values")
-    cp = consensus_point(SwarmState(pts, values=values), beta)
+    xbar = consensus_point(SwarmState(pts, values=values), beta)
     n, eps = pts.shape[0], np.finfo(float).eps
-    assert abs(cp.weights.sum() - 1.0) <= n * eps
+    assert abs(softmin_weights(values, beta).sum() - 1.0) <= n * eps
     tol = 2 * n * eps * np.abs(pts).max()
-    assert np.all(cp.xbar >= pts.min(axis=0) - tol)
-    assert np.all(cp.xbar <= pts.max(axis=0) + tol)
+    assert xbar.shape == (pts.shape[1],)
+    assert np.all(xbar >= pts.min(axis=0) - tol)
+    assert np.all(xbar <= pts.max(axis=0) + tol)
 
 
 def test_consensus_shift_invariance():
@@ -260,7 +261,7 @@ def test_escbo_identity_step():
 def test_escbo_full_contraction_is_exact():
     obj = sphere(2)
     state = make_state(np.random.default_rng(2).normal(size=(5, 2)), obj)
-    xbar = consensus_point(state, 10.0).xbar
+    xbar = consensus_point(state, 10.0)
     new = escbo_step(state, obj, params(lam=1.0, delta=0.0),
                      StepSchedule.constant(0.0), RngStream(0))
     for row in new.positions:
@@ -389,8 +390,8 @@ def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
     prm = params(lam=lam, delta=delta, beta=beta, sigma=1e-4)
     schedule = StepSchedule.harmonic(c)
     batch_size = max(1, round(batch_frac * n))
-    obj = Objective(d, rastrigin, vectorized=True)
-    ref_obj = Objective(d, rastrigin, vectorized=True)
+    obj = Objective(d, rastrigin)
+    ref_obj = Objective(d, rastrigin)
     rng, ref_rng = RngStream(seed), RngStream(seed)
     state = refresh_values(init_swarm(UniformBox(-5, 5), n, d, rng), obj)
     ref = refresh_values(init_swarm(UniformBox(-5, 5), n, d, ref_rng),
@@ -425,7 +426,7 @@ def test_step_divergence_reports_iteration_and_particle():
 
 def test_trajectory_determinism():
     def run():
-        obj = Objective(2, rastrigin, vectorized=True)
+        obj = Objective(2, rastrigin)
         rng = RngStream(123)
         state = refresh_values(init_swarm(UniformBox(-5, 5), 15, 2, rng), obj)
         sched = StepSchedule.geometric(1.0, 0.95)
@@ -598,7 +599,7 @@ def test_empirical_consensus_decay_and_bound():
     k_max, n_runs = 80, 30
     diam = np.zeros((n_runs, k_max + 1))
     for run in range(n_runs):
-        obj = Objective(2, rastrigin, vectorized=True)
+        obj = Objective(2, rastrigin)
         rng = RngStream(run)
         state = refresh_values(init_swarm(UniformBox(-5, 5), 10, 2, rng), obj)
         diam[run, 0] = swarm_diameter(state.positions)
@@ -673,7 +674,7 @@ GRADIENT_CASES = [
 @pytest.mark.parametrize("positions,batch,expected", GRADIENT_CASES)
 def test_minibatch_non_finite_errors_without_warnings(positions, batch,
                                                       expected):
-    obj = Objective(2, trap, vectorized=True)
+    obj = Objective(2, trap)
     assert outcome(lambda: minibatch_gradients(
         obj, positions, batch, FiniteDiffConfig(0.25))) == expected
 
@@ -713,7 +714,7 @@ def test_steps_non_finite_errors_without_warnings(positions, values, lam,
     prm = params(lam=lam, delta=delta, beta=beta, sigma=0.25)
     schedule = StepSchedule.constant(alpha)
     state = SwarmState(positions, 3, values)
-    obj = Objective(2, trap, vectorized=True)
+    obj = Objective(2, trap)
     steps = (lambda: escbo_step(state, obj, prm, schedule, RngStream(0)),
              lambda: vanilla_cbo_step(state, obj, prm, RngStream(0)),
              lambda: fescbo_step(state, obj, prm, schedule, 4, RngStream(0)))

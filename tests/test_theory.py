@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from escbo.benchmarks import rastrigin1d
 from escbo.objective import ConfigurationError
 from escbo.swarm import StepSchedule
-from escbo.theory import (EmptyIndicatorError, GrowthConditionParams,
-                          InvalidParametersError, ParameterConditionWarning,
+from escbo.theory import (GrowthConditionParams, ParameterConditionWarning,
                           check_consensus_condition,
                           check_error_bound_condition, consensus_bound,
                           consensus_bound_series, consensus_distance_bound,
@@ -71,7 +70,7 @@ def test_consensus_bound_series_matches_power_form():
 
 
 def test_consensus_bound_rejects_negative_variance():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         consensus_bound(2, 0.75, 0.25, GEO, 1.0, -1.0)
 
 
@@ -97,9 +96,9 @@ def test_perturbation_series_zero_variance_zero_schedule():
 
 
 def test_perturbation_series_rejects_divergent_setup():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         perturbation_series(0.01, 0.1, GEO, 2.0, 1.5, 1.0)
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         perturbation_series(0.75, 0.25, StepSchedule.harmonic(0.5), 2.0, 1.5,
                             1.0)
 
@@ -123,9 +122,9 @@ def test_contraction_constants_gamma_limit():
 
 
 def test_contraction_constants_rejects_boundary():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         contraction_constants(0.0, 0.0, 0.5)
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         contraction_constants(0.25, 0.0, 1.0)
 
 
@@ -182,7 +181,7 @@ def test_growth_margin_saturation():
 
 
 def test_growth_params_validation():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         GrowthConditionParams(f_inf=0.0, R0=1.0, nu=0.5, mu=1.0)
 
 
@@ -220,15 +219,15 @@ def test_distance_bound_large_beta_limit():
 def test_distance_bound_errors():
     pts = np.full((4, 1), 2.0)
     fvals = rastrigin1d(pts)
-    with pytest.raises(EmptyIndicatorError):
+    with pytest.raises(ConfigurationError):
         consensus_distance_bound(pts, fvals, [0.0], 0.0, GCP_1D, r=0.05,
                                  q=0.1, beta=10.0, f_r=_fr_grid(0.05))
     near = np.zeros((4, 1))
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         consensus_distance_bound(near, rastrigin1d(near), [0.0], 0.0,
                                  GCP_1D, r=0.05, q=2.0, beta=10.0,
                                  f_r=_fr_grid(0.05))
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         consensus_distance_bound(near, rastrigin1d(near), [0.0], 0.0,
                                  GCP_1D, r=1.5, q=0.1, beta=10.0, f_r=1.0)
 
@@ -281,9 +280,9 @@ def test_laplace_sandwich_and_monotone():
 
 
 def test_laplace_validation():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         laplace_value(0.0, [1.0])
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         laplace_value(1.0, [])
 
 
@@ -302,9 +301,9 @@ def test_error_budget_eps_one_is_pure_gap():
 
 
 def test_error_budget_validation():
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         error_budget(1.0, 0.0, [1.0], 0.0)
-    with pytest.raises(InvalidParametersError):
+    with pytest.raises(ConfigurationError):
         error_budget(1.0, 1.5, [1.0], 0.0)
 
 
@@ -408,18 +407,18 @@ def test_consensus_bound_is_an_entry_of_the_series(k_max, lam, delta, kind, c,
     (lambda: perturbation_series(0.5, 0.1, GEO, 1.0, 1.0, 1.0, max_terms=1),
      ArithmeticError),
     # core = 2e-17 > 0, but gamma = 1 - 1e-17 rounds to 1.
-    (lambda: contraction_constants(1e-17, 0.0), InvalidParametersError),
-    (lambda: iteration_budget(0.0, 0.1, 0.5), InvalidParametersError),
-    (lambda: iteration_budget(1.0, 0.0, 0.5), InvalidParametersError),
-    (lambda: iteration_budget(1.0, 0.1, 1.0), InvalidParametersError),
-    (lambda: growth_margin(GCP_1D, 0.0), InvalidParametersError),
+    (lambda: contraction_constants(1e-17, 0.0), ConfigurationError),
+    (lambda: iteration_budget(0.0, 0.1, 0.5), ConfigurationError),
+    (lambda: iteration_budget(1.0, 0.0, 0.5), ConfigurationError),
+    (lambda: iteration_budget(1.0, 0.1, 1.0), ConfigurationError),
+    (lambda: growth_margin(GCP_1D, 0.0), ConfigurationError),
     (lambda: consensus_distance_bound(np.zeros((2, 1)), [0.0, 0.0], [0.0],
                                       0.0, GCP_1D, r=0.05, q=0.0, beta=10.0,
-                                      f_r=0.0), InvalidParametersError),
-    (lambda: laplace_value(1.0, [0.0, math.nan]), InvalidParametersError),
+                                      f_r=0.0), ConfigurationError),
+    (lambda: laplace_value(1.0, [0.0, math.nan]), ConfigurationError),
     (lambda: check_error_bound_condition(
         1.0, 0.5, 0.1, GEO, 1.0, 1.0, 1.0, [0.0, 1.0], 0.0, 1, 0.1),
-     InvalidParametersError),
+     ConfigurationError),
     (lambda: max_on_ball(np.sum, [0.0], 0.0), ConfigurationError),
     (lambda: max_on_ball(np.sum, [0.0], 1.0, resolution=2.0),
      ConfigurationError),
@@ -432,7 +431,3 @@ def test_consensus_bound_is_an_entry_of_the_series(k_max, lam, delta, kind, c,
 def test_theory_validation_errors(call, error):
     with pytest.raises(error):
         call()
-
-
-def test_error_names_are_one_class():
-    assert InvalidParametersError is EmptyIndicatorError is ConfigurationError
