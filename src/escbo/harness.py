@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -83,6 +84,14 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ConfigurationError(
                 f"method must be one of {METHODS}, got {self.method!r}")
+        for name in ("dim", "particles", "runs", "max_iters", "seed",
+                     "data_seed", "batch_size"):
+            value = getattr(self, name)
+            integral = (isinstance(value, numbers.Integral)
+                        and not isinstance(value, bool))
+            if not integral and not (name == "batch_size" and value is None):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}")
         if self.particles < 1:
             raise ConfigurationError(
                 f"particles must be >= 1, got {self.particles}")
@@ -91,8 +100,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"batch_size must lie in [1, {self.particles}], "
                 f"got {self.batch_size}")
-        if self.benchmark == "dnn" and self.arch is None:
-            raise ConfigurationError("dnn target needs arch widths")
+        if (self.benchmark == "dnn") != (self.arch is not None):
+            raise ConfigurationError(
+                f"arch is set exactly when benchmark is dnn, got {self.arch}")
         if self.max_iters < 0 or self.runs < 1 or self.data_seed < 0:
             raise ConfigurationError(
                 "need max_iters >= 0, runs >= 1 and data_seed >= 0")
@@ -372,7 +382,7 @@ def _blank(row: dict, missing) -> dict:
 
 def _summary_row(report: AggregateReport) -> dict:
     cfg = report.config
-    target_name = cfg.benchmark if cfg.arch is None \
+    target_name = cfg.benchmark if cfg.benchmark != "dnn" \
         else f"dnn({neural.MLPArchitecture(cfg.arch)})"
     init = cfg.init if cfg.init is not None else "default"
     row = {

@@ -60,11 +60,9 @@ class MLPArchitecture:
 
 
 def _sigmoid(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Capping -s at 709 keeps exp within float range.  It needs no lower
-    # cap: for s > 709 the sum 1 + exp(-s) rounds to 1 either way.  Pass
-    # out=s to transform in place.
+    # Below s = -709.78, exp(-s) overflows to inf and the result is 0; the
+    # callers silence that overflow.  Pass out=s to transform in place.
     out = np.negative(s, out=out)
-    np.minimum(out, 709.0, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.reciprocal(out, out=out)
@@ -110,19 +108,22 @@ def unflatten(params, arch: MLPArchitecture):
 def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
     """Network output for inputs u of shape (N0,) or (M, N0)."""
     x = np.asarray(u, dtype=float)
-    h = _forward_population(arch, _param_vector(params, arch)[None],
-                            np.atleast_2d(x))[0]
-    return h[0] if x.ndim == 1 else h
+    h = _forward(arch, _param_vector(params, arch)[None], np.atleast_2d(x).T)
+    return h[0, :, 0] if x.ndim == 1 else h[0].T
 
 
-def _forward_population(arch: MLPArchitecture, pop: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-    """Outputs (B, M, NL) for a population of parameter vectors (B, d)."""
-    h = np.broadcast_to(u, (pop.shape[0],) + u.shape)
+@np.errstate(over="ignore")
+def _forward(arch: MLPArchitecture, pop: np.ndarray, h: np.ndarray,
+             keep: list | None = None) -> np.ndarray:
+    """Outputs (B, NL, M) of a population of parameter vectors (B, d) on
+    inputs h (N0, M).  Given a list ``keep``, appends each layer's
+    pre-activations z and activations a, both (B, width, M), as (z, a)."""
     for wm, bias in _layers(arch, pop):
-        h = h @ wm.transpose(0, 2, 1)
-        h += bias[:, None, :]
-        h = _sigmoid(h, out=h)
+        z = wm @ h
+        z += bias[:, :, None]
+        h = _sigmoid(z, out=z if keep is None else None)
+        if keep is not None:
+            keep.append((z, h))
     return h
 
 
@@ -180,24 +181,25 @@ def generate_synthetic(arch: MLPArchitecture, seed: int, M: int = 80,
                             M_test=M_test, truth_params=truth)
 
 
-def _mse(arch, pop: np.ndarray, inputs, targets) -> np.ndarray:
-    """Mean squared error of each parameter vector in a (..., d) array."""
-    resid = _forward_population(arch, pop.reshape(-1, arch.dim), inputs)
-    resid -= targets
-    sq = np.sum(resid * resid, axis=2)
-    return np.mean(sq, axis=1).reshape(pop.shape[:-1])
+def _mse(arch, pop: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mean squared error of each parameter vector in a (..., d) array on
+    inputs u (N0, M) and targets v (NL, M)."""
+    resid = _forward(arch, pop.reshape(-1, arch.dim), u)
+    resid -= v
+    sq = np.einsum("bom,bom->b", resid, resid)
+    return (sq / u.shape[1]).reshape(pop.shape[:-1])
 
 
 def train_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     """Mean squared error over the training split."""
-    return float(_mse(arch, _param_vector(params, arch), data.train_inputs,
-                      data.train_targets))
+    return float(_mse(arch, _param_vector(params, arch), data.train_inputs.T,
+                      data.train_targets.T))
 
 
 def test_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     """Mean squared error over the held-out split."""
-    return float(_mse(arch, _param_vector(params, arch), data.test_inputs,
-                      data.test_targets))
+    return float(_mse(arch, _param_vector(params, arch), data.test_inputs.T,
+                      data.test_targets.T))
 
 
 class _ProbeKernel:
@@ -218,8 +220,7 @@ class _ProbeKernel:
 
     def __init__(self, arch: MLPArchitecture, u: np.ndarray, v: np.ndarray):
         self.arch = arch
-        self.u = np.ascontiguousarray(u.T)   # (N0, M)
-        self.v = np.ascontiguousarray(v.T)   # (NL, M)
+        self.u, self.v = u, v   # inputs (N0, M) and targets (NL, M)
         self._work: dict = {}
 
     def _buffer(self, key, shape) -> np.ndarray:
@@ -228,42 +229,31 @@ class _ProbeKernel:
             buf = self._work[key] = np.empty(shape)
         return buf
 
+    @np.errstate(over="ignore")
     def __call__(self, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:
         b_count, d = centers.shape
         m = self.u.shape[1]
         layers = _layers(self.arch, centers)
-        # Per layer, the parameters' deltas laid out as (B, n_out, n_in + 1)
-        # with the bias in the last column.
-        deltas = []
-        for i, (dw, db) in enumerate(_layers(self.arch, delta)):
+        trace = []   # the base pass: per layer, (z, a) in (B, width, M)
+        resid = _forward(self.arch, centers, self.u, keep=trace) - self.v
+        zs, acts = zip(*trace)
+        sq_out = np.einsum("bom,bom->bo", resid, resid)   # (B, NL)
+        out = np.empty((b_count, d))
+        for i, ((dw, db), (out_w, out_b)) in enumerate(
+                zip(_layers(self.arch, delta), _layers(self.arch, out))):
+            # The layer's deltas as (B, n_out, n_in + 1) with the bias in
+            # the last column, and its input with a row of ones below.
             _, n_out, n_in = dw.shape
             dl = self._buffer(("delta", i), (b_count, n_out, n_in + 1))
             dl[:, :, :n_in] = dw
             dl[:, :, n_in] = db
-            deltas.append(dl)
-        # Base pass; inputs[i] is layer i's input with a row of ones below.
-        zs, acts, inputs = [], [], []
-        h = self.u
-        for i, (wm, bias) in enumerate(layers):
-            ext = self._buffer(("in", i), (b_count, wm.shape[2] + 1, m))
-            ext[:, :-1] = h
+            ext = self._buffer(("in", i), (b_count, n_in + 1, m))
+            ext[:, :-1] = acts[i - 1] if i else self.u
             ext[:, -1] = 1.0
-            inputs.append(ext)
-            z = wm @ h
-            z += bias[:, :, None]
-            zs.append(z)
-            h = _sigmoid(z)
-            acts.append(h)
-        resid = h - self.v
-        sq_out = np.einsum("bom,bom->bo", resid, resid)   # (B, NL)
-        out = np.empty((b_count, d))
-        for i, (dl, (out_w, out_b)) in enumerate(
-                zip(deltas, _layers(self.arch, out))):
-            _, n_out, n_ext = dl.shape
-            z = self._buffer(("z", i), (b_count, n_out, n_ext, m))
-            np.multiply(dl[:, :, :, None], inputs[i][:, None, :, :], out=z)
+            z = self._buffer(("z", i), (b_count, n_out, n_in + 1, m))
+            np.multiply(dl[:, :, :, None], ext[:, None, :, :], out=z)
             z += zs[i][:, :, None, :]
-            a = _sigmoid(z, out=z)                   # (B, n_out, n_ext, M)
+            a = _sigmoid(z, out=z)                # (B, n_out, n_in + 1, M)
             if i == len(layers) - 1:
                 a -= self.v[:, None, :]
                 a *= a
@@ -297,7 +287,7 @@ def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
     Coordinate probes go through a probe kernel that reuses each center's
     forward pass up to the probed layer (see ``_ProbeKernel``).
     """
-    u, v = data.train_inputs, data.train_targets
+    u, v = data.train_inputs.T.copy(), data.train_targets.T.copy()
     return Objective(dim=arch.dim, fn=lambda pop: _mse(arch, pop, u, v),
                      name=f"dnn({arch})", probe_kernel=_ProbeKernel(arch, u, v))
 

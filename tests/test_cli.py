@@ -152,8 +152,10 @@ def test_table4_preset_reports_training_errors(tmp_path, capsys):
     (["--benchmark", "dnn", "--arch", "2,2,1", "--dim", "0",
       "--data-seed", "-1"], "error: need max_iters >= 0, runs >= 1 and "
                             "data_seed >= 0"),
+    (["--benchmark", "rastrigin", "--arch", "2,3,1"],
+     "error: arch is set exactly when benchmark is dnn"),
 ], ids=["unknown-config-key", "geometric-ratio", "out-missing-directory",
-        "escbo-batch-negative", "data-seed-negative"])
+        "escbo-batch-negative", "data-seed-negative", "arch-on-benchmark"])
 def test_run_errors_exit_one(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bogus.cfg").write_text("bogus = 1\n")

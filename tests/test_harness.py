@@ -267,11 +267,39 @@ def test_config_rejects_invalid_field(overrides):
     dict(benchmark="dnn", arch=(5, 0, 1)),
     dict(benchmark="dnn", arch=(5,)),
     dict(runs=0),
+    dict(benchmark="rastrigin", dim=2, arch=(2, 3, 1)),
 ], ids=["unknown-benchmark", "fixed-dim-mismatch", "dim-zero",
-        "rastrigin1d-default-dim", "zero-width", "one-width", "no-runs"])
+        "rastrigin1d-default-dim", "zero-width", "one-width", "no-runs",
+        "arch-on-benchmark"])
 def test_config_rejects_invalid_target_when_built(overrides):
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(particles=2.5),
+    dict(runs=1.5),
+    dict(max_iters=2.5),
+    dict(particles=True),
+    dict(dim=2.5),
+    dict(seed="0"),
+    dict(benchmark="dnn", arch=(2, 3, 1), dim=0, data_seed=1.0),
+    dict(method="fescbo", batch_size=2.0),
+], ids=["particles-float", "runs-float", "max_iters-float", "particles-bool",
+        "dim-float", "seed-str", "data_seed-float", "batch_size-float"])
+def test_config_rejects_non_integer_count(overrides):
+    with pytest.raises(ConfigurationError, match="must be an integer"):
+        ExperimentConfig(**overrides)
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = quick_config(method="fescbo", dim=np.int64(3),
+                       particles=np.int32(8), batch_size=np.int64(3),
+                       max_iters=np.int16(4), runs=np.int64(2),
+                       seed=np.uint8(7))
+    report = run_many(cfg)
+    assert [r.seed for r in report.records] == [7, 8]
+    assert all(r.iterations == 4 for r in report.records)
 
 
 # ------------------------------------------------------------------ presets

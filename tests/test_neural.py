@@ -1,17 +1,18 @@
 """MLP flattening, forward pass, synthetic data, and the training objective."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from escbo.neural import (NOISE_STD, MLPArchitecture, SyntheticDataset,
-                          _forward_population, dnn_objective, flatten,
-                          forward, generate_synthetic, load_dataset,
+                          _forward, _layers, _mse, _sigmoid, dnn_objective,
+                          flatten, forward, generate_synthetic, load_dataset,
                           save_dataset, train_error, unflatten)
 from escbo.neural import test_error as held_out_error
 from escbo.objective import (ConfigurationError, FiniteDiffConfig,
@@ -286,6 +287,84 @@ def test_forward_is_the_one_network_population_pass(widths, m, single, seed):
     gen = np.random.default_rng(seed)
     params = gen.normal(0.0, 2.0, size=arch.dim)
     u = gen.normal(size=(1 if single else m, widths[0]))
-    pop = _forward_population(arch, params[None], u)[0]
+    pop = _forward(arch, params[None], u.T)[0]   # (NL, M)
     out = forward(arch, params, u[0] if single else u)
-    assert np.array_equal(out, pop[0] if single else pop)
+    assert np.array_equal(out, pop[:, 0] if single else pop.T)
+
+
+def five_pass_sigmoid(s):
+    """The sigmoid as it was computed before the four-pass form: -s capped
+    at 709, so that exp never overflows."""
+    out = np.minimum(-s, 709.0)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def reference_population_mse(arch, pop, inputs, targets):
+    """Training error of each row of pop (B, d) by the network pass in the
+    (B, M, width) layout, with the five-pass sigmoid."""
+    h = np.broadcast_to(inputs, (pop.shape[0],) + inputs.shape)
+    for wm, bias in _layers(arch, pop):
+        h = h @ wm.transpose(0, 2, 1)
+        h += bias[:, None, :]
+        h = five_pass_sigmoid(h)
+    resid = h - targets
+    return np.mean(np.sum(resid * resid, axis=2), axis=1)
+
+
+# The five-pass sigmoid's floor: its value wherever s <= -709.
+SIGMOID_FLOOR = 1.0 / (1.0 + np.exp(709.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=arrays(np.float64, st.integers(1, 40),
+                elements=st.floats(allow_nan=False)))
+@example(s=np.linspace(-760.0, -700.0, 6001))
+def test_four_pass_sigmoid_equals_the_capped_five_pass_form(s):
+    with np.errstate(over="ignore"):
+        four = _sigmoid(s)
+    five = five_pass_sigmoid(s)
+    above = s >= -709.0
+    assert np.array_equal(four[above], five[above])
+    assert np.all(np.abs(four - five) <= SIGMOID_FLOOR)
+    assert np.all((four >= 0.0) & (four <= 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(widths=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+       b_count=st.integers(1, 4), m=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mse_agrees_with_the_reference_layout(widths, b_count, m, seed):
+    # Targets lie outside the sigmoid's range (0, 1), so no residual
+    # cancels and a relative tolerance of 1e-13 (about 450 ulps) holds.
+    arch = MLPArchitecture(tuple(widths))
+    gen = np.random.default_rng(seed)
+    pop = gen.normal(0.0, 2.0, size=(b_count, arch.dim))
+    inputs = gen.normal(size=(m, widths[0]))
+    targets = gen.uniform(2.0, 3.0, size=(m, widths[-1]))
+    fast = _mse(arch, pop, inputs.T.copy(), targets.T.copy())
+    slow = reference_population_mse(arch, pop, inputs, targets)
+    np.testing.assert_allclose(fast, slow, rtol=1e-13, atol=0.0)
+
+
+def test_network_path_warns_nothing_when_exp_overflows():
+    arch = MLPArchitecture((3, 4, 2))
+    data = generate_synthetic(arch, seed=12)
+    gen = np.random.default_rng(13)
+    params = gen.normal(0.0, 1e3, size=arch.dim)
+    positions = params + gen.normal(size=(5, arch.dim))
+    trace = []
+    _forward(arch, positions, data.train_inputs.T, keep=trace)
+    assert min(z.min() for z, _ in trace) < -745.0   # exp(-z) overflows
+    obj = dnn_objective(arch, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [forward(arch, params, data.inputs),
+                   train_error(arch, params, data),
+                   held_out_error(arch, params, data),
+                   obj.eval_many(positions),
+                   minibatch_gradients(obj, positions, [0, 2, 3],
+                                       FiniteDiffConfig(1e-3))]
+    for value in results:
+        assert np.all(np.isfinite(value))
