@@ -9,39 +9,15 @@ import sys
 import numpy as np
 
 from . import benchmarks, theory
-from .harness import (ExperimentConfig, _summary_row, diagnose, emit_report,
-                      run_many, run_once, table_preset)
+from .harness import (_KINDS, ExperimentConfig, _summary_row, diagnose,
+                      emit_report, run_many, run_once, table_preset)
 from .objective import ConfigurationError
-from .swarm import ComponentGaussian, StepSchedule, UniformBox
 
 
-def _kind_parser(makers: dict):
-    """Parser for 'kind:v1,v2,...' values: makers[kind](v1, v2, ...)."""
-    def parse(text: str):
-        kind, _, rest = text.partition(":")
-        return makers[kind](*(float(v) for v in rest.split(",")))
-    return parse
-
-
-# Every ExperimentConfig field is a flag and a config-file key, mapped here
-# to (field name, parser).  Keys equal the field names except for the
-# renamed ones.  Values are parsed by the type of the field's default unless
-# a parser is listed; the forms of the listed ones go into error messages.
-_RENAMED = {"lam": "lambda", "batch_size": "batch"}
-_PARSERS = {
-    "schedule": _kind_parser({"constant": StepSchedule.constant,
-                              "geometric": StepSchedule.geometric,
-                              "harmonic": StepSchedule.harmonic}),
-    "init": _kind_parser({"uniform": UniformBox,
-                          "gaussian": ComponentGaussian}),
-    "arch": lambda text: tuple(int(v) for v in text.split(",")),
-    "batch_size": int,
-}
-_FORMS = {"schedule": "constant:c, geometric:c,r or harmonic:c",
-          "init": "uniform:lo,hi or gaussian:mean,variance",
-          "arch": "comma-separated layer widths, e.g. 5,10,1"}
-_FIELDS = {_RENAMED.get(f.name, f.name):
-           (f.name, _PARSERS.get(f.name) or type(f.default))
+# Every ExperimentConfig field is a flag and a config-file key: the key its
+# declaration names (the field name unless renamed), mapped to the field,
+# whose declared kind gives the value's parser and form.
+_FIELDS = {f.metadata["key"] or f.name: f
            for f in dataclasses.fields(ExperimentConfig)}
 
 
@@ -64,9 +40,9 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _parse(key: str, text, parse):
+def _parse(key: str, text, parse, form=None):
     """parse(text), or None for an absent flag; a malformed text is a
-    ConfigurationError naming ``key``."""
+    ConfigurationError naming ``key`` and, if given, the ``form`` to use."""
     if text is None:
         return None
     try:
@@ -74,8 +50,8 @@ def _parse(key: str, text, parse):
     except ConfigurationError:
         raise
     except (LookupError, TypeError, ValueError):
-        form = f"; use {_FORMS[key]}" if key in _FORMS else ""
-        raise ConfigurationError(f"bad {key} {text!r}{form}") from None
+        use = f"; use {form}" if form else ""
+        raise ConfigurationError(f"bad {key} {text!r}{use}") from None
 
 
 def _natural(text: str) -> int:
@@ -95,7 +71,8 @@ def _build_config(args, file_values: dict | None = None) -> ExperimentConfig:
     texts.update((key, getattr(args, key)) for key in _FIELDS
                  if getattr(args, key, None) is not None)
     return ExperimentConfig(**{
-        _FIELDS[key][0]: _parse(key, text, _FIELDS[key][1])
+        _FIELDS[key].name:
+            _parse(key, text, *_KINDS[_FIELDS[key].metadata["kind"]][2:])
         for key, text in texts.items()})
 
 

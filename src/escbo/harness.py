@@ -10,17 +10,16 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import benchmarks, neural, theory
 from .objective import (ConfigurationError, EstimationError, FiniteDiffConfig,
-                        gradient_bounds)
+                        _is_count, _is_real, gradient_bounds)
 from .swarm import (CBOParams, ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, _check_finite,
                     check_stop, consensus_point, escbo_step, fescbo_step,
@@ -50,73 +49,123 @@ SUMMARY_COLUMNS = ("method", "benchmark", "d", "N", "init", "rate",
 SERIES_COLUMNS = ("run", "k", "diameter", "w_k", "best_f")
 
 
+def _kind_parser(makers: dict):
+    """Parser for 'kind:v1,v2,...' values: makers[kind](v1, v2, ...)."""
+    def parse(text: str):
+        kind, _, rest = text.partition(":")
+        return makers[kind](*(float(v) for v in rest.split(",")))
+    return parse
+
+
+# Each kind of config field: what its values are and the test for them, and
+# the command-line parser and form of their text.
+_KINDS = {
+    "count": ("an integer", _is_count, int, None),
+    "real": ("a real number", _is_real, float, None),
+    "choice": ("a string", lambda v: isinstance(v, str), str, None),
+    "schedule": ("a StepSchedule", lambda v: isinstance(v, StepSchedule),
+                 _kind_parser({"constant": StepSchedule.constant,
+                               "geometric": StepSchedule.geometric,
+                               "harmonic": StepSchedule.harmonic}),
+                 "constant:c, geometric:c,r or harmonic:c"),
+    "init": ("None, a UniformBox or a ComponentGaussian",
+             lambda v: isinstance(v, (UniformBox, ComponentGaussian)),
+             _kind_parser({"uniform": UniformBox,
+                           "gaussian": ComponentGaussian}),
+             "uniform:lo,hi or gaussian:mean,variance"),
+    "widths": ("a tuple of layer widths", lambda v: isinstance(v, tuple),
+               lambda text: tuple(int(w) for w in text.split(",")),
+               "comma-separated layer widths, e.g. 5,10,1"),
+}
+
+
+def _declare(default, kind: str, allowed="", key="", target=""):
+    """A config field with its one declaration, which its checks and the
+    command line read: its kind (a key of _KINDS); its range, an interval
+    whose ends may name another field, or the names a choice may take; its
+    command-line key, if not the field name; and the one target that reads
+    it, if only one does: "dnn", or "benchmark" for every other."""
+    return field(default=default, metadata=dict(kind=kind, allowed=allowed,
+                                                key=key, target=target))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce a campaign.
 
     ``benchmark`` names a registered objective, or "dnn" with ``arch`` set to
     the layer widths.  ``init`` defaults to the uniform distribution on the
-    benchmark's default box.  Every field is validated here, so an invalid
-    campaign fails before its first run starts.
+    benchmark's default box, and ``dim`` to 2 on a benchmark and to 0 (taken
+    from ``arch``) on a network.  Every field is checked here against its
+    declaration and its target, so an invalid campaign fails before its
+    first run starts.
     """
 
-    method: str = "escbo"
-    benchmark: str = "rastrigin"
-    dim: int = 2
-    particles: int = 20
-    lam: float = 0.01
-    delta: float = 0.1
-    beta: float = 1e20
-    sigma: float = 1e-5
-    schedule: StepSchedule = field(
-        default_factory=lambda: StepSchedule.geometric(1.0, 0.99))
-    init: Optional[object] = None
-    batch_size: Optional[int] = None
-    max_iters: int = 10_000
-    stop_tol: float = 1e-6
-    success_tol: float = 1e-3
-    runs: int = 100
-    seed: int = 0
-    arch: Optional[tuple[int, ...]] = None
-    data_seed: int = 0
+    method: str = _declare("escbo", "choice", METHODS)
+    benchmark: str = _declare("rastrigin", "choice",
+                              (*benchmarks.available(), "dnn"))
+    dim: Optional[int] = _declare(None, "count", "[0, inf)",
+                                  target="benchmark")
+    particles: int = _declare(20, "count", "[1, inf)")
+    lam: float = _declare(0.01, "real", "[0, inf)", key="lambda")
+    delta: float = _declare(0.1, "real", "[0, inf)")
+    beta: float = _declare(1e20, "real", "(0, inf)")
+    sigma: float = _declare(1e-5, "real", "(0, inf)")
+    schedule: StepSchedule = _declare(StepSchedule.geometric(1.0, 0.99),
+                                      "schedule")
+    init: Optional[object] = _declare(None, "init")
+    batch_size: Optional[int] = _declare(None, "count", "[1, particles]",
+                                         key="batch")
+    max_iters: int = _declare(10_000, "count", "[0, inf)")
+    stop_tol: float = _declare(1e-6, "real", "[0, inf)")
+    success_tol: float = _declare(1e-3, "real", "(0, inf)")
+    runs: int = _declare(100, "count", "[1, inf)")
+    seed: int = _declare(0, "count")
+    arch: Optional[tuple[int, ...]] = _declare(None, "widths", target="dnn")
+    data_seed: int = _declare(0, "count", "[0, inf)", target="dnn")
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"method must be one of {METHODS}, got {self.method!r}")
-        for name in ("dim", "particles", "runs", "max_iters", "seed",
-                     "data_seed", "batch_size"):
-            value = getattr(self, name)
-            integral = (isinstance(value, numbers.Integral)
-                        and not isinstance(value, bool))
-            if not integral and not (name == "batch_size" and value is None):
+        dnn = self.benchmark == "dnn"
+        if self.dim is None:
+            object.__setattr__(self, "dim", 0 if dnn else 2)
+        for f in fields(self):  # None is valid where it is the default
+            value, allowed = getattr(self, f.name), f.metadata["allowed"]
+            what, holds = _KINDS[f.metadata["kind"]][:2]
+            if value is None and f.default is None:
+                continue
+            if not holds(value):
                 raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}")
-        if self.particles < 1:
-            raise ConfigurationError(
-                f"particles must be >= 1, got {self.particles}")
-        if (self.method == "fescbo" or self.batch_size is not None) and not (
-                1 <= (self.batch_size or 0) <= self.particles):
-            raise ConfigurationError(
-                f"batch_size must lie in [1, {self.particles}], "
-                f"got {self.batch_size}")
-        if (self.benchmark == "dnn") != (self.arch is not None):
+                    f"{f.name} must be {what}, got {value!r}")
+            if isinstance(allowed, tuple) and value not in allowed:
+                raise ConfigurationError(f"unknown {f.name} {value!r}; "
+                                         f"choose one of {', '.join(allowed)}")
+            if isinstance(allowed, str) and allowed:
+                ends = [getattr(self, end, end)
+                        for end in allowed[1:-1].split(", ")]
+                lo, hi = (float(end) for end in ends)
+                above = value > lo if allowed[0] == "(" else value >= lo
+                if not (above and value <= hi and value < math.inf):
+                    raise ConfigurationError(
+                        f"{f.name} must lie in {allowed[0]}{ends[0]}, "
+                        f"{ends[1]}{allowed[-1]}, got {value!r}")
+        if self.method == "fescbo" and self.batch_size is None:
+            raise ConfigurationError("method fescbo needs a batch_size")
+        if dnn == (self.arch is None):
             raise ConfigurationError(
                 f"arch is set exactly when benchmark is dnn, got {self.arch}")
-        if self.max_iters < 0 or self.runs < 1 or self.data_seed < 0:
-            raise ConfigurationError(
-                "need max_iters >= 0, runs >= 1 and data_seed >= 0")
-        if not 0 <= self.stop_tol < math.inf:
-            raise ConfigurationError(
-                f"stop_tol must be finite and >= 0, got {self.stop_tol}")
-        if not 0 < self.success_tol < math.inf:
-            raise ConfigurationError(
-                f"success_tol must be finite and > 0, got {self.success_tol}")
-        self.params  # CBOParams and FiniteDiffConfig check lam..sigma
-        if self.benchmark == "dnn":  # the target's own checks
-            neural.MLPArchitecture(tuple(self.arch))
+        # The target's own checks.  A field the target does not read holds
+        # 0 or None, or on a network, dim may hold the network's dimension.
+        if dnn:
+            unread = (0, neural.MLPArchitecture(self.arch).dim)
         else:
+            unread = (0, None)
             benchmarks.lookup(self.benchmark, self.dim)
+        for f in fields(self):
+            target, value = f.metadata["target"], getattr(self, f.name)
+            if target and (target == "dnn") != dnn and value not in unread:
+                raise ConfigurationError(
+                    f"benchmark {self.benchmark} does not read {f.name}; "
+                    f"leave it out, got {value!r}")
 
     @property
     def params(self) -> CBOParams:
@@ -136,7 +185,7 @@ class _Target:
 
 def _build_target(config: ExperimentConfig) -> _Target:
     if config.benchmark == "dnn":
-        arch = neural.MLPArchitecture(tuple(config.arch))
+        arch = neural.MLPArchitecture(config.arch)
         data = neural.generate_synthetic(arch, config.data_seed)
         init = config.init if config.init is not None else UniformBox(-3.0, 3.0)
         return _Target(objective=neural.dnn_objective(arch, data), init=init,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ConfigurationError, Objective
+from .objective import ConfigurationError, Objective, _is_count
 
 __all__ = [
     "MLPArchitecture",
@@ -39,11 +39,14 @@ class MLPArchitecture:
     widths: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.widths) < 2:
+        widths = tuple(self.widths) if isinstance(
+            self.widths, (tuple, list, np.ndarray)) else ()
+        if len(widths) < 2:
             raise ConfigurationError("need at least input and output widths")
-        if any(w < 1 for w in self.widths):
-            raise ConfigurationError("every layer width must be >= 1")
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        if not all(_is_count(w) and w >= 1 for w in widths):
+            raise ConfigurationError(f"every layer width must be an integer "
+                                     f">= 1, got {self.widths!r}")
+        object.__setattr__(self, "widths", tuple(int(w) for w in widths))
 
     @property
     def n_layers(self) -> int:

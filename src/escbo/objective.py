@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -36,6 +37,21 @@ class EstimationError(RuntimeError):
         super().__init__(message)
         self.coordinate = coordinate
         self.particle = particle
+
+
+def _is_count(value) -> bool:  # numpy integers count, bools do not
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _reals(value) -> bool:  # reals or arrays of them, not bools or 10**400
+    try:
+        return np.asarray(value).dtype.kind in ("i", "u", "f")
+    except ValueError:  # a ragged sequence
+        return False
+
+
+def _is_real(value) -> bool:  # one real number; numpy scalars count
+    return isinstance(value, numbers.Real) and _reals(value)
 
 
 def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .objective import (ConfigurationError, FiniteDiffConfig, Objective,
-                        _all_finite, minibatch_gradients)
+                        _all_finite, _is_real, _reals, minibatch_gradients)
 
 __all__ = [
     "CBOParams",
@@ -126,8 +126,11 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "geometric", "harmonic"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if self.c < 0:
-            raise ConfigurationError("step scale c must be >= 0")
+        if not (_is_real(self.c) and _is_real(self.r) and 0 <= self.c < np.inf
+                and -np.inf < self.r < np.inf):
+            raise ConfigurationError(
+                f"need a real step scale 0 <= c < inf and a finite real r, "
+                f"got {self.c!r}, {self.r!r}")
         if self.kind == "geometric" and not (0 < self.r < 1):
             raise ConfigurationError("geometric schedule needs 0 < r < 1")
 
@@ -165,10 +168,15 @@ class UniformBox:
     hi: float
 
     def __post_init__(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            width = np.subtract(self.hi, self.lo, dtype=float)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                width = np.subtract(self.hi, self.lo, dtype=float) \
+                    if _reals(self.lo) and _reals(self.hi) else np.nan
+        except ValueError:  # shapes that do not broadcast together
+            width = np.nan
         if not np.isfinite(width).all():  # also an inf or nan bound
-            raise ConfigurationError("UniformBox needs finite lo, hi, hi - lo")
+            raise ConfigurationError(f"UniformBox needs real finite lo, hi, "
+                                     f"hi - lo, got {self.lo!r}, {self.hi!r}")
         if np.any(width <= 0):
             raise ConfigurationError("UniformBox needs lo < hi in every coordinate")
 
@@ -189,8 +197,11 @@ class ComponentGaussian:
     variance: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean).all() and 0 <= self.variance < np.inf):
-            raise ConfigurationError("need a finite mean and variance >= 0")
+        if not (_reals(self.mean) and np.isfinite(self.mean).all()
+                and _is_real(self.variance) and 0 <= self.variance < np.inf):
+            raise ConfigurationError(f"need a finite real mean and a real "
+                                     f"0 <= variance < inf, got {self.mean!r}, "
+                                     f"{self.variance!r}")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(self.mean, np.sqrt(self.variance), size=(n, d))

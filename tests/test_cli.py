@@ -1,10 +1,14 @@
 """Command-line interface: flags, config files, outputs, exit codes."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from escbo import cli
 from escbo.cli import main
@@ -150,12 +154,18 @@ def test_table4_preset_reports_training_errors(tmp_path, capsys):
     (["--method", "escbo", "--batch", "-3"],
      "error: batch_size must lie in [1, 20], got -3"),
     (["--benchmark", "dnn", "--arch", "2,2,1", "--dim", "0",
-      "--data-seed", "-1"], "error: need max_iters >= 0, runs >= 1 and "
-                            "data_seed >= 0"),
+      "--data-seed", "-1"], "error: data_seed must lie in [0, inf), got -1"),
     (["--benchmark", "rastrigin", "--arch", "2,3,1"],
      "error: arch is set exactly when benchmark is dnn"),
+    (["--runs", "2", "--max-iters", "3", "--schedule", "harmonic:nan"],
+     "error: need a real step scale 0 <= c < inf"),
+    (["--benchmark", "dnn", "--arch", "2,3,1", "--dim", "57"],
+     "error: benchmark dnn does not read dim"),
+    (["--benchmark", "rastrigin", "--data-seed", "5"],
+     "error: benchmark rastrigin does not read data_seed"),
 ], ids=["unknown-config-key", "geometric-ratio", "out-missing-directory",
-        "escbo-batch-negative", "data-seed-negative", "arch-on-benchmark"])
+        "escbo-batch-negative", "data-seed-negative", "arch-on-benchmark",
+        "schedule-nan", "dim-on-network", "data-seed-on-benchmark"])
 def test_run_errors_exit_one(tmp_path, monkeypatch, capsys, args, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bogus.cfg").write_text("bogus = 1\n")
@@ -219,7 +229,7 @@ def test_bad_command_flag_is_an_error_not_a_usage_exit(capsys, args):
 
 def test_every_config_field_is_a_flag_and_a_file_key(tmp_path):
     # One non-default value per ExperimentConfig field, under its CLI key.
-    values = {"method": "fescbo", "benchmark": "dnn", "dim": "3",
+    values = {"method": "fescbo", "benchmark": "dnn", "dim": "13",
               "particles": "12", "lambda": "0.5", "delta": "0.2",
               "beta": "1e6", "sigma": "1e-3", "schedule": "harmonic:0.5",
               "init": "gaussian:0,2", "batch": "4", "max_iters": "7",
@@ -241,3 +251,50 @@ def test_every_config_field_is_a_flag_and_a_file_key(tmp_path):
     default = ExperimentConfig()
     assert all(getattr(by_flag, f.name) != getattr(default, f.name)
                for f in fields)
+
+
+# Flag values of right and wrong forms, in and out of range, by CLI key.
+_FLAG_TEXTS = {
+    "method": ["escbo", "vanilla", "fescbo", "sgd", ""],
+    "benchmark": ["rastrigin", "ackley", "bartels_conn", "dnn", "nope"],
+    "dim": ["1", "3", "0", "13", "-1", "2.5", "x"],
+    "particles": ["1", "6", "0", "-2", "1e3", "many"],
+    "lambda": ["0", "0.2", "1", "-0.1", "inf", "nan", "x"],
+    "delta": ["0", "0.1", "-1", "inf", "nan"],
+    "beta": ["1e20", "10", "0", "-1", "inf", "nan", "True"],
+    "sigma": ["1e-5", "0.001", "0", "inf", "nan"],
+    "schedule": ["geometric:1,0.99", "constant:0", "harmonic:0.5",
+                 "constant:1e300", "harmonic:nan", "geometric:1,2",
+                 "geometric:1", "constant:1,2", "quadratic:1", "harmonic",
+                 "constant:x", ""],
+    "init": ["uniform:-5,5", "gaussian:0,3", "uniform:1,1", "uniform:1",
+             "gaussian:0,-1", "uniform:-inf,0", "box:0,1", "uniform"],
+    "batch": ["1", "3", "0", "-3", "50", "2.0"],
+    "max_iters": ["0", "2", "-1", "x"],
+    "stop_tol": ["0", "1e-6", "-1", "nan"],
+    "success_tol": ["1e-3", "0", "inf"],
+    "runs": ["1", "2", "0", "-1"],
+    "seed": ["0", "7", "-3", "1.5"],
+    "arch": ["2,3,1", "1,1", "2", "2,0,1", "2.5,3,1", "2,,1", "a"],
+    "data_seed": ["0", "4", "-1", "x"],
+}
+
+
+def test_flag_texts_cover_every_config_key():
+    assert set(_FLAG_TEXTS) == set(cli._FIELDS)
+
+
+@settings(max_examples=300)
+@given(flags=st.lists(st.sampled_from(sorted(_FLAG_TEXTS)), max_size=4,
+                      unique=True), data=st.data())
+def test_run_exits_zero_or_one_for_any_flag_values(flags, data):
+    args = [f"--{key.replace('_', '-')}="
+            f"{data.draw(st.sampled_from(_FLAG_TEXTS[key]), label=key)}"
+            for key in flags]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--runs=1", "--max-iters=2", "--particles=6",
+                     *args])
+    event(f"exit {code}")
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and err.getvalue().startswith("error: "))

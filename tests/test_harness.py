@@ -1,11 +1,12 @@
 """Campaign runner, metrics, presets, report emission, and diagnostics."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from escbo import harness
@@ -290,6 +291,114 @@ def test_config_rejects_invalid_target_when_built(overrides):
 def test_config_rejects_non_integer_count(overrides):
     with pytest.raises(ConfigurationError, match="must be an integer"):
         ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(lam="0.5"),
+    dict(stop_tol=None),
+    dict(schedule="harmonic"),
+    dict(init="uniform"),
+    dict(beta=True),
+    dict(benchmark="dnn", arch=(2.5, 3, 1)),
+    dict(benchmark="dnn", arch=(2, 3, 1), dim=57),
+    dict(benchmark="rastrigin", data_seed=5),
+    dict(lam=10 ** 400),
+], ids=["lam-str", "stop_tol-none", "schedule-str", "init-str", "beta-bool",
+        "arch-float-width", "dim-on-network", "data_seed-on-benchmark",
+        "lam-beyond-float"])
+def test_config_rejects_wrong_kind_or_unread_field(overrides):
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**overrides)
+
+
+def test_network_dim_is_left_out_zero_or_the_network_dimension():
+    net = dict(benchmark="dnn", arch=(2, 3, 1))
+    assert ExperimentConfig(**net).dim == 0
+    assert ExperimentConfig(**net, dim=0).dim == 0
+    assert ExperimentConfig(**net, dim=13).dim == 13
+    default = ExperimentConfig()
+    assert (default.benchmark, default.dim) == ("rastrigin", 2)
+    # Method-level fields stay shared across methods.
+    ExperimentConfig(method="vanilla", batch_size=3,
+                     schedule=StepSchedule.harmonic(0.5), sigma=1e-3)
+
+
+def test_every_config_field_has_one_declaration():
+    for f in dataclasses.fields(ExperimentConfig):
+        declared = f.metadata.get("kind")
+        assert declared in harness._KINDS, f.name
+        allowed = f.metadata["allowed"]
+        if declared == "choice":
+            assert isinstance(allowed, tuple) and allowed, f.name
+        elif allowed:
+            assert declared in ("count", "real"), f.name
+            assert allowed[0] in "([" and allowed[-1] in ")]", f.name
+        assert f.metadata["target"] in ("", "dnn", "benchmark"), f.name
+
+
+_WRONG = st.sampled_from([None, "1", True, 1.5j, [1], (2, 3)])
+
+
+def _either(*right):
+    """One of the listed right-kind values, or a value of a wrong kind."""
+    return st.one_of(st.sampled_from(right), _WRONG)
+
+
+_CONFIG_FIELDS = {
+    "method": _either("escbo", "vanilla", "fescbo", "sgd"),
+    "benchmark": _either("rastrigin", "ackley", "bartels_conn",
+                         "rastrigin1d", "dnn", "dnn", "nope"),
+    "dim": st.one_of(st.integers(-1, 4), st.sampled_from([13, 2.0]), _WRONG),
+    "particles": st.one_of(st.integers(-1, 8), _WRONG),
+    "lam": _either(0.0, 0.2, 1.0, 1e300, -0.1, np.inf, np.nan, 1, 10 ** 400),
+    "delta": _either(0.0, 0.1, 2.0, -1.0, np.inf, np.nan),
+    "beta": _either(1e20, 10.0, 0.0, -1.0, np.inf, np.nan, np.float64(5)),
+    "sigma": _either(1e-5, 1e-3, 0.0, -1e-5, np.inf, np.nan),
+    "schedule": _either(StepSchedule.geometric(1.0, 0.99),
+                        StepSchedule.constant(0.0),
+                        StepSchedule.harmonic(0.5),
+                        StepSchedule.constant(1e300)),
+    "init": _either(UniformBox(-5.0, 5.0), UniformBox(-1e200, 1e200),
+                    ComponentGaussian(0.0, 3.0), ComponentGaussian(1e300, 1.0),
+                    "uniform"),
+    "batch_size": st.one_of(st.integers(-1, 9), st.just(2.0), _WRONG),
+    "max_iters": st.one_of(st.integers(-1, 3), st.just(10 ** 9), _WRONG),
+    "stop_tol": _either(0.0, 1e-6, -1.0, np.inf, np.nan),
+    "success_tol": _either(1e-3, 10.0, 0.0, np.inf, np.nan),
+    "runs": st.one_of(st.integers(-1, 3), _WRONG),
+    "seed": st.one_of(st.integers(-5, 2 ** 70), _WRONG),
+    "arch": _either((2, 3, 1), (1, 1), (2, 2, 2, 1), (2,), (2, 0, 1),
+                    (2.5, 3, 1), (True, 3, 1), ("2", 3, 1)),
+    "data_seed": st.one_of(st.integers(-1, 5), st.just(1.0), _WRONG),
+}
+
+
+# Valid campaigns of each target and method, which a draw then overrides.
+_CONFIG_BASES = [
+    dict(),
+    dict(method="vanilla", benchmark="ackley", dim=3, particles=6),
+    dict(method="fescbo", benchmark="bartels_conn", batch_size=3),
+    dict(method="fescbo", benchmark="dnn", arch=(2, 3, 1), particles=6,
+         batch_size=2, data_seed=3),
+    dict(method="escbo", benchmark="dnn", arch=(1, 2, 1), dim=7),
+]
+
+
+@settings(max_examples=500)
+@given(base=st.sampled_from(_CONFIG_BASES), data=st.data())
+def test_config_builds_and_runs_or_raises_configuration_error(base, data):
+    names = data.draw(st.lists(st.sampled_from(sorted(_CONFIG_FIELDS)),
+                               max_size=3, unique=True), label="fields")
+    kwargs = dict(base, **{name: data.draw(_CONFIG_FIELDS[name], label=name)
+                           for name in names})
+    try:
+        cfg = ExperimentConfig(**kwargs)
+    except ConfigurationError:
+        event("rejected")
+        return
+    rec = run_once(dataclasses.replace(cfg, max_iters=2), cfg.seed)
+    event(f"ran: {cfg.benchmark} {cfg.method} {rec.terminated_by}")
+    assert rec.iterations <= 2
 
 
 def test_config_accepts_numpy_integer_counts():

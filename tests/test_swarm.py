@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from escbo.benchmarks import rastrigin
+from escbo.neural import MLPArchitecture
 from escbo.objective import (ConfigurationError, EstimationError,
                              FiniteDiffConfig, Objective, minibatch_gradients)
 from escbo.swarm import (CBOParams, ComponentGaussian, DivergenceError,
@@ -81,6 +82,59 @@ def test_uniform_box_bounds_and_validation():
 def test_init_distribution_rejects_non_finite_parameters(make):
     # Each of these used to pass and then fail inside the sampler or the
     # first consensus point, partway through a campaign.
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+# Arguments of right and wrong types, in and out of range: reals (nan and
+# inf included), integers (one beyond float range), bools, strings, None,
+# complex numbers, and lists of reals or of other values.
+_ARGUMENT = st.one_of(
+    st.floats(), st.integers(-3, 10), st.just(10 ** 400), st.booleans(),
+    st.text(max_size=3), st.none(), st.complex_numbers(max_magnitude=5),
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3),
+    st.lists(st.sampled_from([1, True, "2", None, 2.5]), max_size=3),
+    st.sampled_from([np.float64(2.0), np.int64(3), np.bool_(True)]))
+
+
+@settings(max_examples=400)
+@given(cls=st.sampled_from([StepSchedule, UniformBox, ComponentGaussian,
+                            MLPArchitecture]),
+       data=st.data())
+def test_parameter_classes_build_or_raise_configuration_error(cls, data):
+    if cls is StepSchedule:
+        kind = data.draw(st.one_of(st.sampled_from(
+            ["constant", "geometric", "harmonic", "cubic"]), _ARGUMENT))
+        args = (kind, data.draw(_ARGUMENT), data.draw(_ARGUMENT))
+    elif cls is MLPArchitecture:
+        args = (data.draw(st.one_of(
+            st.tuples(_ARGUMENT, _ARGUMENT, _ARGUMENT),
+            st.lists(st.integers(-1, 4), max_size=4), _ARGUMENT)),)
+    else:
+        args = (data.draw(_ARGUMENT), data.draw(_ARGUMENT))
+    try:
+        cls(*args)
+    except ConfigurationError:
+        pass
+
+
+@pytest.mark.parametrize("make", [
+    lambda: StepSchedule.harmonic(np.nan),
+    lambda: StepSchedule("constant", 1.0, np.inf),
+    lambda: StepSchedule("constant", "1"),
+    lambda: StepSchedule.constant(10 ** 400),
+    lambda: UniformBox("a", 1.0),
+    lambda: UniformBox(False, True),
+    lambda: ComponentGaussian(0.0, None),
+    lambda: ComponentGaussian(0.0, 10 ** 400),
+    lambda: MLPArchitecture((2.5, 3, 1)),
+    lambda: MLPArchitecture((True, 3, 1)),
+    lambda: MLPArchitecture(("2", 3, 1)),
+], ids=["schedule-c-nan", "schedule-r-inf", "schedule-c-str",
+        "schedule-c-beyond-float", "uniform-lo-str", "uniform-bools",
+        "gaussian-variance-none", "gaussian-variance-beyond-float",
+        "widths-float", "widths-bool", "widths-str"])
+def test_parameter_of_a_wrong_kind_is_a_configuration_error(make):
     with pytest.raises(ConfigurationError):
         make()
 
