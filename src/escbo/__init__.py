@@ -15,12 +15,12 @@ from .harness import (AggregateReport, DiagnosticReport, ExperimentConfig,
 from .neural import (MLPArchitecture, SyntheticDataset, dnn_objective,
                      flatten, forward, generate_synthetic, load_dataset,
                      save_dataset, test_error, train_error, unflatten)
-from .objective import (ConfigurationError, EstimationError, FiniteDiffConfig,
-                        LipschitzData, Objective, estimate_lipschitz,
+from .objective import (ConfigurationError, EstimationError, LipschitzData,
+                        Objective, estimate_lipschitz,
                         forward_difference_gradient, gradient_bounds,
                         minibatch_gradients)
-from .swarm import (CBOParams, ComponentGaussian, DivergenceError,
-                    RngStream, StepSchedule, SwarmState, UniformBox,
+from .swarm import (ComponentGaussian, DivergenceError, RngStream,
+                    StepSchedule, SwarmState, UniformBox,
                     check_stop, consensus_point, draw_noise, escbo_step,
                     fescbo_step, init_swarm, refresh_values, softmin_weights,
                     swarm_diameter, vanilla_cbo_step)

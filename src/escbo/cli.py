@@ -151,11 +151,12 @@ def _cmd_laplace(args) -> int:
     gen = np.random.default_rng(seed)
     pts = gen.uniform(spec.lo, spec.hi, size=(samples, spec.dim))
     f_samples = spec.objective.eval_many(pts)
+    rows = [(beta, theory.laplace_value(beta, f_samples),
+             theory.error_budget(beta, eps, f_samples, spec.f_star))
+            for beta in betas]  # every beta checked before the first row
     print("beta,laplace_value,error_budget")
-    for beta in betas:
-        lap = theory.laplace_value(beta, f_samples)
-        budget = theory.error_budget(beta, eps, f_samples, spec.f_star)
-        print(f"{beta!r},{lap!r},{budget!r}")
+    for row in rows:
+        print(",".join(map(repr, row)))
     return 0
 
 

@@ -18,9 +18,9 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks, neural, theory
-from .objective import (ConfigurationError, EstimationError, FiniteDiffConfig,
-                        _is_count, _is_real, gradient_bounds)
-from .swarm import (CBOParams, ComponentGaussian, DivergenceError, RngStream,
+from .objective import (ConfigurationError, EstimationError, _is_count,
+                        _is_real, gradient_bounds)
+from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, _check_finite,
                     check_stop, consensus_point, escbo_step, fescbo_step,
                     init_swarm, refresh_values, swarm_diameter,
@@ -156,21 +156,23 @@ class ExperimentConfig:
         # The target's own checks.  A field the target does not read holds
         # 0 or None, or on a network, dim may hold the network's dimension.
         if dnn:
-            unread = (0, neural.MLPArchitecture(self.arch).dim)
+            dim = neural.MLPArchitecture(self.arch).dim
+            unread = (0, dim)
         else:
-            unread = (0, None)
-            benchmarks.lookup(self.benchmark, self.dim)
+            dim, unread = self.dim, (0, None)
+            benchmarks.lookup(self.benchmark, dim)
+        # Each array of an init holds one value or one per coordinate.
+        if self.init is not None and any(
+                np.shape(getattr(self.init, f.name)) not in ((), (1,), (dim,))
+                for f in fields(self.init)):
+            raise ConfigurationError(
+                f"init {self.init} does not fit dimension {dim}")
         for f in fields(self):
             target, value = f.metadata["target"], getattr(self, f.name)
             if target and (target == "dnn") != dnn and value not in unread:
                 raise ConfigurationError(
                     f"benchmark {self.benchmark} does not read {f.name}; "
                     f"leave it out, got {value!r}")
-
-    @property
-    def params(self) -> CBOParams:
-        return CBOParams(lam=self.lam, delta=self.delta, beta=self.beta,
-                         fd=FiniteDiffConfig(self.sigma))
 
 
 @dataclass(eq=False)
@@ -250,7 +252,9 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
     """
     target = _build_target(config)
     obj = target.objective
-    params = config.params
+    # Looked up per run, so that a stepper swapped into this namespace runs.
+    step = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
+            "fescbo": fescbo_step}[config.method]
     rng = RngStream(seed)
     series = []  # (k, diameter, w_k, best_f) at each checkpoint
 
@@ -269,14 +273,7 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
             _check_finite(state.positions, state.values, 0)
             while state.k < config.max_iters:
                 prev = state
-                if config.method == "escbo":
-                    state = escbo_step(state, obj, params, config.schedule,
-                                       rng)
-                elif config.method == "vanilla":
-                    state = vanilla_cbo_step(state, obj, params, rng)
-                else:
-                    state = fescbo_step(state, obj, params, config.schedule,
-                                        config.batch_size, rng)
+                state = step(state, obj, config, rng)
                 if (state.k <= CHECKPOINT_DENSE_UNTIL
                         or state.k % CHECKPOINT_STRIDE == 0):
                     record(state)
@@ -290,7 +287,7 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
         if series[-1][0] != state.k:
             record(state)
         ks, diam, wks, best = (np.array(col) for col in zip(*series))
-        consensus = (consensus_point(state, params.beta)
+        consensus = (consensus_point(state, config.beta)
                      if np.isfinite(state.values).all()
                      else np.full(obj.dim, np.nan))
         rec = RunRecord(

@@ -11,7 +11,6 @@ import numpy as np
 __all__ = [
     "ConfigurationError",
     "EstimationError",
-    "FiniteDiffConfig",
     "LipschitzData",
     "Objective",
     "estimate_lipschitz",
@@ -51,7 +50,8 @@ def _reals(value) -> bool:  # reals or arrays of them, not bools or 10**400
 
 
 def _is_real(value) -> bool:  # one real number; numpy scalars count
-    return isinstance(value, numbers.Real) and _reals(value)
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and _reals(value))
 
 
 def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
@@ -86,9 +86,6 @@ class Objective:
     @property
     def eval_count(self) -> int:
         return self._count
-
-    def reset_count(self) -> None:
-        self._count = 0
 
     def eval(self, x) -> float:
         """f at one point of shape (d,): the batch of that one point."""
@@ -128,18 +125,6 @@ class Objective:
 
 
 @dataclass(frozen=True)
-class FiniteDiffConfig:
-    """Finite-difference interval for the forward-difference estimator."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not 0 < self.sigma < np.inf:
-            raise ConfigurationError(
-                f"sigma must be finite and > 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class LipschitzData:
     """Gradient-estimator bounds derived from a Lipschitz constant.
 
@@ -166,7 +151,7 @@ def gradient_bounds(L_f: float, d: int, sigma: float) -> LipschitzData:
                          L_g=float(2.0 * root_d * L_f / sigma))
 
 
-def forward_difference_gradient(obj: Objective, x, cfg: FiniteDiffConfig) -> np.ndarray:
+def forward_difference_gradient(obj: Objective, x, sigma: float) -> np.ndarray:
     """Per-coordinate forward differences (f(x + sigma e_l) - f(x)) / sigma.
 
     The one-particle case of :func:`minibatch_gradients`: consumes exactly
@@ -178,18 +163,22 @@ def forward_difference_gradient(obj: Objective, x, cfg: FiniteDiffConfig) -> np.
         raise ConfigurationError(f"point shape {x.shape} != ({obj.dim},)")
     if not np.all(np.isfinite(x)):
         raise ConfigurationError("non-finite point")
-    return minibatch_gradients(obj, x[None, :], [0], cfg)[0]
+    return minibatch_gradients(obj, x[None, :], [0], sigma)[0]
 
 
 def minibatch_gradients(obj: Objective, positions, batch,
-                        cfg: FiniteDiffConfig) -> np.ndarray:
+                        sigma: float) -> np.ndarray:
     """Forward-difference gradients for a subset of particles, zeros elsewhere.
 
     ``batch`` is a set of integer particle indices into ``positions``, or
     None for every particle.  Consumes exactly |batch| * (d + 1)
     evaluations: one ``eval_many`` call on the batch's base points, then one
     on its coordinate probes.  Particles outside the batch get a zero vector.
+    ``sigma`` is the forward-difference interval, a real 0 < sigma < inf.
     """
+    if not (_is_real(sigma) and 0 < sigma < np.inf):
+        raise ConfigurationError(
+            f"sigma must be a real 0 < sigma < inf, got {sigma!r}")
     pts = np.ascontiguousarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != obj.dim:
         raise ConfigurationError(
@@ -213,7 +202,7 @@ def minibatch_gradients(obj: Objective, positions, batch,
     centers = pts if b == n else pts[idx]
     base = obj.eval_many(centers)
     probes = centers.repeat(d, axis=0)
-    probes.reshape(b, d * d)[:, ::d + 1] += cfg.sigma
+    probes.reshape(b, d * d)[:, ::d + 1] += sigma
     vals = obj.eval_many(probes, centers=centers).reshape(b, d)
     if not _all_finite(base):
         i = np.flatnonzero(~np.isfinite(base))[0]
@@ -225,7 +214,7 @@ def minibatch_gradients(obj: Objective, positions, batch,
         raise EstimationError(
             f"objective non-finite at probe coordinate {l} of particle {idx[i]}",
             coordinate=int(l), particle=int(idx[i]))
-    grads = (vals - base[:, None]) / cfg.sigma
+    grads = (vals - base[:, None]) / sigma
     if b == n:
         return grads
     out = np.zeros_like(pts)

@@ -5,20 +5,26 @@ forward-difference gradient step for every particle, ``fescbo_step`` restricts
 the gradient to a random mini-batch, and ``vanilla_cbo_step`` omits it.
 Within one iteration a single Gaussian vector is shared by all particles, so
 pairwise particle differences contract by the same per-coordinate factor.
+
+Every stepper is ``step(state, obj, cfg, rng)``, where ``cfg`` is the run's
+``ExperimentConfig``: it reads ``lam``, ``delta`` and ``beta``, the gradient
+steppers ``sigma`` and ``schedule`` too, and ``fescbo_step`` ``batch_size``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .objective import (ConfigurationError, FiniteDiffConfig, Objective,
-                        _all_finite, _is_real, _reals, minibatch_gradients)
+from .objective import (ConfigurationError, Objective, _all_finite, _is_real,
+                        _reals, minibatch_gradients)
+
+if TYPE_CHECKING:  # harness imports this module
+    from .harness import ExperimentConfig
 
 __all__ = [
-    "CBOParams",
     "ComponentGaussian",
     "DivergenceError",
     "RngStream",
@@ -94,25 +100,6 @@ class SwarmState:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-
-@dataclass(frozen=True)
-class CBOParams:
-    """Drift weight, noise scale, weight sharpness, and the FD interval."""
-
-    lam: float
-    delta: float
-    beta: float
-    fd: FiniteDiffConfig
-
-    def __post_init__(self):
-        if not (0 <= self.lam < np.inf and 0 <= self.delta < np.inf):
-            raise ConfigurationError(
-                f"lam and delta must be finite and >= 0, got {self.lam}, "
-                f"{self.delta}")
-        if not 0 < self.beta < np.inf:
-            raise ConfigurationError(
-                f"beta must be finite and > 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +219,8 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     best particle always has pre-normalization weight exactly one.
     """
     f = np.asarray(values, dtype=float)
-    if beta < 0:
-        raise ConfigurationError("beta must be >= 0")
+    if not 0 <= beta < np.inf:
+        raise ConfigurationError(f"beta must lie in [0, inf), got {beta!r}")
     # exp(-beta * (f - min f)) / sum, in place on one fresh array.
     w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
     w *= -beta
@@ -264,8 +251,8 @@ def draw_noise(delta: float, dim: int, rng: RngStream) -> np.ndarray:
 
     The same draw is applied to every particle within an iteration.
     """
-    if delta < 0:
-        raise ConfigurationError("delta must be >= 0")
+    if not 0 <= delta < np.inf:
+        raise ConfigurationError(f"delta must lie in [0, inf), got {delta!r}")
     return rng.stream("noise").normal(0.0, delta, size=dim)
 
 
@@ -290,12 +277,12 @@ def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
         raise DivergenceError(k, int(bad[0]))
 
 
-def _advance(state: SwarmState, obj: Objective, params: CBOParams,
-             rng: RngStream, grads, alpha: float) -> SwarmState:
-    xbar = consensus_point(state, params.beta)
-    eta = draw_noise(params.delta, state.dim, rng)
-    new_positions = _drift_diffusion(state.positions, xbar, params.lam, eta)
-    if grads is not None and alpha != 0.0:
+def _advance(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
+             rng: RngStream, grads=None) -> SwarmState:
+    xbar = consensus_point(state, cfg.beta)
+    eta = draw_noise(cfg.delta, state.dim, rng)
+    new_positions = _drift_diffusion(state.positions, xbar, cfg.lam, eta)
+    if grads is not None and (alpha := cfg.schedule.alpha(state.k)) != 0.0:
         grads *= alpha  # the caller's fresh array: new - alpha * grads
         new_positions -= grads
     new_values = obj.eval_many(new_positions)
@@ -306,26 +293,24 @@ def _advance(state: SwarmState, obj: Objective, params: CBOParams,
     return SwarmState(new_positions, state.k + 1, new_values)
 
 
-def escbo_step(state: SwarmState, obj: Objective, params: CBOParams,
-               schedule: StepSchedule, rng: RngStream) -> SwarmState:
+def escbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
+               rng: RngStream) -> SwarmState:
     """One full iteration: consensus drift, shared noise, then a gradient step.
 
     Gradients are estimated at the pre-step positions for every particle.
     Costs N*(d+1) evaluations for the gradients plus N for the value refresh.
     """
-    grads = minibatch_gradients(obj, state.positions, None, params.fd)
-    return _advance(state, obj, params, rng, grads,
-                    schedule.alpha(state.k))
+    grads = minibatch_gradients(obj, state.positions, None, cfg.sigma)
+    return _advance(state, obj, cfg, rng, grads)
 
 
-def vanilla_cbo_step(state: SwarmState, obj: Objective, params: CBOParams,
+def vanilla_cbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
                      rng: RngStream) -> SwarmState:
     """Consensus drift and shared noise only; no gradient evaluations."""
-    return _advance(state, obj, params, rng, None, 0.0)
+    return _advance(state, obj, cfg, rng)
 
 
-def fescbo_step(state: SwarmState, obj: Objective, params: CBOParams,
-                schedule: StepSchedule, batch_size: int,
+def fescbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
                 rng: RngStream) -> SwarmState:
     """ESCBO step with gradients only on a uniform random mini-batch.
 
@@ -333,14 +318,12 @@ def fescbo_step(state: SwarmState, obj: Objective, params: CBOParams,
     With batch_size == N the trajectory matches escbo_step under the same
     seed, because batch selection draws from its own substream.
     """
-    n = state.n_particles
-    if not 1 <= batch_size <= n:
-        raise ConfigurationError(
-            f"batch_size must be in [1, {n}], got {batch_size}")
-    idx = rng.stream("batch").choice(n, size=batch_size, replace=False)
-    grads = minibatch_gradients(obj, state.positions, idx, params.fd)
-    return _advance(state, obj, params, rng, grads,
-                    schedule.alpha(state.k))
+    n, b = state.n_particles, cfg.batch_size
+    if b is None or not 1 <= b <= n:
+        raise ConfigurationError(f"batch_size must be in [1, {n}], got {b}")
+    idx = rng.stream("batch").choice(n, size=b, replace=False)
+    grads = minibatch_gradients(obj, state.positions, idx, cfg.sigma)
+    return _advance(state, obj, cfg, rng, grads)
 
 
 def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:

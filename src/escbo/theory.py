@@ -282,8 +282,8 @@ def laplace_value(beta: float, f_samples) -> float:
     to 1e20.  Always lies between min f_i and mean f_i, and tends to min f_i
     as beta grows.
     """
-    if not beta > 0:
-        raise ConfigurationError("beta must be > 0")
+    if not 0 < beta < math.inf:
+        raise ConfigurationError(f"beta must lie in (0, inf), got {beta!r}")
     f = np.asarray(f_samples, dtype=float)
     if f.size == 0:
         raise ConfigurationError("need at least one sample")

@@ -15,9 +15,9 @@ from escbo.benchmarks import lookup, rastrigin1d
 from escbo.harness import ExperimentConfig, emit_report, run_many, run_once, \
     table_preset
 from escbo.neural import MLPArchitecture
-from escbo.objective import (FiniteDiffConfig, Objective,
-                             forward_difference_gradient, gradient_bounds)
-from escbo.swarm import (CBOParams, RngStream, StepSchedule, SwarmState,
+from escbo.objective import (Objective, forward_difference_gradient,
+                             gradient_bounds)
+from escbo.swarm import (RngStream, StepSchedule, SwarmState,
                          UniformBox, consensus_point, escbo_step, init_swarm,
                          refresh_values, softmin_weights, swarm_diameter,
                          vanilla_cbo_step)
@@ -121,8 +121,8 @@ def _checkpoints(k_max):
 def test_04_contraction_bound_and_rate():
     lam, delta, sigma, L_f, k_max, n_runs = 0.75, 0.25, 0.1, 80.0, 200, 50
     sched = StepSchedule.geometric(0.1, 0.5)
-    params = CBOParams(lam=lam, delta=delta, beta=50.0,
-                       fd=FiniteDiffConfig(sigma))
+    config = ExperimentConfig(lam=lam, delta=delta, beta=50.0, sigma=sigma,
+                              schedule=sched)
     ks = _checkpoints(k_max)
     diam = np.zeros((n_runs, len(ks)))
     for run in range(n_runs):
@@ -132,7 +132,7 @@ def test_04_contraction_bound_and_rate():
                                spec.objective)
         row, nxt = [swarm_diameter(state.positions)], 1
         for k in range(1, k_max + 1):
-            state = escbo_step(state, spec.objective, params, sched, rng)
+            state = escbo_step(state, spec.objective, config, rng)
             if k == ks[nxt]:
                 row.append(swarm_diameter(state.positions))
                 nxt += 1
@@ -168,8 +168,8 @@ def test_05_coupling_identity():
         state = refresh_values(SwarmState(pts.copy()), obj)
         eta = RngStream(trial).stream("noise").normal(0.0, delta, size=d)
         new = vanilla_cbo_step(state, obj,
-                               CBOParams(lam, delta, 3.0,
-                                         FiniteDiffConfig(1.0)),
+                               ExperimentConfig(lam=lam, delta=delta,
+                                                beta=3.0, sigma=1.0),
                                RngStream(trial))
         factor = (1.0 - lam) - eta
         scale = np.abs(pts).max() * (1.0 + np.abs(factor).max())
@@ -252,8 +252,8 @@ def test_08_complexity_constants_and_decay():
     M_g = gradient_bounds(L_f, 1, sigma).M_g
     alpha = cc.kappa * math.sqrt(eps) / M_g
     sched = StepSchedule.constant(alpha)
-    params = CBOParams(lam=0.25, delta=0.0, beta=1e6,
-                       fd=FiniteDiffConfig(sigma))
+    config = ExperimentConfig(lam=0.25, delta=0.0, beta=1e6, sigma=sigma,
+                              schedule=sched)
     n_runs, k_max = 200, 60
     w = np.zeros((n_runs, k_max + 1))
     for run in range(n_runs):
@@ -263,7 +263,7 @@ def test_08_complexity_constants_and_decay():
                                spec.objective)
         w[run, 0] = np.mean(state.positions[:, 0] ** 2)
         for k in range(1, k_max + 1):
-            state = escbo_step(state, spec.objective, params, sched, rng)
+            state = escbo_step(state, spec.objective, config, rng)
             w[run, k] = np.mean(state.positions[:, 0] ** 2)
     mean_w = w.mean(axis=0)
     w0 = mean_w[0]
@@ -317,7 +317,7 @@ def test_10_gradient_estimator_accuracy():
     errs, evals = [], []
     for sigma in (1e-2, 5e-3, 2.5e-3):
         before = obj.eval_count
-        g = forward_difference_gradient(obj, x, FiniteDiffConfig(sigma))
+        g = forward_difference_gradient(obj, x, sigma)
         evals.append(obj.eval_count - before)
         errs.append(float(np.linalg.norm(g - 2 * x)))
     ratios = [a / b for a, b in zip(errs, errs[1:])]

@@ -109,6 +109,15 @@ def test_bad_beta_grid_is_an_error_not_a_crash(capsys):
     assert capsys.readouterr().err == "error: bad beta-grid '1,x'\n"
 
 
+@pytest.mark.parametrize("grid", ["inf", "1,nan", "0"])
+def test_beta_grid_out_of_range_is_an_error(capsys, grid):
+    code = run_cli(["laplace", "--benchmark", "rastrigin", "--dim", "2",
+                    "--beta-grid", grid])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: beta must lie in ")
+
+
 def test_unknown_benchmark_exits_nonzero(capsys):
     code = run_cli(["run", "--method", "escbo", "--benchmark", "nosuch",
                     "--dim", "2", "--runs", "1", "--max-iters", "5"])

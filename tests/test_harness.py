@@ -311,6 +311,44 @@ def test_config_rejects_wrong_kind_or_unread_field(overrides):
         ExperimentConfig(**overrides)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(init=UniformBox([-1.0] * 3, [1.0] * 3), dim=2),
+    dict(init=ComponentGaussian(np.zeros(3), 1.0), dim=2),
+    dict(benchmark="dnn", arch=(2, 3, 1),
+         init=UniformBox([-1.0] * 2, [1.0] * 2)),
+], ids=["box-3-on-dim-2", "gaussian-3-on-dim-2", "box-2-on-network-13"])
+def test_config_rejects_init_that_does_not_fit_the_target(overrides):
+    with pytest.raises(ConfigurationError, match="does not fit"):
+        ExperimentConfig(**overrides)
+
+
+def test_init_of_one_value_or_one_per_coordinate_runs():
+    for init in (UniformBox([-1.0] * 3, 1.0), UniformBox([-1.0], [1.0]),
+                 ComponentGaussian(np.zeros(3), 1.0)):
+        rec = run_once(quick_config(init=init, dim=3, max_iters=2), seed=0)
+        assert rec.final_positions.shape == (10, 3)
+
+
+def test_run_once_calls_the_steppers_through_the_harness_namespace(
+        monkeypatch):
+    # bench/worker.py and bench/tracer.py wrap the steppers by swapping them
+    # into this namespace; a stepper bound at import time would bypass them.
+    names = {"escbo": "escbo_step", "vanilla": "vanilla_cbo_step",
+             "fescbo": "fescbo_step"}
+    calls = dict.fromkeys(names.values(), 0)
+    for name in calls:
+        def counting(*args, name=name, step=getattr(harness, name)):
+            calls[name] += 1
+            return step(*args)
+        monkeypatch.setattr(harness, name, counting)
+    for method, name in names.items():
+        calls.update(dict.fromkeys(calls, 0))
+        rec = run_once(quick_config(method=method, batch_size=3, max_iters=7,
+                                    stop_tol=1e-300), seed=0)
+        assert rec.iterations == 7
+        assert calls == {**dict.fromkeys(calls, 0), name: rec.iterations}
+
+
 def test_network_dim_is_left_out_zero_or_the_network_dimension():
     net = dict(benchmark="dnn", arch=(2, 3, 1))
     assert ExperimentConfig(**net).dim == 0

@@ -15,8 +15,7 @@ from escbo.neural import (NOISE_STD, MLPArchitecture, SyntheticDataset,
                           flatten, forward, generate_synthetic, load_dataset,
                           save_dataset, train_error, unflatten)
 from escbo.neural import test_error as held_out_error
-from escbo.objective import (ConfigurationError, FiniteDiffConfig,
-                             forward_difference_gradient,
+from escbo.objective import (ConfigurationError, forward_difference_gradient,
                              minibatch_gradients)
 
 
@@ -175,7 +174,7 @@ def test_finite_difference_close_to_central_difference():
     gen = np.random.default_rng(7)
     x = gen.uniform(-1, 1, size=arch.dim)
     sigma = 1e-5
-    fwd = forward_difference_gradient(obj, x, FiniteDiffConfig(sigma))
+    fwd = forward_difference_gradient(obj, x, sigma)
     central = np.empty(arch.dim)
     for l in range(arch.dim):
         e = np.zeros(arch.dim)
@@ -204,9 +203,8 @@ def test_probe_kernel_matches_full_forward_pass(widths, b_count):
     rows = coordinate_probes(centers, 1e-3)
     full = obj.eval_many(rows)
     evals_full = obj.eval_count
-    obj.reset_count()
     probed = obj.eval_many(rows, centers=centers)
-    assert obj.eval_count == evals_full == b_count * arch.dim
+    assert obj.eval_count - evals_full == evals_full == b_count * arch.dim
     assert probed.shape == full.shape
     assert np.max(np.abs(probed - full)) <= 1e-12
 
@@ -217,13 +215,13 @@ def test_probe_gradients_match_reference_on_partial_batch(widths):
     obj = dnn_objective(arch, generate_synthetic(arch, seed=10))
     positions = np.random.default_rng(11).uniform(-3, 3, size=(7, arch.dim))
     batch, sigma = [1, 4, 5], 1e-3
-    grads = minibatch_gradients(obj, positions, batch, FiniteDiffConfig(sigma))
+    grads = minibatch_gradients(obj, positions, batch, sigma)
     evals_probed = obj.eval_count
-    obj.reset_count()
     centers = positions[batch]
     reference = (obj.eval_many(coordinate_probes(centers, sigma)).reshape(
         len(batch), arch.dim) - obj.eval_many(centers)[:, None]) / sigma
-    assert evals_probed == obj.eval_count == len(batch) * (arch.dim + 1)
+    assert obj.eval_count - evals_probed == evals_probed \
+        == len(batch) * (arch.dim + 1)
     assert np.max(np.abs(grads[batch] - reference)) <= 1e-9
     others = np.setdiff1d(np.arange(7), batch)
     assert np.all(grads[others] == 0.0)
@@ -364,7 +362,6 @@ def test_network_path_warns_nothing_when_exp_overflows():
                    train_error(arch, params, data),
                    held_out_error(arch, params, data),
                    obj.eval_many(positions),
-                   minibatch_gradients(obj, positions, [0, 2, 3],
-                                       FiniteDiffConfig(1e-3))]
+                   minibatch_gradients(obj, positions, [0, 2, 3], 1e-3)]
     for value in results:
         assert np.all(np.isfinite(value))

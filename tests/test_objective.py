@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from escbo.benchmarks import lookup, rastrigin
 from escbo.neural import MLPArchitecture, dnn_objective, generate_synthetic
-from escbo.objective import (ConfigurationError, EstimationError,
-                             FiniteDiffConfig, Objective, estimate_lipschitz,
-                             forward_difference_gradient, gradient_bounds,
-                             minibatch_gradients)
+from escbo.objective import (ConfigurationError, EstimationError, Objective,
+                             estimate_lipschitz, forward_difference_gradient,
+                             gradient_bounds, minibatch_gradients)
 
 
 def sphere_objective(dim=2):
@@ -26,8 +25,6 @@ def test_eval_counts_single_and_batch():
     vals = obj.eval_many(np.array([[1.0, 0.0], [0.0, 2.0]]))
     np.testing.assert_allclose(vals, [1.0, 4.0])
     assert obj.eval_count == 3
-    obj.reset_count()
-    assert obj.eval_count == 0
 
 
 def test_eval_many_rejects_bad_shapes():
@@ -97,8 +94,7 @@ def test_probe_kernel_serves_only_calls_with_centers():
 
     obj = Objective(2, lambda x: np.sum(x * x, axis=-1), probe_kernel=probe)
     positions = np.array([[1.0, 1.0], [5.0, 5.0], [0.1, 1e8]])
-    grads = minibatch_gradients(obj, positions, [0, 2],
-                                FiniteDiffConfig(0.2))
+    grads = minibatch_gradients(obj, positions, [0, 2], 0.2)
     [(centers, delta)] = seen
     np.testing.assert_array_equal(centers, positions[[0, 2]])
     # delta is the step each probe took, fl(x + sigma) - x, not sigma.
@@ -112,18 +108,27 @@ def test_probe_kernel_serves_only_calls_with_centers():
 
 @pytest.mark.parametrize("call", [
     lambda: Objective(0, np.sum),
-    lambda: forward_difference_gradient(sphere_objective(), np.zeros(3),
-                                        FiniteDiffConfig(0.1)),
+    lambda: forward_difference_gradient(sphere_objective(), np.zeros(3), 0.1),
     lambda: forward_difference_gradient(sphere_objective(),
-                                        np.array([0.0, np.nan]),
-                                        FiniteDiffConfig(0.1)),
+                                        np.array([0.0, np.nan]), 0.1),
     lambda: minibatch_gradients(sphere_objective(), np.zeros((4, 3)), None,
-                                FiniteDiffConfig(0.1)),
+                                0.1),
 ], ids=["dim-zero", "gradient-shape", "gradient-non-finite",
         "minibatch-shape"])
 def test_objective_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()
+
+
+@pytest.mark.parametrize("sigma", [0, -1, np.nan, np.inf, "0.1", True],
+                         ids=repr)
+def test_gradients_reject_a_bad_sigma(sigma):
+    obj = sphere_objective()
+    with pytest.raises(ConfigurationError, match="sigma"):
+        minibatch_gradients(obj, np.zeros((4, 2)), None, sigma)
+    with pytest.raises(ConfigurationError, match="sigma"):
+        forward_difference_gradient(obj, np.zeros(2), sigma)
+    assert obj.eval_count == 0
 
 
 def test_counter_is_thread_safe():
@@ -138,26 +143,25 @@ def test_forward_difference_hand_values():
     # f(x) = x1^2 + x2^2 at (1, 0), sigma 0.01: ((1.01)^2 - 1)/0.01 and
     # (0.0001 - 0)/0.01, expanded by hand.
     obj = sphere_objective()
-    g = forward_difference_gradient(obj, np.array([1.0, 0.0]),
-                                    FiniteDiffConfig(0.01))
+    g = forward_difference_gradient(obj, np.array([1.0, 0.0]), 0.01)
     np.testing.assert_allclose(g, [2.01, 0.01], rtol=1e-12)
     assert obj.eval_count == 3
 
 
 def test_forward_difference_constant_and_1d():
     const = Objective(3, lambda x: np.full(len(x), 7.0))
-    g = forward_difference_gradient(const, np.zeros(3), FiniteDiffConfig(0.5))
+    g = forward_difference_gradient(const, np.zeros(3), 0.5)
     np.testing.assert_array_equal(g, np.zeros(3))
 
     square = Objective(1, lambda x: np.sum(x * x, axis=-1))
-    g = forward_difference_gradient(square, np.zeros(1), FiniteDiffConfig(0.1))
+    g = forward_difference_gradient(square, np.zeros(1), 0.1)
     np.testing.assert_allclose(g, [0.1], rtol=1e-12)
 
 
 def test_forward_difference_eval_accounting():
     obj = sphere_objective(5)
     for k in range(1, 4):
-        forward_difference_gradient(obj, np.zeros(5), FiniteDiffConfig(0.1))
+        forward_difference_gradient(obj, np.zeros(5), 0.1)
         assert obj.eval_count == k * 6
 
 
@@ -168,7 +172,7 @@ def test_forward_difference_error_scaling():
     x = np.array([0.3, -1.2, 2.0, 0.7])
     errs = []
     for sigma in (1e-2, 5e-3, 2.5e-3):
-        g = forward_difference_gradient(obj, x, FiniteDiffConfig(sigma))
+        g = forward_difference_gradient(obj, x, sigma)
         errs.append(np.linalg.norm(g - 2 * x))
     for a, b in zip(errs, errs[1:]):
         assert abs(a / b - 2.0) < 0.2
@@ -180,20 +184,20 @@ def test_forward_difference_nonfinite_reports_coordinate():
 
     obj = Objective(3, spiky)
     with pytest.raises(EstimationError) as err:
-        forward_difference_gradient(obj, np.zeros(3), FiniteDiffConfig(0.1))
+        forward_difference_gradient(obj, np.zeros(3), 0.1)
     assert err.value.coordinate == 1
 
 
 def test_forward_difference_nonfinite_base():
     obj = Objective(2, lambda x: np.full(len(x), np.inf))
     with pytest.raises(EstimationError) as err:
-        forward_difference_gradient(obj, np.zeros(2), FiniteDiffConfig(0.1))
+        forward_difference_gradient(obj, np.zeros(2), 0.1)
     assert err.value.coordinate is None
 
 
 def test_minibatch_empty_batch_is_all_zero():
     obj = sphere_objective()
-    grads = minibatch_gradients(obj, np.ones((4, 2)), [], FiniteDiffConfig(0.1))
+    grads = minibatch_gradients(obj, np.ones((4, 2)), [], 0.1)
     np.testing.assert_array_equal(grads, np.zeros((4, 2)))
     assert obj.eval_count == 0
 
@@ -201,25 +205,23 @@ def test_minibatch_empty_batch_is_all_zero():
 def test_minibatch_full_batch_matches_per_particle():
     obj = sphere_objective(3)
     positions = np.random.default_rng(3).normal(size=(5, 3))
-    cfg = FiniteDiffConfig(0.01)
-    grads = minibatch_gradients(obj, positions, range(5), cfg)
+    grads = minibatch_gradients(obj, positions, range(5), 0.01)
     assert obj.eval_count == 5 * 4
     for i in range(5):
         single = forward_difference_gradient(sphere_objective(3),
-                                             positions[i], cfg)
+                                             positions[i], 0.01)
         np.testing.assert_array_equal(grads[i], single)
 
 
 def test_minibatch_partial_hand_value():
     # N=2, batch={second particle}, f(x)=x^2: ((1.1)^2 - 1)/0.1 = 2.1.
     obj = Objective(1, lambda x: np.sum(x * x, axis=-1))
-    grads = minibatch_gradients(obj, np.array([[0.0], [1.0]]), [1],
-                                FiniteDiffConfig(0.1))
+    grads = minibatch_gradients(obj, np.array([[0.0], [1.0]]), [1], 0.1)
     np.testing.assert_allclose(grads, [[0.0], [2.1]], rtol=1e-12)
     assert obj.eval_count == 2
 
 
-def minibatch_reference(obj, positions, batch, cfg):
+def minibatch_reference(obj, positions, batch, sigma):
     # Every batch through np.unique, centers by fancy index, the probe
     # diagonal by index arrays, and the gradients scattered into zeros.
     pts = np.asarray(positions, dtype=float)
@@ -232,9 +234,9 @@ def minibatch_reference(obj, positions, batch, cfg):
     base = obj.eval_many(centers)
     probes = np.repeat(centers, d, axis=0)
     diag = np.arange(d)
-    probes.reshape(idx.size, d, d)[:, diag, diag] += cfg.sigma
+    probes.reshape(idx.size, d, d)[:, diag, diag] += sigma
     vals = obj.eval_many(probes, centers=centers).reshape(idx.size, d)
-    grads[idx] = (vals - base[:, None]) / cfg.sigma
+    grads[idx] = (vals - base[:, None]) / sigma
     return grads
 
 
@@ -246,29 +248,28 @@ def test_minibatch_batch_forms_equal_reference(data, seed, n, d, sigma):
     positions = 3.0 * gen.normal(size=(n, d))
     subset = data.draw(st.lists(st.integers(0, n - 1), unique=True,
                                 max_size=n))
-    cfg = FiniteDiffConfig(sigma)
     forms = [list(subset), np.array(sorted(subset), dtype=int),
              gen.permutation(np.array(subset, dtype=int)),
              list(subset) + list(subset)]
     if len(subset) == n:
         forms.append(range(n))
     reference = Objective(d, rastrigin)
-    expected = minibatch_reference(reference, positions, subset, cfg)
+    expected = minibatch_reference(reference, positions, subset, sigma)
     for batch in forms:
         obj = Objective(d, rastrigin)
-        grads = minibatch_gradients(obj, positions, batch, cfg)
+        grads = minibatch_gradients(obj, positions, batch, sigma)
         assert grads.tobytes() == expected.tobytes()
         assert obj.eval_count == reference.eval_count == len(subset) * (d + 1)
     # Full-batch rows equal the partial-batch rows of the same particles.
     every = minibatch_gradients(Objective(d, rastrigin),
-                                positions, np.arange(n), cfg)
+                                positions, np.arange(n), sigma)
     assert every[subset].tobytes() == expected[subset].tobytes()
 
 
 def test_minibatch_rejects_out_of_range():
     obj = sphere_objective()
     with pytest.raises(ConfigurationError):
-        minibatch_gradients(obj, np.zeros((3, 2)), [3], FiniteDiffConfig(0.1))
+        minibatch_gradients(obj, np.zeros((3, 2)), [3], 0.1)
 
 
 @pytest.mark.parametrize("batch", [
@@ -279,7 +280,7 @@ def test_minibatch_rejects_batches_that_are_not_indices(batch):
     # particles 0 and 1, [1.7] as particle 1).
     obj = sphere_objective()
     with pytest.raises(ConfigurationError, match="integer indices"):
-        minibatch_gradients(obj, np.ones((4, 2)), batch, FiniteDiffConfig(0.1))
+        minibatch_gradients(obj, np.ones((4, 2)), batch, 0.1)
     assert obj.eval_count == 0
 
 
@@ -290,7 +291,6 @@ def test_minibatch_rejects_batches_that_are_not_indices(batch):
 def test_minibatch_none_batch_equals_arange(seed, n, d, sigma, spike):
     gen = np.random.default_rng(seed)
     positions = 3.0 * gen.normal(size=(n, d))
-    cfg = FiniteDiffConfig(sigma)
     if spike and n:
         # One particle sits on a nan of the objective, or one of its
         # probes does.
@@ -304,14 +304,14 @@ def test_minibatch_none_batch_equals_arange(seed, n, d, sigma, spike):
     for batch in (None, np.arange(n)):
         obj = Objective(d, fn)
         try:
-            grads = minibatch_gradients(obj, positions, batch, cfg)
+            grads = minibatch_gradients(obj, positions, batch, sigma)
             outcomes.append((grads.tobytes(), obj.eval_count))
         except EstimationError as exc:
             outcomes.append((exc.particle, exc.coordinate, obj.eval_count))
     assert outcomes[0] == outcomes[1]
     reference = Objective(d, fn)
     if len(outcomes[0]) == 2:  # no spike hit: also the parent's expression
-        expected = minibatch_reference(reference, positions, range(n), cfg)
+        expected = minibatch_reference(reference, positions, range(n), sigma)
         assert outcomes[0] == (expected.tobytes(), reference.eval_count)
 
 
@@ -340,7 +340,7 @@ def test_gradient_norm_respects_lipschitz_bound():
     lb = gradient_bounds(L_f, 2, 0.05)
     gen = np.random.default_rng(5)
     for x in gen.uniform(-5, 5, size=(100, 2)):
-        g = forward_difference_gradient(obj, x, FiniteDiffConfig(0.05))
+        g = forward_difference_gradient(obj, x, 0.05)
         assert np.linalg.norm(g) <= lb.M_g + 1e-12
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from escbo.benchmarks import rastrigin
+from escbo.harness import ExperimentConfig
 from escbo.neural import MLPArchitecture
-from escbo.objective import (ConfigurationError, EstimationError,
-                             FiniteDiffConfig, Objective, minibatch_gradients)
-from escbo.swarm import (CBOParams, ComponentGaussian, DivergenceError,
+from escbo.objective import (ConfigurationError, EstimationError, Objective,
+                             minibatch_gradients)
+from escbo.swarm import (ComponentGaussian, DivergenceError,
                          RngStream, StepSchedule, SwarmState, UniformBox,
                          check_stop, consensus_point, draw_noise, escbo_step,
                          fescbo_step, init_swarm, refresh_values,
@@ -27,9 +28,11 @@ def make_state(positions, obj):
     return refresh_values(SwarmState(np.asarray(positions, dtype=float)), obj)
 
 
-def params(lam=0.1, delta=0.1, beta=10.0, sigma=0.01):
-    return CBOParams(lam=lam, delta=delta, beta=beta,
-                     fd=FiniteDiffConfig(sigma))
+def params(lam=0.1, delta=0.1, beta=10.0, sigma=0.01, **fields):
+    # A stepper's config.  particles bounds only the config's batch_size, so
+    # a large one lets every batch size through to the stepper's own check.
+    return ExperimentConfig(lam=lam, delta=delta, beta=beta, sigma=sigma,
+                            particles=10**6, **fields)
 
 
 # ---------------------------------------------------------------- schedules
@@ -172,7 +175,15 @@ def test_rng_stream_labels():
     (lambda: softmin_weights(np.zeros(3), -1.0), ConfigurationError),
     (lambda: draw_noise(-0.1, 2, RngStream(0)), ConfigurationError),
     (lambda: RngStream(0).stream("bogus"), KeyError),
-], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream"])
+    (lambda: softmin_weights(np.zeros(3), np.nan), ConfigurationError),
+    (lambda: softmin_weights(np.zeros(3), np.inf), ConfigurationError),
+    (lambda: consensus_point(SwarmState(np.zeros((3, 2)), values=np.zeros(3)),
+                             np.inf), ConfigurationError),
+    (lambda: draw_noise(np.nan, 2, RngStream(0)), ConfigurationError),
+    (lambda: draw_noise(np.inf, 2, RngStream(0)), ConfigurationError),
+], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream",
+        "nan-beta", "inf-beta", "consensus-inf-beta", "nan-delta",
+        "inf-delta"])
 def test_swarm_validation_errors(call, error):
     with pytest.raises(error):
         call()
@@ -305,8 +316,9 @@ def test_noise_determinism():
 def test_escbo_identity_step():
     obj = sphere(2)
     state = make_state(np.random.default_rng(1).normal(size=(6, 2)), obj)
-    new = escbo_step(state, obj, params(lam=0.0, delta=0.0),
-                     StepSchedule.constant(0.0), RngStream(0))
+    new = escbo_step(state, obj, params(lam=0.0, delta=0.0,
+                                        schedule=StepSchedule.constant(0.0)),
+                     RngStream(0))
     np.testing.assert_allclose(new.positions, state.positions,
                                rtol=1e-15, atol=1e-15)
     assert new.k == 1
@@ -316,8 +328,9 @@ def test_escbo_full_contraction_is_exact():
     obj = sphere(2)
     state = make_state(np.random.default_rng(2).normal(size=(5, 2)), obj)
     xbar = consensus_point(state, 10.0)
-    new = escbo_step(state, obj, params(lam=1.0, delta=0.0),
-                     StepSchedule.constant(0.0), RngStream(0))
+    new = escbo_step(state, obj, params(lam=1.0, delta=0.0,
+                                        schedule=StepSchedule.constant(0.0)),
+                     RngStream(0))
     for row in new.positions:
         np.testing.assert_array_equal(row, xbar)
     assert swarm_diameter(new.positions) == 0.0
@@ -326,16 +339,18 @@ def test_escbo_full_contraction_is_exact():
 def test_escbo_eval_accounting():
     obj = sphere(3)
     state = make_state(np.random.default_rng(3).normal(size=(7, 3)), obj)
-    obj.reset_count()
-    escbo_step(state, obj, params(), StepSchedule.constant(0.1), RngStream(0))
-    assert obj.eval_count == 7 * 4 + 7
+    before = obj.eval_count
+    escbo_step(state, obj, params(schedule=StepSchedule.constant(0.1)),
+               RngStream(0))
+    assert obj.eval_count - before == 7 * 4 + 7
 
 
 def test_vanilla_matches_escbo_with_zero_schedule():
     obj1, obj2 = sphere(2), sphere(2)
     pts = np.random.default_rng(4).normal(size=(8, 2))
     s1, s2 = make_state(pts, obj1), make_state(pts, obj2)
-    a = escbo_step(s1, obj1, params(), StepSchedule.constant(0.0), RngStream(5))
+    a = escbo_step(s1, obj1, params(schedule=StepSchedule.constant(0.0)),
+                   RngStream(5))
     b = vanilla_cbo_step(s2, obj2, params(), RngStream(5))
     np.testing.assert_array_equal(a.positions, b.positions)
 
@@ -352,9 +367,9 @@ def test_vanilla_identical_particles_stay_identical():
 def test_vanilla_consumes_no_gradient_evals():
     obj = sphere(4)
     state = make_state(np.random.default_rng(5).normal(size=(6, 4)), obj)
-    obj.reset_count()
+    before = obj.eval_count
     vanilla_cbo_step(state, obj, params(), RngStream(0))
-    assert obj.eval_count == 6
+    assert obj.eval_count - before == 6
 
 
 def test_fescbo_full_batch_matches_escbo():
@@ -364,8 +379,8 @@ def test_fescbo_full_batch_matches_escbo():
     rng1, rng2 = RngStream(3), RngStream(3)
     sched = StepSchedule.geometric(0.5, 0.9)
     for _ in range(5):
-        s1 = escbo_step(s1, obj1, params(), sched, rng1)
-        s2 = fescbo_step(s2, obj2, params(), sched, 9, rng2)
+        s1 = escbo_step(s1, obj1, params(schedule=sched), rng1)
+        s2 = fescbo_step(s2, obj2, params(schedule=sched, batch_size=9), rng2)
     np.testing.assert_array_equal(s1.positions, s2.positions)
 
 
@@ -373,8 +388,8 @@ def test_fescbo_touches_exactly_batch_size_particles():
     pts = np.random.default_rng(7).uniform(-4, 4, size=(40, 3))
     obj1, obj2 = sphere(3), sphere(3)
     s1, s2 = make_state(pts, obj1), make_state(pts, obj2)
-    a = fescbo_step(s1, obj1, params(), StepSchedule.constant(0.5), 10,
-                    RngStream(8))
+    a = fescbo_step(s1, obj1, params(schedule=StepSchedule.constant(0.5),
+                                     batch_size=10), RngStream(8))
     b = vanilla_cbo_step(s2, obj2, params(), RngStream(8))
     differing = np.any(a.positions != b.positions, axis=1)
     assert differing.sum() == 10
@@ -383,8 +398,9 @@ def test_fescbo_touches_exactly_batch_size_particles():
 def test_fescbo_zero_schedule_equals_vanilla():
     pts = np.random.default_rng(8).normal(size=(12, 2))
     obj1, obj2 = sphere(2), sphere(2)
-    a = fescbo_step(make_state(pts, obj1), obj1, params(),
-                    StepSchedule.constant(0.0), 4, RngStream(1))
+    a = fescbo_step(make_state(pts, obj1), obj1,
+                    params(schedule=StepSchedule.constant(0.0), batch_size=4),
+                    RngStream(1))
     b = vanilla_cbo_step(make_state(pts, obj2), obj2, params(), RngStream(1))
     np.testing.assert_array_equal(a.positions, b.positions)
 
@@ -392,13 +408,15 @@ def test_fescbo_zero_schedule_equals_vanilla():
 def test_fescbo_eval_accounting_and_validation():
     obj = sphere(3)
     state = make_state(np.random.default_rng(9).normal(size=(20, 3)), obj)
-    obj.reset_count()
-    fescbo_step(state, obj, params(), StepSchedule.constant(0.1), 5,
-                RngStream(0))
-    assert obj.eval_count == 5 * 4 + 20
-    with pytest.raises(ConfigurationError):
-        fescbo_step(state, obj, params(), StepSchedule.constant(0.1), 21,
-                    RngStream(0))
+    before = obj.eval_count
+    sched = StepSchedule.constant(0.1)
+    fescbo_step(state, obj, params(schedule=sched, batch_size=5), RngStream(0))
+    assert obj.eval_count - before == 5 * 4 + 20
+    for batch_size in (21, None):
+        with pytest.raises(ConfigurationError):
+            fescbo_step(state, obj, params(schedule=sched,
+                                           batch_size=batch_size),
+                        RngStream(0))
 
 
 def reference_step(state, obj, prm, schedule, rng, method, batch_size):
@@ -415,10 +433,10 @@ def reference_step(state, obj, prm, schedule, rng, method, batch_size):
         base = obj.eval_many(centers)
         probes = np.repeat(centers, d, axis=0)
         diag = np.arange(d)
-        probes.reshape(idx.size, d, d)[:, diag, diag] += prm.fd.sigma
+        probes.reshape(idx.size, d, d)[:, diag, diag] += prm.sigma
         vals = obj.eval_many(probes).reshape(idx.size, d)
         grads = np.zeros_like(pts)
-        grads[idx] = (vals - base[:, None]) / prm.fd.sigma
+        grads[idx] = (vals - base[:, None]) / prm.sigma
     f = state.values
     w = np.exp(-prm.beta * (f - f.min()))
     w = w / w.sum()
@@ -441,9 +459,12 @@ def reference_step(state, obj, prm, schedule, rng, method, batch_size):
        c=st.sampled_from([0.0, 0.5, 3.0]), batch_frac=st.floats(0.0, 1.0))
 def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
                                         c, batch_frac):
-    prm = params(lam=lam, delta=delta, beta=beta, sigma=1e-4)
     schedule = StepSchedule.harmonic(c)
     batch_size = max(1, round(batch_frac * n))
+    prm = params(lam=lam, delta=delta, beta=beta, sigma=1e-4,
+                 schedule=schedule, batch_size=batch_size)
+    step = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
+            "fescbo": fescbo_step}[method]
     obj = Objective(d, rastrigin)
     ref_obj = Objective(d, rastrigin)
     rng, ref_rng = RngStream(seed), RngStream(seed)
@@ -451,12 +472,7 @@ def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
     ref = refresh_values(init_swarm(UniformBox(-5, 5), n, d, ref_rng),
                          ref_obj)
     for _ in range(4):
-        if method == "escbo":
-            state = escbo_step(state, obj, prm, schedule, rng)
-        elif method == "vanilla":
-            state = vanilla_cbo_step(state, obj, prm, rng)
-        else:
-            state = fescbo_step(state, obj, prm, schedule, batch_size, rng)
+        state = step(state, obj, prm, rng)
         new, values = reference_step(ref, ref_obj, prm, schedule, ref_rng,
                                      method, batch_size)
         ref = SwarmState(new, ref.k + 1, values)
@@ -469,11 +485,10 @@ def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
 def test_step_divergence_reports_iteration_and_particle():
     obj = sphere(2)
     state = make_state(np.ones((3, 2)), obj)
-    huge = StepSchedule.constant(1e300)
+    huge = params(lam=0.0, delta=0.0, schedule=StepSchedule.constant(1e300))
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
-        state = escbo_step(state, obj, params(lam=0.0, delta=0.0), huge,
-                           RngStream(0))
-        escbo_step(state, obj, params(lam=0.0, delta=0.0), huge, RngStream(0))
+        state = escbo_step(state, obj, huge, RngStream(0))
+        escbo_step(state, obj, huge, RngStream(0))
     assert err.value.iteration in (1, 2)
     assert 0 <= err.value.particle < 3
 
@@ -483,9 +498,10 @@ def test_trajectory_determinism():
         obj = Objective(2, rastrigin)
         rng = RngStream(123)
         state = refresh_values(init_swarm(UniformBox(-5, 5), 15, 2, rng), obj)
-        sched = StepSchedule.geometric(1.0, 0.95)
+        cfg = params(beta=1e6, schedule=StepSchedule.geometric(1.0, 0.95),
+                     batch_size=6)
         for _ in range(30):
-            state = fescbo_step(state, obj, params(beta=1e6), sched, 6, rng)
+            state = fescbo_step(state, obj, cfg, rng)
         return state.positions
     np.testing.assert_array_equal(run(), run())
 
@@ -657,9 +673,10 @@ def test_empirical_consensus_decay_and_bound():
         rng = RngStream(run)
         state = refresh_values(init_swarm(UniformBox(-5, 5), 10, 2, rng), obj)
         diam[run, 0] = swarm_diameter(state.positions)
-        p = params(lam=lam, delta=delta, beta=50.0, sigma=sigma)
+        p = params(lam=lam, delta=delta, beta=50.0, sigma=sigma,
+                   schedule=sched)
         for k in range(1, k_max + 1):
-            state = escbo_step(state, obj, p, sched, rng)
+            state = escbo_step(state, obj, p, rng)
             diam[run, k] = swarm_diameter(state.positions)
     mean = diam.mean(axis=0)
     lb = gradient_bounds(L_f, 2, sigma)
@@ -730,7 +747,7 @@ def test_minibatch_non_finite_errors_without_warnings(positions, batch,
                                                       expected):
     obj = Objective(2, trap)
     assert outcome(lambda: minibatch_gradients(
-        obj, positions, batch, FiniteDiffConfig(0.25))) == expected
+        obj, positions, batch, 0.25)) == expected
 
 
 ON_TRAP = np.array([[0.5, 0.0], [1.5, 0.0], [0.5, 0.0], [1.5, 0.0]])
@@ -765,13 +782,13 @@ STEP_CASES = [
 def test_steps_non_finite_errors_without_warnings(positions, values, lam,
                                                   delta, beta, alpha,
                                                   expected):
-    prm = params(lam=lam, delta=delta, beta=beta, sigma=0.25)
-    schedule = StepSchedule.constant(alpha)
+    prm = params(lam=lam, delta=delta, beta=beta, sigma=0.25,
+                 schedule=StepSchedule.constant(alpha), batch_size=4)
     state = SwarmState(positions, 3, values)
     obj = Objective(2, trap)
-    steps = (lambda: escbo_step(state, obj, prm, schedule, RngStream(0)),
+    steps = (lambda: escbo_step(state, obj, prm, RngStream(0)),
              lambda: vanilla_cbo_step(state, obj, prm, RngStream(0)),
-             lambda: fescbo_step(state, obj, prm, schedule, 4, RngStream(0)))
+             lambda: fescbo_step(state, obj, prm, RngStream(0)))
     for step, want in zip(steps, expected):
         if want != ANY:
             assert outcome(step) == want

@@ -279,6 +279,14 @@ def test_laplace_sandwich_and_monotone():
         prev = val
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_laplace_and_budget_reject_beta_outside_the_reals_above_zero(beta):
+    with pytest.raises(ConfigurationError, match="beta"):
+        laplace_value(beta, [1.0, 2.0])
+    with pytest.raises(ConfigurationError, match="beta"):
+        error_budget(beta, 0.5, [1.0, 2.0], 0.0)
+
+
 def test_laplace_validation():
     with pytest.raises(ConfigurationError):
         laplace_value(0.0, [1.0])
