@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ConfigurationError, Objective
+from .objective import ConfigurationError, Objective, _check
 
 __all__ = [
     "BenchmarkSpec",
@@ -161,8 +161,7 @@ def lookup(name: str, d: int | None = None) -> BenchmarkSpec:
         d = fixed_dim
     elif d is None:
         raise ConfigurationError(f"{name} needs an explicit dimension")
-    elif d < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {d}")
+    _check("d", d, "[1, inf)", count=True)
     x_star = np.asarray(minimizers(d), dtype=float)
     vals = np.asarray(kernel(x_star), dtype=float)
     if f_star is None:

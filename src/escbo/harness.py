@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks, neural, theory
-from .objective import (ConfigurationError, EstimationError, _is_count,
-                        _is_real, gradient_bounds)
+from .objective import (ConfigurationError, EstimationError, _check,
+                        _is_count, _is_real, gradient_bounds)
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, _check_finite,
                     check_stop, consensus_point, escbo_step, fescbo_step,
@@ -139,15 +139,10 @@ class ExperimentConfig:
             if isinstance(allowed, tuple) and value not in allowed:
                 raise ConfigurationError(f"unknown {f.name} {value!r}; "
                                          f"choose one of {', '.join(allowed)}")
-            if isinstance(allowed, str) and allowed:
-                ends = [getattr(self, end, end)
-                        for end in allowed[1:-1].split(", ")]
-                lo, hi = (float(end) for end in ends)
-                above = value > lo if allowed[0] == "(" else value >= lo
-                if not (above and value <= hi and value < math.inf):
-                    raise ConfigurationError(
-                        f"{f.name} must lie in {allowed[0]}{ends[0]}, "
-                        f"{ends[1]}{allowed[-1]}, got {value!r}")
+            if isinstance(allowed, str) and allowed:  # ends may name fields
+                lo, hi = (getattr(self, e, e) for e in allowed[1:-1].split(", "))
+                _check(f.name, value, f"{allowed[0]}{lo}, {hi}{allowed[-1]}",
+                       count=f.metadata["kind"] == "count")
         if self.method == "fescbo" and self.batch_size is None:
             raise ConfigurationError("method fescbo needs a batch_size")
         if dnn == (self.arch is None):
@@ -381,8 +376,7 @@ def table_preset(name: str, scale: float = 1.0) -> list[ExperimentConfig]:
     ``scale`` in (0, 1] shrinks the run count and iteration cap so a full
     grid finishes in minutes instead of hours.
     """
-    if not 0 < scale <= 1:
-        raise ConfigurationError(f"scale must lie in (0, 1], got {scale}")
+    _check("scale", scale, "(0, 1]")
     runs = max(1, round(100 * scale))
     max_iters = max(1, round(10_000 * scale))
     shared = dict(lam=0.01, delta=0.1, beta=1e20, sigma=1e-5,

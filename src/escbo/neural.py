@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ConfigurationError, Objective, _is_count
+from .objective import ConfigurationError, Objective, _check
 
 __all__ = [
     "MLPArchitecture",
@@ -43,9 +43,8 @@ class MLPArchitecture:
             self.widths, (tuple, list, np.ndarray)) else ()
         if len(widths) < 2:
             raise ConfigurationError("need at least input and output widths")
-        if not all(_is_count(w) and w >= 1 for w in widths):
-            raise ConfigurationError(f"every layer width must be an integer "
-                                     f">= 1, got {self.widths!r}")
+        for w in widths:
+            _check("layer width", w, "[1, inf)", count=True)
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
 
     @property

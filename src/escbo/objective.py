@@ -39,7 +39,8 @@ class EstimationError(RuntimeError):
 
 
 def _is_count(value) -> bool:  # numpy integers count, bools do not
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _reals(value) -> bool:  # reals or arrays of them, not bools or 10**400
@@ -52,6 +53,27 @@ def _reals(value) -> bool:  # reals or arrays of them, not bools or 10**400
 def _is_real(value) -> bool:  # one real number; numpy scalars count
     return type(value) is float or (isinstance(value, numbers.Real)
                                     and _reals(value))
+
+
+_intervals: dict = {}  # interval text -> (lo, hi, lo closed, hi closed)
+
+
+def _check(name: str, value, interval: str, count: bool = False):
+    """``value`` if it is a real number, or for a ``count`` an integer and not
+    a bool, in ``interval``, written like "(0, inf)" or "[1, 20]", whose
+    infinite ends are open; otherwise a ConfigurationError."""
+    if interval not in _intervals:  # parsed once, into a bounded cache
+        if len(_intervals) >= 256:
+            _intervals.clear()
+        lo, hi = (float(end) for end in interval[1:-1].split(", "))
+        _intervals[interval] = (lo, hi, interval[0] == "[" and lo > -np.inf,
+                                interval[-1] == "]" and hi < np.inf)
+    lo, hi, lo_closed, hi_closed = _intervals[interval]
+    if ((_is_count(value) if count else _is_real(value))
+            and (lo <= value if lo_closed else lo < value)
+            and (value <= hi if hi_closed else value < hi)):
+        return value
+    raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
 
 def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
@@ -75,9 +97,7 @@ class Objective:
 
     def __init__(self, dim: int, fn: Callable, name: str | None = None,
                  probe_kernel: Optional[Callable] = None):
-        if dim < 1:
-            raise ConfigurationError(f"dimension must be >= 1, got {dim}")
-        self.dim = int(dim)
+        self.dim = int(_check("dim", dim, "[1, inf)", count=True))
         self._fn = fn
         self._probe_kernel = probe_kernel
         self.name = name or getattr(fn, "__name__", "objective")
@@ -142,9 +162,9 @@ class LipschitzData:
 
 def gradient_bounds(L_f: float, d: int, sigma: float) -> LipschitzData:
     """Bounds on the forward-difference estimator of an L_f-Lipschitz function."""
-    if not (L_f > 0 and d >= 1 and sigma > 0):
-        raise ConfigurationError(
-            f"need L_f > 0, d >= 1, sigma > 0; got {L_f}, {d}, {sigma}")
+    _check("L_f", L_f, "(0, inf)")
+    _check("d", d, "[1, inf)", count=True)
+    _check("sigma", sigma, "(0, inf)")
     root_d = np.sqrt(float(d))
     return LipschitzData(L_f=float(L_f), dim=int(d), sigma=float(sigma),
                          M_g=float(root_d * L_f),
@@ -176,9 +196,7 @@ def minibatch_gradients(obj: Objective, positions, batch,
     on its coordinate probes.  Particles outside the batch get a zero vector.
     ``sigma`` is the forward-difference interval, a real 0 < sigma < inf.
     """
-    if not (_is_real(sigma) and 0 < sigma < np.inf):
-        raise ConfigurationError(
-            f"sigma must be a real 0 < sigma < inf, got {sigma!r}")
+    _check("sigma", sigma, "(0, inf)")
     pts = np.ascontiguousarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != obj.dim:
         raise ConfigurationError(
@@ -230,8 +248,7 @@ def estimate_lipschitz(obj: Objective, lo, hi, samples: int = 256,
     max |f(x) - f(y)| / ||x - y|| over all sampled pairs.  This is a lower
     estimate of the true constant; report it as an estimate, not a bound.
     """
-    if samples < 2:
-        raise ConfigurationError(f"need samples >= 2, got {samples}")
+    _check("samples", samples, "[2, inf)", count=True)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (obj.dim,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (obj.dim,))
     if np.any(lo >= hi):

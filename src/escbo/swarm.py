@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .objective import (ConfigurationError, Objective, _all_finite, _is_real,
+from .objective import (ConfigurationError, Objective, _all_finite, _check,
                         _reals, minibatch_gradients)
 
 if TYPE_CHECKING:  # harness imports this module
@@ -69,7 +69,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = int(_check("seed", seed, "(-inf, inf)", count=True))
         self._gens: dict[str, np.random.Generator] = {}
 
     def stream(self, label: str) -> np.random.Generator:
@@ -113,13 +113,9 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "geometric", "harmonic"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        if not (_is_real(self.c) and _is_real(self.r) and 0 <= self.c < np.inf
-                and -np.inf < self.r < np.inf):
-            raise ConfigurationError(
-                f"need a real step scale 0 <= c < inf and a finite real r, "
-                f"got {self.c!r}, {self.r!r}")
-        if self.kind == "geometric" and not (0 < self.r < 1):
-            raise ConfigurationError("geometric schedule needs 0 < r < 1")
+        _check(f"{self.kind} schedule c", self.c, "[0, inf)")
+        _check(f"{self.kind} schedule r", self.r,
+               "(0, 1)" if self.kind == "geometric" else "(-inf, inf)")
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
@@ -184,11 +180,10 @@ class ComponentGaussian:
     variance: float
 
     def __post_init__(self):
-        if not (_reals(self.mean) and np.isfinite(self.mean).all()
-                and _is_real(self.variance) and 0 <= self.variance < np.inf):
-            raise ConfigurationError(f"need a finite real mean and a real "
-                                     f"0 <= variance < inf, got {self.mean!r}, "
-                                     f"{self.variance!r}")
+        if not (_reals(self.mean) and np.isfinite(self.mean).all()):
+            raise ConfigurationError(
+                f"need a finite real mean, got {self.mean!r}")
+        _check("variance", self.variance, "[0, inf)")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(self.mean, np.sqrt(self.variance), size=(n, d))
@@ -199,8 +194,8 @@ class ComponentGaussian:
 
 def init_swarm(dist, n_particles: int, dim: int, rng: RngStream) -> SwarmState:
     """Draw n i.i.d. initial positions from ``dist``; values start unset."""
-    if n_particles < 1 or dim < 1:
-        raise ConfigurationError("need n_particles >= 1 and dim >= 1")
+    _check("n_particles", n_particles, "[1, inf)", count=True)
+    _check("dim", dim, "[1, inf)", count=True)
     positions = dist.sample(n_particles, dim, rng.stream("init"))
     return SwarmState(positions=positions, k=0, values=None)
 
@@ -219,8 +214,7 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     best particle always has pre-normalization weight exactly one.
     """
     f = np.asarray(values, dtype=float)
-    if not 0 <= beta < np.inf:
-        raise ConfigurationError(f"beta must lie in [0, inf), got {beta!r}")
+    _check("beta", beta, "[0, inf)")
     # exp(-beta * (f - min f)) / sum, in place on one fresh array.
     w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
     w *= -beta
@@ -251,8 +245,7 @@ def draw_noise(delta: float, dim: int, rng: RngStream) -> np.ndarray:
 
     The same draw is applied to every particle within an iteration.
     """
-    if not 0 <= delta < np.inf:
-        raise ConfigurationError(f"delta must lie in [0, inf), got {delta!r}")
+    _check("delta", delta, "[0, inf)")
     return rng.stream("noise").normal(0.0, delta, size=dim)
 
 
@@ -318,9 +311,8 @@ def fescbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
     With batch_size == N the trajectory matches escbo_step under the same
     seed, because batch selection draws from its own substream.
     """
-    n, b = state.n_particles, cfg.batch_size
-    if b is None or not 1 <= b <= n:
-        raise ConfigurationError(f"batch_size must be in [1, {n}], got {b}")
+    n = state.n_particles
+    b = _check("batch_size", cfg.batch_size, f"[1, {n}]", count=True)
     idx = rng.stream("batch").choice(n, size=b, replace=False)
     grads = minibatch_gradients(obj, state.positions, idx, cfg.sigma)
     return _advance(state, obj, cfg, rng, grads)
@@ -335,6 +327,7 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
     """
     if prev.k + 1 != nxt.k:
         raise ConfigurationError("check_stop expects consecutive iterates")
+    _check("tol", tol, "[0, inf)")
     diff = nxt.positions - prev.positions
     diff *= diff
     dx = np.add.reduce(diff, axis=1)

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objective import ConfigurationError, gradient_bounds
+from .objective import ConfigurationError, _check, gradient_bounds
 from .swarm import StepSchedule, SwarmState, consensus_point
 
 __all__ = [
@@ -57,6 +57,8 @@ class ConsensusCondition:
 
 
 def _consensus_value(lam: float, delta: float) -> float:
+    _check("lam", lam, "[0, inf)")
+    _check("delta", delta, "[0, inf)")
     return (1.0 - lam) ** 2 + delta ** 2
 
 
@@ -79,9 +81,8 @@ def check_consensus_condition(lam: float, delta: float,
                               schedule_summable=schedule.summable)
 
 
-def _contraction_factor(lam: float, delta: float, alpha: float,
-                        L_g: float) -> float:
-    return 2.0 * (_consensus_value(lam, delta) + alpha ** 2 * L_g ** 2)
+def _contraction_factor(value: float, alpha: float, L_g: float) -> float:
+    return 2.0 * (value + alpha ** 2 * L_g ** 2)
 
 
 def consensus_bound_series(k_max: int, lam: float, delta: float,
@@ -92,9 +93,11 @@ def consensus_bound_series(k_max: int, lam: float, delta: float,
     The running product of contraction factors; it may overflow to inf, which
     is a vacuous bound rather than an error.
     """
-    if var_init < 0:
-        raise ConfigurationError("var_init must be >= 0")
-    factors = [_contraction_factor(lam, delta, schedule.alpha(n), L_g)
+    _check("k_max", k_max, "[0, inf)", count=True)
+    _check("L_g", L_g, "[0, inf)")
+    _check("var_init", var_init, "[0, inf)")
+    value = _consensus_value(lam, delta)
+    factors = [_contraction_factor(value, schedule.alpha(n), L_g)
                for n in range(k_max)]
     with np.errstate(over="ignore"):
         return 2.0 * var_init * np.concatenate(([1.0], np.cumprod(factors)))
@@ -123,7 +126,13 @@ def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
     discarded tail is below the same relative tolerance.  Finite only when
     the contraction condition holds and the schedule is summable.
     """
-    if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
+    _check("L_g", L_g, "[0, inf)")
+    _check("M_g", M_g, "[0, inf)")
+    _check("var_init", var_init, "[0, inf)")
+    _check("rtol", rtol, "(0, inf)")
+    _check("max_terms", max_terms, "[1, inf)", count=True)
+    value = _consensus_value(lam, delta)
+    if not (value < 0.5 and schedule.summable):
         raise ConfigurationError(
             "perturbation series diverges: needs (1-lam)^2 + delta^2 < 1/2 "
             "and a summable step schedule")
@@ -140,7 +149,7 @@ def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
                 return total
         else:
             small = 0
-        prod *= _contraction_factor(lam, delta, schedule.alpha(n), L_g)
+        prod *= _contraction_factor(value, schedule.alpha(n), L_g)
     raise ArithmeticError("perturbation series did not converge "
                           f"within {max_terms} terms")
 
@@ -168,8 +177,9 @@ def contraction_constants(lam: float, delta: float,
     smaller of a linear and a square-root perturbation budget.  xi in (0, 1)
     splits the contraction between the two; 0.5 is a reasonable default.
     """
-    if not 0 < xi < 1:
-        raise ConfigurationError(f"xi must lie in (0, 1), got {xi}")
+    _check("lam", lam, "[0, inf)")
+    _check("delta", delta, "[0, inf)")
+    _check("xi", xi, "(0, 1)")
     core = 2.0 * lam - 2.0 * lam ** 2 - 2.0 * delta ** 2
     if core <= 0:
         raise ConfigurationError(
@@ -188,12 +198,9 @@ def contraction_constants(lam: float, delta: float,
 
 def iteration_budget(W0: float, eps: float, gamma: float) -> int:
     """Smallest k with gamma^k * W0 <= eps; zero when the target is already met."""
-    if not W0 > 0:
-        raise ConfigurationError("W0 must be > 0")
-    if not eps > 0:
-        raise ConfigurationError("eps must be > 0")
-    if not 0 < gamma < 1:
-        raise ConfigurationError("gamma must lie in (0, 1)")
+    _check("W0", W0, "(0, inf)")
+    _check("eps", eps, "(0, inf)")
+    _check("gamma", gamma, "(0, 1)")
     if eps >= W0:
         return 0
     k = max(1, math.ceil(math.log(W0 / eps) / math.log(1.0 / gamma)))
@@ -218,15 +225,13 @@ class GrowthConditionParams:
     mu: float
 
     def __post_init__(self):
-        if min(self.f_inf, self.R0, self.nu, self.mu) <= 0:
-            raise ConfigurationError(
-                "f_inf, R0, nu, mu must all be positive")
+        for name in ("f_inf", "R0", "nu", "mu"):
+            _check(name, getattr(self, name), "(0, inf)")
 
 
 def growth_margin(gcp: GrowthConditionParams, c4k: float) -> float:
     """Value margin q = min(f_inf, (mu * c4k / sqrt(2))^(1/nu)) / 2."""
-    if not c4k > 0:
-        raise ConfigurationError("c4k must be > 0")
+    _check("c4k", c4k, "(0, inf)")
     return 0.5 * min(gcp.f_inf,
                      (gcp.mu * c4k / math.sqrt(2.0)) ** (1.0 / gcp.nu))
 
@@ -250,10 +255,8 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     """
     pts = np.atleast_2d(np.asarray(positions, dtype=float))
     xs = np.broadcast_to(np.asarray(xstar, dtype=float), (pts.shape[1],))
-    if not 0 < r <= gcp.R0:
-        raise ConfigurationError(f"r must lie in (0, {gcp.R0}], got {r}")
-    if not q > 0:
-        raise ConfigurationError("q must be > 0")
+    _check("r", r, f"(0, {gcp.R0}]")
+    _check("q", q, "(0, inf)")
     if q + f_r - fstar > gcp.f_inf:
         raise ConfigurationError(
             f"hypothesis q + f_r - f* <= f_inf violated: "
@@ -263,13 +266,13 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     if inside == 0:
         raise ConfigurationError(
             f"no particle within distance {r} of the minimizer")
-    bound = (q + f_r - fstar) ** gcp.nu / gcp.mu \
-        + math.exp(-beta * q) / inside * float(dists.sum())
     fvals = np.asarray(fvals, dtype=float)
     if fvals.shape != (pts.shape[0],):
         raise ConfigurationError(
             f"need one value per particle: {fvals.shape} for {pts.shape}")
-    xbar = consensus_point(SwarmState(pts, values=fvals), beta)
+    xbar = consensus_point(SwarmState(pts, values=fvals), beta)  # checks beta
+    bound = (q + f_r - fstar) ** gcp.nu / gcp.mu \
+        + math.exp(-beta * q) / inside * float(dists.sum())
     deviation = float(np.linalg.norm(xbar - xs))
     return ProximityResult(bound=float(bound), holds=bool(deviation <= bound),
                            deviation=deviation)
@@ -282,13 +285,10 @@ def laplace_value(beta: float, f_samples) -> float:
     to 1e20.  Always lies between min f_i and mean f_i, and tends to min f_i
     as beta grows.
     """
-    if not 0 < beta < math.inf:
-        raise ConfigurationError(f"beta must lie in (0, inf), got {beta!r}")
+    _check("beta", beta, "(0, inf)")
     f = np.asarray(f_samples, dtype=float)
-    if f.size == 0:
-        raise ConfigurationError("need at least one sample")
-    if not np.all(np.isfinite(f)):
-        raise ConfigurationError("samples must be finite")
+    if f.size == 0 or not np.isfinite(f).all():
+        raise ConfigurationError("need one or more samples, all finite")
     m = float(f.min())
     return m - math.log(float(np.mean(np.exp(-beta * (f - m))))) / beta
 
@@ -296,8 +296,7 @@ def laplace_value(beta: float, f_samples) -> float:
 def error_budget(beta: float, epsilon: float, f_samples,
                  fstar: float) -> float:
     """Optimality-gap budget E(beta) = laplace_value - fstar - log(eps)/beta."""
-    if not 0 < epsilon <= 1:
-        raise ConfigurationError("epsilon must lie in (0, 1]")
+    _check("epsilon", epsilon, "(0, 1]")
     return laplace_value(beta, f_samples) - fstar - math.log(epsilon) / beta
 
 
@@ -329,15 +328,15 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     bounds derived from L_f.  Comparison happens on the log scale so large
     beta does not overflow.
     """
-    if not 0 < epsilon < 1:
-        raise ConfigurationError("epsilon must lie in (0, 1)")
+    _check("epsilon", epsilon, "(0, 1)")
+    _check("var_init", var_init, "[0, inf)")
+    lb = gradient_bounds(L_f, d, sigma)
+    lap = laplace_value(beta, f_samples)
     if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
         return ErrorBoundCheck(
             satisfied=False, lhs_log=math.nan, rhs_log=math.inf, c3=math.inf,
             note="perturbation series diverges for these parameters")
-    lb = gradient_bounds(L_f, d, sigma)
     c3 = perturbation_series(lam, delta, schedule, lb.L_g, lb.M_g, var_init)
-    lap = laplace_value(beta, f_samples)
     lhs_log = math.log1p(-epsilon) - beta * lap
     rhs_log = -math.inf if c3 == 0 else math.log(beta * L_f * c3) - beta * fstar
     f = np.asarray(f_samples, dtype=float)
@@ -355,6 +354,7 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
 def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
     """Grid points of spacing ``resolution`` in the closed radius-ball about
     the origin, as (n, d) offsets (dimension 1 or 2 only)."""
+    _check("resolution", resolution, f"(0, {radius}]")
     g = np.arange(-radius, radius + resolution / 2, resolution)
     if d == 1:
         return g[:, None]
@@ -372,10 +372,7 @@ def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
     is the grid spacing.  In dimension 1 the far endpoint is always included.
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    if not radius > 0:
-        raise ConfigurationError("radius must be > 0")
-    if not 0 < resolution <= radius:
-        raise ConfigurationError("need 0 < resolution <= radius")
+    _check("radius", radius, "(0, inf)")
     pts = _ball_offsets(c.shape[0], radius, resolution) + c
     if c.shape[0] == 1:
         pts = np.append(pts, [c + radius], axis=0)
@@ -391,8 +388,8 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     grid radius where it still satisfies max f - fstar <= q (0.0 if none).
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
-    if not (q > 0 and R0 > 0):
-        raise ConfigurationError("need q > 0 and R0 > 0")
+    _check("q", q, "(0, inf)")
+    _check("R0", R0, "(0, inf)")
     off = _ball_offsets(c.shape[0], R0, resolution)
     radii = np.linalg.norm(off, axis=1)
     vals = np.asarray(fn(off + c), dtype=float)

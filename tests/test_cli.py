@@ -90,6 +90,19 @@ def test_diagnose_prints_summary(capsys):
     assert "diameter under theoretical bound: True" in text
 
 
+@pytest.mark.parametrize("lipschitz, shown", [
+    ("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+def test_diagnose_lipschitz_out_of_range_is_an_error(capsys, lipschitz,
+                                                     shown):
+    code = run_cli(["diagnose", "--method", "escbo", "--benchmark",
+                    "rastrigin", "--dim", "2", "--particles", "10",
+                    "--max-iters", "5", "--lipschitz", lipschitz])
+    assert code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: L_f must lie in (0, inf), got {shown}\n"
+
+
 def test_laplace_sweep(capsys):
     code = run_cli(["laplace", "--benchmark", "rastrigin", "--dim", "2",
                     "--beta-grid", "10,100", "--samples", "2000",
@@ -158,7 +171,7 @@ def test_table4_preset_reports_training_errors(tmp_path, capsys):
 @pytest.mark.parametrize("args, message", [
     (["--config", "bogus.cfg"], "error: bogus.cfg:1: unknown key 'bogus'"),
     (["--schedule", "geometric:1,2"],
-     "error: geometric schedule needs 0 < r < 1"),
+     "error: geometric schedule r must lie in (0, 1), got 2.0"),
     (["--out", "missing/summary.csv"], "i/o error: "),
     (["--method", "escbo", "--batch", "-3"],
      "error: batch_size must lie in [1, 20], got -3"),
@@ -167,7 +180,7 @@ def test_table4_preset_reports_training_errors(tmp_path, capsys):
     (["--benchmark", "rastrigin", "--arch", "2,3,1"],
      "error: arch is set exactly when benchmark is dnn"),
     (["--runs", "2", "--max-iters", "3", "--schedule", "harmonic:nan"],
-     "error: need a real step scale 0 <= c < inf"),
+     "error: harmonic schedule c must lie in [0, inf), got nan"),
     (["--benchmark", "dnn", "--arch", "2,3,1", "--dim", "57"],
      "error: benchmark dnn does not read dim"),
     (["--benchmark", "rastrigin", "--data-seed", "5"],

@@ -1,11 +1,28 @@
-"""The package's public names: every exported name exists, once."""
+"""Package-wide rules: every exported name exists, once; every numeric
+parameter is range-checked by the one helper, ``objective._check``."""
 
 import importlib
+import math
+import pathlib
 import pkgutil
+import types
 
+import numpy as np
 import pytest
 
 import escbo
+from escbo import (ComponentGaussian, ExperimentConfig, GrowthConditionParams,
+                   MLPArchitecture, Objective, RngStream, StepSchedule,
+                   SwarmState, UniformBox, check_consensus_condition,
+                   check_error_bound_condition, check_stop, consensus_bound,
+                   consensus_bound_series, consensus_distance_bound,
+                   contraction_constants, draw_noise, error_budget,
+                   estimate_lipschitz, fescbo_step, gradient_bounds,
+                   growth_margin, growth_radius, init_swarm, iteration_budget,
+                   laplace_value, lookup, max_on_ball, minibatch_gradients,
+                   perturbation_series, run_once, softmin_weights,
+                   table_preset)
+from escbo.objective import ConfigurationError, _check, _intervals
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(escbo.__path__))
 
@@ -36,3 +53,259 @@ def test_no_object_is_exported_under_two_names(name):
     for attr in getattr(module, "__all__", ()):
         names_of.setdefault(id(getattr(module, attr)), []).append(attr)
     assert [names for names in names_of.values() if len(names) > 1] == []
+
+
+def test_only_the_one_helper_words_a_range_error():
+    # A second "must lie in" message would be a second range check.
+    src = pathlib.Path(escbo.__file__).parent
+    modules = [path.name for path in sorted(src.glob("*.py"))
+               if path.name != "objective.py"
+               and "must lie in" in path.read_text()]
+    assert modules == []
+
+
+# ------------------------------------------------------- the range helper
+
+@pytest.mark.parametrize("value, interval, count", [
+    (0.0, "[0, inf)", False), (1e308, "[0, inf)", False),
+    (1, "(0, 1]", False), (np.float32(0.5), "(0, 1)", False),
+    (-5.0, "(-inf, inf)", False), (20, "[1, 20]", True),
+    (np.int64(3), "[1, inf)", True), (10 ** 400, "[0, inf)", True),
+], ids=repr)
+def test_check_accepts_a_number_in_its_interval(value, interval, count):
+    assert _check("x", value, interval, count=count) is value
+
+
+@pytest.mark.parametrize("value, interval, count", [
+    (math.inf, "[0, inf]", False), (-math.inf, "[-inf, 0]", False),
+    (math.nan, "(-inf, inf)", False), (0.0, "(0, 1]", False),
+    (21, "[1, 20]", True), (2.0, "[1, 20]", True), (True, "[0, 1]", True),
+    (True, "[0, 1]", False), (10 ** 400, "[0, inf)", False),
+    (np.array(1.0), "[0, inf)", False), (None, "[0, inf)", False),
+], ids=repr)
+def test_check_rejects_anything_else(value, interval, count):
+    with pytest.raises(ConfigurationError) as caught:
+        _check("x", value, interval, count=count)
+    assert str(caught.value) == f"x must lie in {interval}, got {value!r}"
+
+
+def test_check_keeps_a_bounded_cache_of_parsed_intervals():
+    for n in range(1, 600):
+        _check("batch_size", 1, f"[1, {n}]", count=True)
+    assert 0 < len(_intervals) <= 256
+
+
+# ------------------------------------- every numeric parameter, one table
+
+GEO = StepSchedule.geometric(0.1, 0.5)
+GCP = GrowthConditionParams(1.0, 1.0, 0.5, 1.0)
+SPHERE = Objective(2, lambda x: np.einsum("ij,ij->i", x, x))
+
+
+def _series(**kw):
+    args = dict(lam=0.5, delta=0.1, schedule=GEO, L_g=1.0, M_g=1.0,
+                var_init=1.0) | kw
+    return perturbation_series(**args)
+
+
+def _error_bound(**kw):
+    args = dict(beta=1.0, lam=0.5, delta=0.1, schedule=GEO, L_f=1.0,
+                var_init=1.0, epsilon=0.5, f_samples=[0.0, 1.0], fstar=0.0,
+                d=1, sigma=0.1) | kw
+    return check_error_bound_condition(**args)
+
+
+def _bound_series(**kw):
+    args = dict(k_max=3, lam=0.5, delta=0.1, schedule=GEO, L_g=1.0,
+                var_init=1.0) | kw
+    return consensus_bound_series(**args)
+
+
+def _distance(**kw):
+    args = dict(positions=np.zeros((2, 1)), fvals=[0.0, 0.0], xstar=[0.0],
+                fstar=0.0, gcp=GCP, r=0.05, q=0.1, beta=10.0, f_r=0.0) | kw
+    return consensus_distance_bound(**args)
+
+
+def _fescbo(b):
+    state = SwarmState(np.zeros((3, 2)), 0, np.zeros(3))
+    cfg = types.SimpleNamespace(lam=0.1, delta=0.1, beta=1.0, sigma=1e-3,
+                                schedule=GEO, batch_size=b)
+    return fescbo_step(state, SPHERE, cfg, RngStream(0))
+
+
+def _bowl(points):
+    return points[:, 0] ** 2
+
+
+def _stop(tol):
+    return check_stop(SwarmState(np.zeros((3, 2)), 0, np.zeros(3)),
+                      SwarmState(np.zeros((3, 2)), 1, np.zeros(3)), tol)
+
+
+QUICK = ExperimentConfig(runs=1, max_iters=1, particles=4)
+
+# Every numeric parameter of the config and of a public function: its id,
+# a call with the value in its place, one value in range, values just out of
+# range, and whether it is a count.
+PARAMETERS = [
+    ("config-dim", lambda v: ExperimentConfig(dim=v), 1, [-1], True),
+    ("config-particles", lambda v: ExperimentConfig(particles=v), 1, [0],
+     True),
+    ("config-lam", lambda v: ExperimentConfig(lam=v), 0.0, [-0.1], False),
+    ("config-delta", lambda v: ExperimentConfig(delta=v), 0.0, [-0.1], False),
+    ("config-beta", lambda v: ExperimentConfig(beta=v), 1e-3, [0.0], False),
+    ("config-sigma", lambda v: ExperimentConfig(sigma=v), 1e-9, [0.0], False),
+    ("config-batch_size",
+     lambda v: ExperimentConfig(method="fescbo", batch_size=v), 20, [0, 21],
+     True),
+    ("config-max_iters", lambda v: ExperimentConfig(max_iters=v), 0, [-1],
+     True),
+    ("config-stop_tol", lambda v: ExperimentConfig(stop_tol=v), 0.0, [-1e-9],
+     False),
+    ("config-success_tol", lambda v: ExperimentConfig(success_tol=v), 1e-9,
+     [0.0], False),
+    ("config-runs", lambda v: ExperimentConfig(runs=v), 1, [0], True),
+    ("config-seed", lambda v: ExperimentConfig(seed=v), -3, [], True),
+    ("config-data_seed",
+     lambda v: ExperimentConfig(benchmark="dnn", arch=(2, 3, 1), dim=0,
+                                data_seed=v), 0, [-1], True),
+    ("table_preset-scale", lambda v: table_preset("table3", v), 1.0,
+     [0.0, 1.5], False),
+    ("Objective-dim", lambda v: Objective(v, np.sum), 1, [0], True),
+    ("gradient_bounds-L_f", lambda v: gradient_bounds(v, 2, 0.1), 1.0, [0.0],
+     False),
+    ("gradient_bounds-d", lambda v: gradient_bounds(1.0, v, 0.1), 1, [0],
+     True),
+    ("gradient_bounds-sigma", lambda v: gradient_bounds(1.0, 2, v), 0.1,
+     [0.0], False),
+    ("minibatch_gradients-sigma",
+     lambda v: minibatch_gradients(SPHERE, np.zeros((3, 2)), None, v), 0.1,
+     [0.0], False),
+    ("estimate_lipschitz-samples",
+     lambda v: estimate_lipschitz(SPHERE, -1.0, 1.0, samples=v), 2, [1],
+     True),
+    ("lookup-d", lambda v: lookup("rastrigin", v), 1, [0], True),
+    ("MLPArchitecture-width", lambda v: MLPArchitecture((v, 3, 1)), 1, [0],
+     True),
+    ("StepSchedule-c", lambda v: StepSchedule.constant(v), 0.0, [-0.1],
+     False),
+    ("StepSchedule-r", lambda v: StepSchedule("constant", 1.0, v), -5.0, [],
+     False),
+    ("StepSchedule-geometric-r", lambda v: StepSchedule.geometric(1.0, v),
+     0.5, [0.0, 1.0], False),
+    ("ComponentGaussian-variance", lambda v: ComponentGaussian(0.0, v), 0.0,
+     [-1.0], False),
+    ("init_swarm-n_particles",
+     lambda v: init_swarm(UniformBox(-1, 1), v, 2, RngStream(0)), 1, [0],
+     True),
+    ("init_swarm-dim",
+     lambda v: init_swarm(UniformBox(-1, 1), 3, v, RngStream(0)), 1, [0],
+     True),
+    ("RngStream-seed", RngStream, -1, [], True),
+    ("run_once-seed", lambda v: run_once(QUICK, v), 0, [], True),
+    ("softmin_weights-beta", lambda v: softmin_weights(np.zeros(3), v), 0.0,
+     [-1.0], False),
+    ("draw_noise-delta", lambda v: draw_noise(v, 2, RngStream(0)), 0.0,
+     [-0.1], False),
+    ("fescbo_step-batch_size", _fescbo, 3, [0, 4], True),
+    ("check_stop-tol", _stop, 0.0, [-1e-9], False),
+    ("check_consensus_condition-lam",
+     lambda v: check_consensus_condition(v, 0.1, GEO), 0.5, [-0.1], False),
+    ("check_consensus_condition-delta",
+     lambda v: check_consensus_condition(0.5, v, GEO), 0.0, [-0.1], False),
+    ("consensus_bound_series-k_max", lambda v: _bound_series(k_max=v), 0,
+     [-1], True),
+    ("consensus_bound_series-lam", lambda v: _bound_series(lam=v), 0.0,
+     [-0.1], False),
+    ("consensus_bound_series-delta", lambda v: _bound_series(delta=v), 0.0,
+     [-0.1], False),
+    ("consensus_bound_series-L_g", lambda v: _bound_series(L_g=v), 0.0,
+     [-1.0], False),
+    ("consensus_bound_series-var_init", lambda v: _bound_series(var_init=v),
+     0.0, [-1.0], False),
+    ("consensus_bound-k",
+     lambda v: consensus_bound(v, 0.5, 0.1, GEO, 1.0, 1.0), 0, [-1], True),
+    ("perturbation_series-lam", lambda v: _series(lam=v), 0.5, [-0.1],
+     False),
+    ("perturbation_series-delta", lambda v: _series(delta=v), 0.0, [-0.1],
+     False),
+    ("perturbation_series-L_g", lambda v: _series(L_g=v), 0.0, [-1.0],
+     False),
+    ("perturbation_series-M_g", lambda v: _series(M_g=v), 0.0, [-1.0],
+     False),
+    ("perturbation_series-var_init", lambda v: _series(var_init=v), 0.0,
+     [-1.0], False),
+    ("perturbation_series-rtol", lambda v: _series(rtol=v), 1e-3, [0.0],
+     False),
+    ("perturbation_series-max_terms", lambda v: _series(max_terms=v), 10 ** 5,
+     [0], True),
+    ("contraction_constants-lam", lambda v: contraction_constants(v, 0.1),
+     0.5, [-0.1], False),
+    ("contraction_constants-delta", lambda v: contraction_constants(0.5, v),
+     0.0, [-0.1], False),
+    ("contraction_constants-xi",
+     lambda v: contraction_constants(0.5, 0.1, xi=v), 0.5, [0.0, 1.0], False),
+    ("iteration_budget-W0", lambda v: iteration_budget(v, 0.01, 0.5), 1.0,
+     [0.0], False),
+    ("iteration_budget-eps", lambda v: iteration_budget(1.0, v, 0.5), 0.01,
+     [0.0], False),
+    ("iteration_budget-gamma", lambda v: iteration_budget(1.0, 0.01, v), 0.5,
+     [0.0, 1.0], False),
+    *((f"GrowthConditionParams-{name}",
+       lambda v, i=i: GrowthConditionParams(*[1.0] * i, v, *[1.0] * (3 - i)),
+       1.0, [0.0], False)
+      for i, name in enumerate(("f_inf", "R0", "nu", "mu"))),
+    ("growth_margin-c4k", lambda v: growth_margin(GCP, v), 1.0, [0.0],
+     False),
+    ("consensus_distance_bound-r", lambda v: _distance(r=v), 1.0, [0.0, 1.5],
+     False),
+    ("consensus_distance_bound-q", lambda v: _distance(q=v), 0.1, [0.0],
+     False),
+    ("consensus_distance_bound-beta", lambda v: _distance(beta=v), 0.0,
+     [-1000.0], False),
+    ("laplace_value-beta", lambda v: laplace_value(v, [0.0, 1.0]), 1e-3,
+     [0.0], False),
+    ("error_budget-beta", lambda v: error_budget(v, 0.5, [0.0], 0.0), 1.0,
+     [0.0], False),
+    ("error_budget-epsilon", lambda v: error_budget(1.0, v, [0.0], 0.0), 1.0,
+     [0.0, 1.5], False),
+    *((f"check_error_bound_condition-{name}",
+       lambda v, name=name: _error_bound(**{name: v}), good, bad, count)
+      for name, good, bad, count in (
+          ("beta", 1.0, [0.0], False), ("lam", 0.5, [-0.1], False),
+          ("delta", 0.1, [-0.1], False), ("L_f", 1.0, [0.0], False),
+          ("var_init", 0.0, [-1.0], False), ("epsilon", 0.5, [0.0, 1.0],
+                                             False),
+          ("d", 1, [0], True), ("sigma", 0.1, [0.0], False))),
+    ("max_on_ball-radius", lambda v: max_on_ball(_bowl, [0.0], v, 0.5), 0.5,
+     [0.0], False),
+    ("max_on_ball-resolution", lambda v: max_on_ball(_bowl, [0.0], 1.0, v),
+     1.0, [0.0, 1.5], False),
+    ("growth_radius-q",
+     lambda v: growth_radius(_bowl, [0.0], 0.0, v, 1.0, 0.1), 0.5, [0.0],
+     False),
+    ("growth_radius-R0",
+     lambda v: growth_radius(_bowl, [0.0], 0.0, 0.5, v, 0.1), 0.1, [0.0],
+     False),
+    ("growth_radius-resolution",
+     lambda v: growth_radius(_bowl, [0.0], 0.0, 0.5, 1.0, v), 1.0,
+     [0.0, 1.5], False),
+]
+
+
+@pytest.mark.parametrize("call, good", [
+    pytest.param(call, good, id=name)
+    for name, call, good, _, _ in PARAMETERS])
+def test_numeric_parameter_accepts_a_value_in_range(call, good):
+    call(good)
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{name}-{bad!r}")
+    for name, call, _, out_of_range, count in PARAMETERS
+    for bad in [math.nan, math.inf, -math.inf, True, "1", *out_of_range,
+                *([2.5] if count else [])]])
+def test_numeric_parameter_rejects_anything_else(call, bad):
+    with pytest.raises(ConfigurationError):
+        call(bad)
