@@ -527,6 +527,7 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
     ``L_f`` enables the contraction-bound overlay (via the estimator bounds);
     ``var_init`` defaults to half the observed initial diameter.
     """
+    _check("xi", xi, "(0, 1)")
     notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", theory.ParameterConditionWarning)

@@ -45,8 +45,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _STREAM_IDS = {"init": 0, "noise": 1, "batch": 2}
-# The Gram-form swarm_diameter's two (N, N) work arrays, kept between calls
-# so that a call does not page in fresh ones; replaced when N changes.
+# swarm_diameter's two (N, N) work arrays, kept between calls so that a call
+# does not page in fresh ones; replaced when N changes.
 _gram_pair: list = []
 
 
@@ -341,27 +341,25 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
 
 
 def swarm_diameter(positions: np.ndarray) -> float:
-    """Largest squared pairwise particle distance.
+    """Largest squared pairwise distance of the (N, d) positions, N >= 1.
 
-    Small swarms use exact pairwise differences; large ones fall back to a
-    Gram-matrix form whose absolute error is ~1e-16 * scale^2, fine for
-    reporting.  The Gram form writes into module-level work arrays, so the
-    function is not reentrant: nothing calls it from several threads.
+    The Gram form of the offsets from particle 0, so its absolute error is
+    ~1e-16 times the diameter wherever the swarm sits; the largest squared
+    offset if that is not finite, so inf for a swarm that overflows.  It
+    writes into module-level work arrays, so it is not reentrant.
     """
-    pts = np.asarray(positions, dtype=float)
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    if n <= 64:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.einsum("ijk,ijk->ij", diff, diff).max())
-    sq = np.einsum("ij,ij->i", pts, pts)
-    if not _gram_pair or _gram_pair[0].shape != (n, n):
-        _gram_pair[:] = np.empty((2, n, n))
+    y = np.subtract(positions, positions[0], dtype=float)  # one (N, d) copy
+    sq = np.einsum("ij,ij->i", y, y)
+    if not (top := sq[sq.argmax()]) < np.inf:  # sq.max(), unwrapped
+        return float(top)
+    if top > 2.0 ** 1021:  # scaled exactly, so that no entry of d2 overflows
+        return swarm_diameter(y * 2.0 ** -8) * 2.0 ** 16
+    if not _gram_pair or len(_gram_pair[0]) != len(y):
+        _gram_pair[:] = np.empty((2, len(y), len(y)))
     gram, d2 = _gram_pair
-    # sq_i + sq_j - 2.0 * G_ij, rounded as written.
-    np.matmul(pts, pts.T, out=gram)
+    # sq_i + sq_j - 2.0 * G_ij, rounded as written; row 0 is sq, so >= 0.
+    np.matmul(y, y.T, out=gram)
     gram *= 2.0
     np.add.outer(sq, sq, out=d2)
     d2 -= gram
-    return float(max(d2.max(), 0.0))
+    return float(d2.flat[d2.argmax()])  # d2.max(), unwrapped

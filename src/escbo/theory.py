@@ -257,6 +257,8 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     xs = np.broadcast_to(np.asarray(xstar, dtype=float), (pts.shape[1],))
     _check("r", r, f"(0, {gcp.R0}]")
     _check("q", q, "(0, inf)")
+    _check("fstar", fstar, "(-inf, inf)")
+    _check("f_r", f_r, "(-inf, inf)")
     if q + f_r - fstar > gcp.f_inf:
         raise ConfigurationError(
             f"hypothesis q + f_r - f* <= f_inf violated: "
@@ -297,6 +299,7 @@ def error_budget(beta: float, epsilon: float, f_samples,
                  fstar: float) -> float:
     """Optimality-gap budget E(beta) = laplace_value - fstar - log(eps)/beta."""
     _check("epsilon", epsilon, "(0, 1]")
+    _check("fstar", fstar, "(-inf, inf)")
     return laplace_value(beta, f_samples) - fstar - math.log(epsilon) / beta
 
 
@@ -330,6 +333,7 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     """
     _check("epsilon", epsilon, "(0, 1)")
     _check("var_init", var_init, "[0, inf)")
+    _check("fstar", fstar, "(-inf, inf)")
     lb = gradient_bounds(L_f, d, sigma)
     lap = laplace_value(beta, f_samples)
     if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
@@ -388,6 +392,7 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     grid radius where it still satisfies max f - fstar <= q (0.0 if none).
     """
     c = np.atleast_1d(np.asarray(center, dtype=float))
+    _check("fstar", fstar, "(-inf, inf)")
     _check("q", q, "(0, inf)")
     _check("R0", R0, "(0, inf)")
     off = _ball_offsets(c.shape[0], R0, resolution)

@@ -78,7 +78,8 @@ def write_reports(out_dir) -> list[Path]:
     for name, config in CASES.items():
         report = run_many(config)
         for fmt in ("csv", "json"):
-            written += map(Path, emit_report(report, fmt, out / f"{name}.{fmt}"))
+            paths = emit_report(report, fmt, out / f"{name}.{fmt}")
+            written += map(Path, paths)
     return written
 
 

@@ -628,6 +628,16 @@ def test_diagnose_attaches_condition_warning():
     assert "violated" in rep.summary()
 
 
+def test_diagnose_notes_a_contraction_core_that_is_not_positive():
+    cfg = quick_config(lam=1.0, delta=0.0, max_iters=3, runs=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterConditionWarning)
+        rep = diagnose(run_once(cfg, seed=0), cfg, xi=0.5)
+    assert rep.w_bound is None
+    assert any(note.startswith("gamma^k overlay unavailable: contraction")
+               for note in rep.notes)
+
+
 def test_diagnose_gamma_overlay():
     cfg = quick_config(lam=0.25, delta=0.0, max_iters=30,
                        schedule=StepSchedule.constant(1e-5),

@@ -16,7 +16,7 @@ from escbo import (ComponentGaussian, ExperimentConfig, GrowthConditionParams,
                    SwarmState, UniformBox, check_consensus_condition,
                    check_error_bound_condition, check_stop, consensus_bound,
                    consensus_bound_series, consensus_distance_bound,
-                   contraction_constants, draw_noise, error_budget,
+                   contraction_constants, diagnose, draw_noise, error_budget,
                    estimate_lipschitz, fescbo_step, gradient_bounds,
                    growth_margin, growth_radius, init_swarm, iteration_budget,
                    laplace_value, lookup, max_on_ball, minibatch_gradients,
@@ -264,12 +264,18 @@ PARAMETERS = [
      False),
     ("consensus_distance_bound-beta", lambda v: _distance(beta=v), 0.0,
      [-1000.0], False),
+    ("consensus_distance_bound-fstar", lambda v: _distance(fstar=v), 0.0,
+     [], False),
+    ("consensus_distance_bound-f_r", lambda v: _distance(f_r=v), 0.0, [],
+     False),
     ("laplace_value-beta", lambda v: laplace_value(v, [0.0, 1.0]), 1e-3,
      [0.0], False),
     ("error_budget-beta", lambda v: error_budget(v, 0.5, [0.0], 0.0), 1.0,
      [0.0], False),
     ("error_budget-epsilon", lambda v: error_budget(1.0, v, [0.0], 0.0), 1.0,
      [0.0, 1.5], False),
+    ("error_budget-fstar", lambda v: error_budget(1.0, 0.5, [0.0], v), 0.0,
+     [], False),
     *((f"check_error_bound_condition-{name}",
        lambda v, name=name: _error_bound(**{name: v}), good, bad, count)
       for name, good, bad, count in (
@@ -277,11 +283,16 @@ PARAMETERS = [
           ("delta", 0.1, [-0.1], False), ("L_f", 1.0, [0.0], False),
           ("var_init", 0.0, [-1.0], False), ("epsilon", 0.5, [0.0, 1.0],
                                              False),
-          ("d", 1, [0], True), ("sigma", 0.1, [0.0], False))),
+          ("d", 1, [0], True), ("sigma", 0.1, [0.0], False),
+          ("fstar", 0.0, [], False))),
+    ("diagnose-xi", lambda v: diagnose(run_once(QUICK, 0), QUICK, xi=v), 0.5,
+     [0.0, 1.0, 2.0], False),
     ("max_on_ball-radius", lambda v: max_on_ball(_bowl, [0.0], v, 0.5), 0.5,
      [0.0], False),
     ("max_on_ball-resolution", lambda v: max_on_ball(_bowl, [0.0], 1.0, v),
      1.0, [0.0, 1.5], False),
+    ("growth_radius-fstar",
+     lambda v: growth_radius(_bowl, [0.0], v, 0.5, 1.0, 0.1), 0.0, [], False),
     ("growth_radius-q",
      lambda v: growth_radius(_bowl, [0.0], 0.0, v, 1.0, 0.1), 0.5, [0.0],
      False),
