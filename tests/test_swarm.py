@@ -622,6 +622,43 @@ def test_check_stop_requires_consecutive():
 
 # ------------------------------------------------------------- diameter
 
+def test_swarm_diameter_matches_bruteforce():
+    gen = np.random.default_rng(12)
+    for n in (2, 10, 64, 100, 300):
+        pts = gen.normal(size=(n, 3)) * 4
+        brute = max(
+            float(np.sum((pts[i] - pts[j]) ** 2))
+            for i in range(n) for j in range(i + 1, n))
+        assert abs(swarm_diameter(pts) - brute) <= 1e-9 * max(1.0, brute)
+    assert swarm_diameter(np.zeros((1, 4))) == 0.0
+
+
+def gram_reference(pts):
+    # The Gram form of the offsets from particle 0, rounded as written.
+    y = pts - pts[0]
+    sq = np.einsum("ij,ij->i", y, y)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (y @ y.T)
+    return float(d2.max())
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       scale=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3),
+       sizes=st.lists(st.integers(65, 220), min_size=1, max_size=3))
+def test_gram_diameter_equals_reference(seed, d, scale, shift, sizes):
+    gen = np.random.default_rng(seed)
+    pts = shift + scale * gen.normal(size=(220, d))
+    # Alternating sizes replace the kept work arrays between calls.
+    for n in sizes + [180, 200, 180]:
+        swarm = pts[:n]
+        value = swarm_diameter(swarm)
+        assert value == gram_reference(swarm)
+        offsets = swarm - swarm[0]
+        sq_max = float(np.einsum("ij,ij->i", offsets, offsets).max())
+        eps = np.finfo(float).eps
+        assert abs(value - exact_diameter(swarm)) <= 16 * (d + 2) * eps * sq_max
+
+
 def exact_diameter(pts):
     diff = pts[:, None, :] - pts[None, :, :]
     return float(np.einsum("ijk,ijk->ij", diff, diff).max())
