@@ -525,7 +525,8 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
     """Overlay a run's diameter and distance series with the computed bounds.
 
     ``L_f`` enables the contraction-bound overlay (via the estimator bounds);
-    ``var_init`` defaults to half the observed initial diameter.
+    ``var_init`` defaults to half the observed initial diameter; where that
+    is not finite, a note replaces the overlay.
     """
     _check("xi", xi, "(0, 1)")
     notes: list[str] = []
@@ -534,17 +535,6 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
         condition = theory.check_consensus_condition(
             config.lam, config.delta, config.schedule)
     notes.extend(str(w.message) for w in caught)
-
-    bound = None
-    if L_f is not None:
-        lb = gradient_bounds(L_f, record.final_positions.shape[1],
-                             config.sigma)
-        if var_init is None:
-            var_init = float(record.diameter[0]) / 2.0
-        k_max = int(record.ks.max())
-        full = theory.consensus_bound_series(
-            k_max, config.lam, config.delta, config.schedule, lb.L_g, var_init)
-        bound = full[record.ks]
 
     slope = None
     positive = record.diameter > 0
@@ -560,6 +550,20 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
             w_bound = record.w_k[0] * constants.gamma ** record.ks.astype(float)
         except ConfigurationError as exc:
             notes.append(f"gamma^k overlay unavailable: {exc}")
+
+    bound = None
+    if L_f is not None:
+        lb = gradient_bounds(L_f, record.final_positions.shape[1],
+                             config.sigma)
+        initial = float(record.diameter[0])
+        if var_init is None and not math.isfinite(initial):
+            notes.append("diameter bound unavailable: initial diameter is "
+                         f"{initial}")
+        else:
+            bound = theory.consensus_bound_series(
+                int(record.ks.max()), config.lam, config.delta,
+                config.schedule, lb.L_g,
+                initial / 2.0 if var_init is None else var_init)[record.ks]
     return DiagnosticReport(condition=condition, ks=record.ks,
                             diameter=record.diameter, diameter_bound=bound,
                             decay_slope=slope, w_k=record.w_k,

@@ -170,6 +170,9 @@ def generate_synthetic(arch: MLPArchitecture, seed: int, M: int = 80,
     to the truth network's outputs, so the irreducible test error is
     NL * 0.0025^2.
     """
+    _check("seed", seed, "[0, inf)", count=True)
+    _check("M", M, "[1, inf)", count=True)
+    _check("M_test", M_test, "[1, inf)", count=True)
     gen = np.random.default_rng(seed)
     n0, total = arch.widths[0], M + M_test
     truth = gen.normal(0.0, np.sqrt(TRUTH_VARIANCE), size=arch.dim)
@@ -310,15 +313,20 @@ def save_dataset(data: SyntheticDataset, path) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
-    """Read a dataset written by save_dataset; truth_params is not stored."""
+    """Read a dataset written by save_dataset; truth_params is not stored.
+    A file of any other form raises ConfigurationError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4:
-            raise ConfigurationError("dataset header must be: N0 NL M M_test")
-        n0, nl, m, m_test = (int(v) for v in header)
-        rows = np.loadtxt(fh, ndmin=2)
+        try:
+            n0, nl, m, m_test = (int(v) for v in fh.readline().split())
+            rows = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:  # not four integers, or a non-number
+            raise ConfigurationError(f"{path}: dataset header must be: N0 NL "
+                                     f"M M_test, then numbers ({exc})") from None
+    for name, value, low in (("N0", n0, 1), ("NL", nl, 1), ("M", m, 1),
+                             ("M_test", m_test, 0)):
+        _check(f"{path} header {name}", value, f"[{low}, inf)", count=True)
     if rows.shape != (m + m_test, n0 + nl):
         raise ConfigurationError(
-            f"dataset body shape {rows.shape} does not match header")
+            f"{path}: dataset body shape {rows.shape} does not match header")
     return SyntheticDataset(inputs=rows[:, :n0], targets=rows[:, n0:],
                             M=m, M_test=m_test, truth_params=None)

@@ -165,7 +165,7 @@ def gradient_bounds(L_f: float, d: int, sigma: float) -> LipschitzData:
     _check("L_f", L_f, "(0, inf)")
     _check("d", d, "[1, inf)", count=True)
     _check("sigma", sigma, "(0, inf)")
-    root_d = np.sqrt(float(d))
+    root_d = float(np.sqrt(float(d)))  # Python floats overflow unwarned
     return LipschitzData(L_f=float(L_f), dim=int(d), sigma=float(sigma),
                          M_g=float(root_d * L_f),
                          L_g=float(2.0 * root_d * L_f / sigma))
@@ -249,10 +249,13 @@ def estimate_lipschitz(obj: Objective, lo, hi, samples: int = 256,
     estimate of the true constant; report it as an estimate, not a bound.
     """
     _check("samples", samples, "[2, inf)", count=True)
+    _check("seed", seed, "[0, inf)", count=True)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (obj.dim,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (obj.dim,))
-    if np.any(lo >= hi):
-        raise ConfigurationError("degenerate box: lo >= hi in some coordinate")
+    with np.errstate(over="ignore", invalid="ignore"):  # nan, inf fail here
+        if not np.all(np.isfinite(hi - lo) & (lo < hi)):
+            raise ConfigurationError("the box needs lo < hi and a finite "
+                                     "width in every coordinate")
     gen = np.random.default_rng(seed)
     pts = gen.uniform(lo, hi, size=(samples, obj.dim))
     vals = obj.eval_many(pts)

@@ -10,9 +10,11 @@ known minimizer under a local growth condition.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -59,7 +61,7 @@ class ConsensusCondition:
 def _consensus_value(lam: float, delta: float) -> float:
     _check("lam", lam, "[0, inf)")
     _check("delta", delta, "[0, inf)")
-    return (1.0 - lam) ** 2 + delta ** 2
+    return (1.0 - lam) * (1.0 - lam) + delta * delta
 
 
 def check_consensus_condition(lam: float, delta: float,
@@ -81,26 +83,28 @@ def check_consensus_condition(lam: float, delta: float,
                               schedule_summable=schedule.summable)
 
 
-def _contraction_factor(value: float, alpha: float, L_g: float) -> float:
-    return 2.0 * (value + alpha ** 2 * L_g ** 2)
+def _bounds(lam: float, delta: float, schedule: StepSchedule, L_g: float,
+            var_init: float):
+    """(alpha_n, B_n) for n = 0, 1, ...: B_0 = 2 var_init and B_{n+1} =
+    2 ((1-lam)^2 + delta^2 + (alpha_n L_g)^2) B_n, in products, so an overflow
+    reads inf and a zero B_0 or factor makes every later B_n 0."""
+    _check("L_g", L_g, "[0, inf)")
+    _check("var_init", var_init, "[0, inf)")
+    value, bound = _consensus_value(lam, delta), 2.0 * var_init
+    for alpha in map(schedule.alpha, itertools.count()):
+        yield alpha, bound
+        factor = 2.0 * (value + alpha * L_g * (alpha * L_g))
+        bound = bound * factor if bound and factor else 0.0
 
 
 def consensus_bound_series(k_max: int, lam: float, delta: float,
                            schedule: StepSchedule, L_g: float,
                            var_init: float) -> np.ndarray:
-    """consensus_bound evaluated at every k in 0..k_max (inclusive).
-
-    The running product of contraction factors; it may overflow to inf, which
-    is a vacuous bound rather than an error.
-    """
+    """consensus_bound at every k in 0..k_max (inclusive); an overflowing
+    entry reads inf, a vacuous bound rather than an error."""
     _check("k_max", k_max, "[0, inf)", count=True)
-    _check("L_g", L_g, "[0, inf)")
-    _check("var_init", var_init, "[0, inf)")
-    value = _consensus_value(lam, delta)
-    factors = [_contraction_factor(value, schedule.alpha(n), L_g)
-               for n in range(k_max)]
-    with np.errstate(over="ignore"):
-        return 2.0 * var_init * np.concatenate(([1.0], np.cumprod(factors)))
+    return np.fromiter((bound for _, bound in _bounds(
+        lam, delta, schedule, L_g, var_init)), float, k_max + 1)
 
 
 def consensus_bound(k: int, lam: float, delta: float, schedule: StepSchedule,
@@ -117,39 +121,30 @@ def consensus_bound(k: int, lam: float, delta: float, schedule: StepSchedule,
 def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
                         L_g: float, M_g: float, var_init: float,
                         rtol: float = 1e-15, max_terms: int = 200_000) -> float:
-    """Limit of sum_n [(lam+delta) sqrt(2 P_n var_init) + alpha_n M_g].
+    """Limit of sum_n [(lam+delta) sqrt(B_n) + alpha_n M_g].
 
-    P_n is the running product of contraction factors.  The series is summed
-    until three consecutive terms fall below rtol times the partial sum; past
-    that point both ingredients decay geometrically (sqrt(P_n) once the
-    factors drop below one, alpha_n by schedule summability), so the
-    discarded tail is below the same relative tolerance.  Finite only when
-    the contraction condition holds and the schedule is summable.
+    B_n is the consensus bound at step n.  The series is summed until three
+    consecutive terms fall below rtol times the partial sum; past that point
+    both ingredients decay geometrically (sqrt(B_n) once the factors drop
+    below one, alpha_n by schedule summability), so the discarded tail is
+    below the same relative tolerance.  Finite only when the contraction
+    condition holds and the schedule is summable.
     """
-    _check("L_g", L_g, "[0, inf)")
     _check("M_g", M_g, "[0, inf)")
-    _check("var_init", var_init, "[0, inf)")
     _check("rtol", rtol, "(0, inf)")
     _check("max_terms", max_terms, "[1, inf)", count=True)
-    value = _consensus_value(lam, delta)
-    if not (value < 0.5 and schedule.summable):
+    if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
         raise ConfigurationError(
             "perturbation series diverges: needs (1-lam)^2 + delta^2 < 1/2 "
             "and a summable step schedule")
-    total = 0.0
-    prod = 1.0
-    small = 0
-    for n in range(max_terms):
-        term = (lam + delta) * math.sqrt(2.0 * prod * var_init) \
-            + schedule.alpha(n) * M_g
+    total, small = 0.0, 0
+    for _, (alpha, bound) in zip(range(max_terms), _bounds(
+            lam, delta, schedule, L_g, var_init)):
+        term = (lam + delta) * math.sqrt(bound) + alpha * M_g
         total += term
-        if term <= rtol * total:
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
-        prod *= _contraction_factor(value, schedule.alpha(n), L_g)
+        small = small + 1 if term <= rtol * total else 0
+        if small == 3:
+            return total
     raise ArithmeticError("perturbation series did not converge "
                           f"within {max_terms} terms")
 
@@ -180,7 +175,7 @@ def contraction_constants(lam: float, delta: float,
     _check("lam", lam, "[0, inf)")
     _check("delta", delta, "[0, inf)")
     _check("xi", xi, "(0, 1)")
-    core = 2.0 * lam - 2.0 * lam ** 2 - 2.0 * delta ** 2
+    core = 2.0 * (lam - lam * lam - delta * delta)  # -inf where it overflows
     if core <= 0:
         raise ConfigurationError(
             "contraction requires 2*lam - 2*lam^2 - 2*delta^2 > 0; "
@@ -188,7 +183,7 @@ def contraction_constants(lam: float, delta: float,
     gamma = 1.0 - (1.0 - xi) * core
     if not 0 < gamma < 1:
         raise ConfigurationError(f"gamma = {gamma:.6g} outside (0, 1)")
-    a = lam ** 2 + delta ** 2
+    a = lam * lam + delta * delta
     kappa = min(
         xi * core / (4.0 * (2.0 * a + math.sqrt(a) + 1.0)),
         math.sqrt(xi * core / (2.0 * (2.0 * a + 2.0))))
@@ -196,17 +191,35 @@ def contraction_constants(lam: float, delta: float,
                                kappa=float(kappa))
 
 
+def _exceeds(gamma: float, k: int, target: Fraction) -> bool:
+    """gamma^k > target, exactly.  With gamma = n / 2^s, square and multiply
+    brackets n^k by powers rounded down and up to ``bits`` bits; ``bits``
+    doubles until the bracket decides, as it does once it holds n^k whole."""
+    n, d = float(gamma).as_integer_ratio()
+    for bits in (64 << j for j in itertools.count()):
+        lo, hi, shift = 1, 1, 0  # n^k lies in [lo, hi] * 2^shift
+        for m in (n if bit == "1" else 1 for bit in bin(k)[2:]):
+            cut = max(0, (hi * hi * m).bit_length() - bits)
+            lo, hi = lo * lo * m >> cut, -(-hi * hi * m >> cut)
+            shift = 2 * shift + cut
+        scaled = target * Fraction(2) ** ((d.bit_length() - 1) * k - shift)
+        if lo > scaled or hi <= scaled:
+            return lo > scaled
+
+
 def iteration_budget(W0: float, eps: float, gamma: float) -> int:
-    """Smallest k with gamma^k * W0 <= eps; zero when the target is already met."""
+    """Smallest k with gamma^k * W0 <= eps in exact arithmetic on the float
+    inputs; zero when the target is already met."""
     _check("W0", W0, "(0, inf)")
     _check("eps", eps, "(0, inf)")
     _check("gamma", gamma, "(0, 1)")
     if eps >= W0:
         return 0
-    k = max(1, math.ceil(math.log(W0 / eps) / math.log(1.0 / gamma)))
-    while k > 1 and gamma ** (k - 1) * W0 <= eps:
+    target = Fraction(float(eps)) / Fraction(float(W0))
+    k = max(1, math.ceil((math.log(W0) - math.log(eps)) / -math.log(gamma)))
+    while k > 1 and not _exceeds(gamma, k - 1, target):
         k -= 1
-    while gamma ** k * W0 > eps:
+    while _exceeds(gamma, k, target):
         k += 1
     return k
 
@@ -229,11 +242,18 @@ class GrowthConditionParams:
             _check(name, getattr(self, name), "(0, inf)")
 
 
+def _power(base: float, exponent: float) -> float:  # base >= 0
+    try:
+        return base ** exponent
+    except OverflowError:  # past the largest float
+        return math.inf
+
+
 def growth_margin(gcp: GrowthConditionParams, c4k: float) -> float:
     """Value margin q = min(f_inf, (mu * c4k / sqrt(2))^(1/nu)) / 2."""
     _check("c4k", c4k, "(0, inf)")
     return 0.5 * min(gcp.f_inf,
-                     (gcp.mu * c4k / math.sqrt(2.0)) ** (1.0 / gcp.nu))
+                     _power(gcp.mu * c4k / math.sqrt(2.0), 1.0 / gcp.nu))
 
 
 class ProximityResult(NamedTuple):
@@ -258,7 +278,7 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     _check("r", r, f"(0, {gcp.R0}]")
     _check("q", q, "(0, inf)")
     _check("fstar", fstar, "(-inf, inf)")
-    _check("f_r", f_r, "(-inf, inf)")
+    _check("f_r", f_r, f"[{fstar}, inf)")  # the r-ball holds the minimizer
     if q + f_r - fstar > gcp.f_inf:
         raise ConfigurationError(
             f"hypothesis q + f_r - f* <= f_inf violated: "
@@ -273,7 +293,7 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
         raise ConfigurationError(
             f"need one value per particle: {fvals.shape} for {pts.shape}")
     xbar = consensus_point(SwarmState(pts, values=fvals), beta)  # checks beta
-    bound = (q + f_r - fstar) ** gcp.nu / gcp.mu \
+    bound = _power(q + f_r - fstar, gcp.nu) / gcp.mu \
         + math.exp(-beta * q) / inside * float(dists.sum())
     deviation = float(np.linalg.norm(xbar - xs))
     return ProximityResult(bound=float(bound), holds=bool(deviation <= bound),
@@ -292,7 +312,8 @@ def laplace_value(beta: float, f_samples) -> float:
     if f.size == 0 or not np.isfinite(f).all():
         raise ConfigurationError("need one or more samples, all finite")
     m = float(f.min())
-    return m - math.log(float(np.mean(np.exp(-beta * (f - m))))) / beta
+    with np.errstate(over="ignore"):  # a gap past the largest float weighs 0
+        return m - math.log(float(np.mean(np.exp(-beta * (f - m))))) / beta
 
 
 def error_budget(beta: float, epsilon: float, f_samples,
@@ -342,11 +363,12 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
             note="perturbation series diverges for these parameters")
     c3 = perturbation_series(lam, delta, schedule, lb.L_g, lb.M_g, var_init)
     lhs_log = math.log1p(-epsilon) - beta * lap
-    rhs_log = -math.inf if c3 == 0 else math.log(beta * L_f * c3) - beta * fstar
+    rhs_log = -math.inf if c3 == 0 else \
+        math.log(beta) + math.log(L_f) + math.log(c3) - beta * fstar
     f = np.asarray(f_samples, dtype=float)
-    gaps = f - f.min()
-    positive = gaps[gaps > 0]
-    if positive.size and beta * float(positive.min()) > 700.0:
+    m = float(f.min())
+    above = f[f > m]  # its least gap to m, in Python floats, cannot warn
+    if above.size and beta * (float(above.min()) - m) > 700.0:
         return ErrorBoundCheck(
             satisfied=None, lhs_log=lhs_log, rhs_log=rhs_log, c3=c3,
             note="condition unverifiable in floating point: exp(-beta f) "

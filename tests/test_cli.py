@@ -7,7 +7,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from escbo import cli
@@ -320,3 +320,46 @@ def test_run_exits_zero_or_one_for_any_flag_values(flags, data):
     event(f"exit {code}")
     assert (code, err.getvalue()) == (0, "") or (
         code == 1 and err.getvalue().startswith("error: "))
+
+
+_DIAGNOSE_TEXTS = {**_FLAG_TEXTS,
+                   "lipschitz": ["1", "1000", "1e308", "0", "-1", "inf", "x"]}
+
+
+def _flag_args(keys):
+    return st.tuples(*(st.sampled_from(
+        [f"--{key.replace('_', '-')}={text}" for text in _DIAGNOSE_TEXTS[key]])
+        for key in keys))
+
+
+@settings(max_examples=150)
+@given(args=st.lists(st.sampled_from(sorted(_DIAGNOSE_TEXTS)), max_size=4,
+                     unique=True).flatmap(_flag_args))
+@example(args=("--lambda=1e200",))
+@example(args=("--particles=1", "--lipschitz=1000", "--max-iters=30",
+               "--stop-tol=0"))
+def test_diagnose_exits_zero_or_one_for_any_flag_values(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["diagnose", "--max-iters=2", "--particles=6", *args])
+    event(f"exit {code}")
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and err.getvalue().startswith("error: "))
+
+
+def test_diagnose_bound_of_a_collapsed_swarm_holds(capsys):
+    # One particle: the diameter is 0 at every step, and so is the bound,
+    # although its factors overflow.
+    code = run_cli(["diagnose", "--particles", "1", "--lipschitz", "1000",
+                    "--max-iters", "30", "--stop-tol", "0"])
+    assert code == 0
+    assert "diameter under theoretical bound: True" in capsys.readouterr().out
+
+
+def test_diagnose_notes_an_initial_diameter_that_is_not_finite(capsys):
+    code = run_cli(["diagnose", "--init", "uniform:-1e200,1e200",
+                    "--lipschitz", "1", "--max-iters", "5"])
+    out = capsys.readouterr()
+    assert (code, out.err) == (0, "")
+    assert "diameter bound unavailable: initial diameter is inf" in out.out
+    assert "under theoretical bound" not in out.out

@@ -638,6 +638,19 @@ def test_diagnose_notes_a_contraction_core_that_is_not_positive():
                for note in rep.notes)
 
 
+def test_diagnose_notes_a_derived_var_init_and_checks_a_given_one():
+    cfg = quick_config(init=UniformBox(-1e200, 1e200), max_iters=3, runs=1)
+    rec = run_once(cfg, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterConditionWarning)
+        rep = diagnose(rec, cfg, L_f=1.0)
+        assert rep.diameter_bound is None
+        assert rep.notes[-1] == \
+            "diameter bound unavailable: initial diameter is inf"
+        with pytest.raises(ConfigurationError, match="var_init"):
+            diagnose(rec, cfg, L_f=1.0, var_init=math.inf)
+
+
 def test_diagnose_gamma_overlay():
     cfg = quick_config(lam=0.25, delta=0.0, max_iters=30,
                        schedule=StepSchedule.constant(1e-5),

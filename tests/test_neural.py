@@ -269,6 +269,16 @@ def test_dataset_save_load_round_trip_property(data, n0, nl, m, m_test):
     assert loaded.truth_params is None
 
 
+@pytest.mark.parametrize("text", [
+    "a b c d\n1 2 3\n", "2 1 1 0\n1 x 3\n", "2 1 -1 3\n1 2 3\n1 2 3\n"],
+    ids=["header-words", "body-word", "negative-M"])
+def test_load_dataset_names_the_file_of_a_malformed_dataset(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match=str(path)):
+        load_dataset(path)
+
+
 def test_load_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("3 2 80\n")

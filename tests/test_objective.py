@@ -1,6 +1,7 @@
 """Objective wrapper, forward-difference estimator, and Lipschitz bounds."""
 
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
@@ -324,6 +325,11 @@ def test_gradient_bounds_hand_values():
     assert tiny.M_g < 1e-11 and tiny.L_g < 1e-10
 
 
+def test_gradient_bounds_overflow_reads_inf():
+    lb = gradient_bounds(1e308, 4, 1e-308)  # warns nothing
+    assert lb.M_g == math.inf and lb.L_g == math.inf
+
+
 def test_gradient_bounds_validation():
     with pytest.raises(ConfigurationError):
         gradient_bounds(0.0, 2, 0.1)
@@ -370,3 +376,11 @@ def test_objective_is_deterministic():
     obj = sphere_objective(3)
     x = np.array([0.1, 0.2, 0.3])
     assert obj.eval(x) == obj.eval(x)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308),
+    ([-1.0, 1.0], [1.0, 1.0])])
+def test_estimate_lipschitz_needs_a_finite_box(lo, hi):
+    with pytest.raises(ConfigurationError, match="finite width"):
+        estimate_lipschitz(Objective(2, np.sum), lo, hi, samples=4)

@@ -17,11 +17,11 @@ from escbo import (ComponentGaussian, ExperimentConfig, GrowthConditionParams,
                    check_error_bound_condition, check_stop, consensus_bound,
                    consensus_bound_series, consensus_distance_bound,
                    contraction_constants, diagnose, draw_noise, error_budget,
-                   estimate_lipschitz, fescbo_step, gradient_bounds,
-                   growth_margin, growth_radius, init_swarm, iteration_budget,
-                   laplace_value, lookup, max_on_ball, minibatch_gradients,
-                   perturbation_series, run_once, softmin_weights,
-                   table_preset)
+                   estimate_lipschitz, fescbo_step, generate_synthetic,
+                   gradient_bounds, growth_margin, growth_radius, init_swarm,
+                   iteration_budget, laplace_value, lookup, max_on_ball,
+                   minibatch_gradients, perturbation_series, run_once,
+                   softmin_weights, table_preset)
 from escbo.objective import ConfigurationError, _check, _intervals
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(escbo.__path__))
@@ -100,6 +100,7 @@ def test_check_keeps_a_bounded_cache_of_parsed_intervals():
 GEO = StepSchedule.geometric(0.1, 0.5)
 GCP = GrowthConditionParams(1.0, 1.0, 0.5, 1.0)
 SPHERE = Objective(2, lambda x: np.einsum("ij,ij->i", x, x))
+NET = MLPArchitecture((2, 3, 1))
 
 
 def _series(**kw):
@@ -185,6 +186,15 @@ PARAMETERS = [
     ("estimate_lipschitz-samples",
      lambda v: estimate_lipschitz(SPHERE, -1.0, 1.0, samples=v), 2, [1],
      True),
+    ("estimate_lipschitz-seed",
+     lambda v: estimate_lipschitz(SPHERE, -1.0, 1.0, samples=2, seed=v), 0,
+     [-1], True),
+    ("generate_synthetic-seed", lambda v: generate_synthetic(NET, v), 0, [-1],
+     True),
+    ("generate_synthetic-M", lambda v: generate_synthetic(NET, 0, M=v), 1,
+     [0, -1], True),
+    ("generate_synthetic-M_test",
+     lambda v: generate_synthetic(NET, 0, M_test=v), 1, [0], True),
     ("lookup-d", lambda v: lookup("rastrigin", v), 1, [0], True),
     ("MLPArchitecture-width", lambda v: MLPArchitecture((v, 3, 1)), 1, [0],
      True),

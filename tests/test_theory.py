@@ -1,10 +1,14 @@
 """Conditions, contraction bounds, softmin estimates, and the growth machinery."""
 
+import decimal
 import math
+import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from escbo.benchmarks import rastrigin1d
@@ -95,6 +99,29 @@ def test_perturbation_series_zero_variance_zero_schedule():
     assert perturbation_series(1.0, 0.0, ZERO, 2.0, 1.5, 0.0) == 0.0
 
 
+def test_perturbation_series_of_a_collapsed_swarm_sums_the_steps():
+    # var_init = 0 keeps every B_n at 0 although the factors overflow, so the
+    # series is sum_n 0.99^n = 100.
+    val = perturbation_series(0.9, 0.1, StepSchedule.geometric(1.0, 0.99),
+                              1e3, 1.0, 0.0)
+    assert val == pytest.approx(100.0, rel=1e-9)
+
+
+def test_consensus_bound_series_of_a_collapsed_swarm_is_zero():
+    series = consensus_bound_series(50, 0.0, 2.0, StepSchedule.constant(3.0),
+                                    1e200, 0.0)
+    assert np.array_equal(series, np.zeros(51))
+
+
+def test_overflowing_bounds_read_inf():
+    series = consensus_bound_series(3, 0.5, 0.1, GEO, 1e200, 1.0)
+    assert series[0] == 2.0 and np.all(series[1:] == math.inf)
+    res = check_error_bound_condition(10.0, 0.9, 0.1,
+                                      StepSchedule.geometric(1.0, 0.99), 1e200,
+                                      1.0, 0.5, [0.0, 1.0], 0.0, 2, 1e-5)
+    assert res.c3 == math.inf and res.satisfied is False
+
+
 def test_perturbation_series_rejects_divergent_setup():
     with pytest.raises(ConfigurationError):
         perturbation_series(0.01, 0.1, GEO, 2.0, 1.5, 1.0)
@@ -153,6 +180,28 @@ def test_iteration_budget_boundaries():
     assert iteration_budget(1.0, 0.01, 1e-9) == 1
 
 
+@pytest.mark.parametrize("W0, eps, gamma, k", [
+    (1e300, 1e-300, 0.5, 1994), (1e200, 1e-200, 0.5, 1329),
+    (1e300, 1e-20, 0.5, 1064), (1.0, 5e-324, 0.9, 7066),
+    # The float 0.1 lies above 1/10, so 0.1^3 * 1000 > 1: k is 4, not 3.
+    (1000.0, 1.0, 0.1, 4)])
+def test_iteration_budget_exact_values(W0, eps, gamma, k):
+    assert iteration_budget(W0, eps, gamma) == k
+    w, e, g = Fraction(W0), Fraction(eps), Fraction(gamma)
+    assert g ** k * w <= e < g ** (k - 1) * w
+
+
+def test_iteration_budget_near_one_agrees_with_sixty_digit_logs():
+    # gamma^k would hold about 53 * 7e11 bits here; the bracket never forms
+    # it.  Correctly rounded 60-digit logs decide both sides of the answer.
+    gamma = 1.0 - 1e-9
+    k = iteration_budget(1.0, 1e-300, gamma)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        step, target = Decimal(gamma).ln(), Decimal(1e-300).ln()
+        assert k * step <= target < (k - 1) * step
+
+
 def test_iteration_budget_definition_property():
     gen = np.random.default_rng(0)
     for _ in range(300):
@@ -166,7 +215,25 @@ def test_iteration_budget_definition_property():
         assert k == 1 or gamma ** (k - 1) * W0 > eps
 
 
+def test_contraction_constants_overflow_is_a_core_that_is_not_positive():
+    for lam, delta in [(1e200, 0.1), (0.5, 1e160), (1.7e308, 0.0)]:
+        with pytest.raises(ConfigurationError, match="got -inf"):
+            contraction_constants(lam, delta)
+
+
+def test_condition_overflow_reads_inf():
+    with pytest.warns(ParameterConditionWarning):
+        cond = check_consensus_condition(1e200, 0.1,
+                                          StepSchedule.geometric(1.0, 0.99))
+    assert cond.value == math.inf and not cond.satisfied
+
+
 # -------------------------------------------------------------- growth
+
+def test_growth_margin_overflow_is_above_f_inf():
+    assert growth_margin(GrowthConditionParams(1.0, 1.0, 0.5, 1e200),
+                         1.5) == 0.5
+
 
 def test_growth_margin_hand_value():
     gcp = GrowthConditionParams(f_inf=1.0, R0=1.0, nu=0.5, mu=1.0)
@@ -232,6 +299,21 @@ def test_distance_bound_errors():
                                  GCP_1D, r=1.5, q=0.1, beta=10.0, f_r=1.0)
 
 
+def test_distance_bound_overflow_reads_inf():
+    res = consensus_distance_bound(np.zeros((2, 1)), [0.0, 0.0], [0.0], 0.0,
+                                   GrowthConditionParams(1e200, 1.0, 2.0, 1.0),
+                                   r=1.0, q=1e199, beta=1.0, f_r=0.0)
+    assert res.bound == math.inf and res.holds
+
+
+def test_distance_bound_needs_f_r_at_least_fstar():
+    # f_r is a maximum over a ball that holds the minimizer; below fstar the
+    # power of q + f_r - fstar would be complex.
+    with pytest.raises(ConfigurationError, match="f_r must lie in"):
+        consensus_distance_bound(np.zeros((2, 1)), [0.0, 0.0], [0.0], 0.0,
+                                 GCP_1D, r=0.05, q=0.1, beta=10.0, f_r=-1.0)
+
+
 @pytest.mark.parametrize("fvals", [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0],
                                    [0.0, math.nan]],
                          ids=["too-many", "too-many-best-last", "nan"])
@@ -285,6 +367,10 @@ def test_laplace_and_budget_reject_beta_outside_the_reals_above_zero(beta):
         laplace_value(beta, [1.0, 2.0])
     with pytest.raises(ConfigurationError, match="beta"):
         error_budget(beta, 0.5, [1.0, 2.0], 0.0)
+
+
+def test_laplace_value_of_a_gap_past_the_largest_float():
+    assert laplace_value(1.0, [1e308, -1e308]) == -1e308 - math.log(0.5)
 
 
 def test_laplace_validation():
@@ -356,6 +442,17 @@ def test_error_bound_condition_divergent_parameters():
     assert res.satisfied is False and "diverges" in res.note
 
 
+def test_error_bound_condition_on_the_log_scale_throughout():
+    # beta * L_f * C3 underflows to 0 in floats, and the sample gap
+    # overflows; neither may raise or warn.
+    tiny = check_error_bound_condition(1e-200, 0.75, 0.25, GEO, 1e-200, 0.0,
+                                       0.5, [0.0, 1.0], 0.0, 1, 0.1)
+    assert tiny.satisfied is True and tiny.rhs_log < -1000
+    wide = check_error_bound_condition(1.0, 0.75, 0.25, GEO, 1.0, 0.0, 0.5,
+                                       [1e308, -1e308], 0.0, 1, 0.1)
+    assert wide.satisfied is None
+
+
 def test_error_bound_condition_float_unverifiable():
     res = check_error_bound_condition(1e20, 0.75, 0.25, GEO, 2.0, 1.0, 0.5,
                                       [0.0, 0.5, 1.0], 0.0, 1, 0.01)
@@ -394,6 +491,8 @@ def test_growth_radius_is_zero_when_the_center_exceeds_q():
 # ------------------------------------------------- bound series, property
 
 @settings(max_examples=60, deadline=None)
+@example(k_max=120, lam=0.0, delta=2.0, kind="constant", c=3.0, r=0.5,
+         L_g=100.0, var_init=0.0)
 @given(k_max=st.integers(0, 120),
        lam=st.floats(0.0, 2.0), delta=st.floats(0.0, 2.0),
        kind=st.sampled_from(["constant", "geometric", "harmonic"]),
@@ -409,6 +508,63 @@ def test_consensus_bound_is_an_entry_of_the_series(k_max, lam, delta, kind, c,
         bound = consensus_bound(k, lam, delta, schedule, L_g, var_init)
         assert bound == series[k] or (math.isnan(bound)
                                       and math.isnan(series[k]))
+
+
+# ------------------------------------- every public function, at extremes
+
+BIG = st.floats(0.0, 1e200)
+POSITIVE = st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lam=BIG, delta=BIG, L_g=BIG, M_g=BIG, var_init=BIG, c=BIG,
+       r=st.floats(0.01, 0.99), W0=POSITIVE, eps=POSITIVE,
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       samples=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=4))
+def test_theory_returns_a_value_or_a_configuration_error(
+        lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma, samples):
+    schedule = StepSchedule.geometric(c, r)
+    # Near (1-lam)^2 + delta^2 = 1/2 sqrt(B_n) shrinks by sqrt(2 value) a
+    # term, and the series needs more than the default 200,000 terms, which
+    # is the ArithmeticError it documents.
+    value = (1.0 - lam) * (1.0 - lam) + delta * delta
+    slow = 0.4998 < value < 0.5
+    calls = [
+        lambda: check_consensus_condition(lam, delta, schedule),
+        lambda: consensus_bound_series(30, lam, delta, schedule, L_g,
+                                       var_init),
+        lambda: consensus_bound(30, lam, delta, schedule, L_g, var_init),
+        lambda: contraction_constants(lam, delta),
+        lambda: iteration_budget(W0, eps, gamma),
+        lambda: iteration_budget(W0, eps, contraction_constants(
+            lam, delta).gamma),
+        lambda: growth_margin(GrowthConditionParams(M_g, 1.0, r, L_g), c),
+        lambda: consensus_distance_bound(
+            np.zeros((2, 1)), [0.0, 0.0], [0.0], 0.0,
+            GrowthConditionParams(M_g, 1.0, 1.0 / r, L_g), r=1.0,
+            q=var_init, beta=c, f_r=0.0),
+        lambda: laplace_value(L_g, samples),
+        lambda: error_budget(L_g, r, samples, 0.0),
+        lambda: max_on_ball(lambda p: var_init * p[:, 0], [0.0], 1.0, 0.5),
+        lambda: growth_radius(lambda p: var_init * p[:, 0] ** 2, [0.0], 0.0,
+                              M_g, 1.0, 0.5),
+    ]
+    if not slow:
+        calls += [
+            lambda: perturbation_series(lam, delta, schedule, L_g, M_g,
+                                        var_init),
+            lambda: check_error_bound_condition(
+                L_g, lam, delta, schedule, M_g, var_init, r, samples, 0.0, 2,
+                r),
+        ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterConditionWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            try:
+                call()
+            except ConfigurationError:
+                pass
 
 
 @pytest.mark.parametrize("call, error", [
