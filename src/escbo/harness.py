@@ -120,7 +120,7 @@ class ExperimentConfig:
     stop_tol: float = _declare(1e-6, "real", "[0, inf)")
     success_tol: float = _declare(1e-3, "real", "(0, inf)")
     runs: int = _declare(100, "count", "[1, inf)")
-    seed: int = _declare(0, "count")
+    seed: int = _declare(0, "count", "(-inf, inf)")
     arch: Optional[tuple[int, ...]] = _declare(None, "widths", target="dnn")
     data_seed: int = _declare(0, "count", "[0, inf)", target="dnn")
 
@@ -143,6 +143,8 @@ class ExperimentConfig:
                 lo, hi = (getattr(self, e, e) for e in allowed[1:-1].split(", "))
                 _check(f.name, value, f"{allowed[0]}{lo}, {hi}{allowed[-1]}",
                        count=f.metadata["kind"] == "count")
+        last = int(self.seed) + int(self.runs) - 1  # Python ints do not wrap
+        _check("last seed", last, "(-inf, inf)", count=True)
         if self.method == "fescbo" and self.batch_size is None:
             raise ConfigurationError("method fescbo needs a batch_size")
         if dnn == (self.arch is None):

@@ -59,9 +59,9 @@ _intervals: dict = {}  # interval text -> (lo, hi, lo closed, hi closed)
 
 
 def _check(name: str, value, interval: str, count: bool = False):
-    """``value`` if it is a real number, or for a ``count`` an integer and not
-    a bool, in ``interval``, written like "(0, inf)" or "[1, 20]", whose
-    infinite ends are open; otherwise a ConfigurationError."""
+    """``value`` if it is a real number, or for a ``count`` an integer (not a
+    bool) in [-2**63, 2**63), in ``interval``, written like "(0, inf)" or
+    "[1, 20]", whose infinite ends are open; otherwise a ConfigurationError."""
     if interval not in _intervals:  # parsed once, into a bounded cache
         if len(_intervals) >= 256:
             _intervals.clear()
@@ -72,7 +72,9 @@ def _check(name: str, value, interval: str, count: bool = False):
     if ((_is_count(value) if count else _is_real(value))
             and (lo <= value if lo_closed else lo < value)
             and (value <= hi if hi_closed else value < hi)):
-        return value
+        if not count or -2 ** 63 <= value < 2 ** 63:
+            return value
+        interval = "[-2**63, 2**63)"  # a count in its interval but past int64
     raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
 

@@ -85,15 +85,15 @@ def check_consensus_condition(lam: float, delta: float,
 
 def _bounds(lam: float, delta: float, schedule: StepSchedule, L_g: float,
             var_init: float):
-    """(alpha_n, B_n) for n = 0, 1, ...: B_0 = 2 var_init and B_{n+1} =
-    2 ((1-lam)^2 + delta^2 + (alpha_n L_g)^2) B_n, in products, so an overflow
-    reads inf and a zero B_0 or factor makes every later B_n 0."""
+    """(B_n, f_n) for n = 0, 1, ...: B_0 = 2 var_init and B_{n+1} = f_n B_n,
+    f_n = 2 ((1-lam)^2 + delta^2 + (alpha_n L_g)^2), in products, so an
+    overflow reads inf and a zero B_0 or factor makes every later B_n 0."""
     _check("L_g", L_g, "[0, inf)")
     _check("var_init", var_init, "[0, inf)")
     value, bound = _consensus_value(lam, delta), 2.0 * var_init
     for alpha in map(schedule.alpha, itertools.count()):
-        yield alpha, bound
         factor = 2.0 * (value + alpha * L_g * (alpha * L_g))
+        yield bound, factor
         bound = bound * factor if bound and factor else 0.0
 
 
@@ -103,7 +103,7 @@ def consensus_bound_series(k_max: int, lam: float, delta: float,
     """consensus_bound at every k in 0..k_max (inclusive); an overflowing
     entry reads inf, a vacuous bound rather than an error."""
     _check("k_max", k_max, "[0, inf)", count=True)
-    return np.fromiter((bound for _, bound in _bounds(
+    return np.fromiter((bound for bound, _ in _bounds(
         lam, delta, schedule, L_g, var_init)), float, k_max + 1)
 
 
@@ -118,35 +118,34 @@ def consensus_bound(k: int, lam: float, delta: float, schedule: StepSchedule,
                                         var_init)[-1])
 
 
-def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
-                        L_g: float, M_g: float, var_init: float,
-                        rtol: float = 1e-15, max_terms: int = 200_000) -> float:
-    """Limit of sum_n [(lam+delta) sqrt(B_n) + alpha_n M_g].
+_MAX_TERMS = 200_000  # past it, the step sizes are too slow to sum
 
-    B_n is the consensus bound at step n.  The series is summed until three
-    consecutive terms fall below rtol times the partial sum; past that point
-    both ingredients decay geometrically (sqrt(B_n) once the factors drop
-    below one, alpha_n by schedule summability), so the discarded tail is
-    below the same relative tolerance.  Finite only when the contraction
-    condition holds and the schedule is summable.
-    """
+
+def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
+                        L_g: float, M_g: float, var_init: float) -> float:
+    """C3 = sum_n [(lam+delta) sqrt(B_n) + alpha_n M_g], B_n the consensus
+    bound at step n; finite only when the contraction condition holds and the
+    schedule is summable.  The steps sum to c / (1-r).  Once f_n < 1, the
+    tail of sqrt(B_n) from n lies between sqrt(B_n) / (1 - sqrt(f)) at f =
+    f_n and at f = 2 ((1-lam)^2 + delta^2), the limit f_n falls to; the sum
+    stops once both tails give the same float total, or at B_n = 0 or inf."""
     _check("M_g", M_g, "[0, inf)")
-    _check("rtol", rtol, "(0, inf)")
-    _check("max_terms", max_terms, "[1, inf)", count=True)
-    if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):
+    limit = 2.0 * _consensus_value(lam, delta)
+    if not (limit < 1.0 and schedule.summable):
         raise ConfigurationError(
             "perturbation series diverges: needs (1-lam)^2 + delta^2 < 1/2 "
             "and a summable step schedule")
-    total, small = 0.0, 0
-    for _, (alpha, bound) in zip(range(max_terms), _bounds(
-            lam, delta, schedule, L_g, var_init)):
-        term = (lam + delta) * math.sqrt(bound) + alpha * M_g
-        total += term
-        small = small + 1 if term <= rtol * total else 0
-        if small == 3:
-            return total
-    raise ArithmeticError("perturbation series did not converge "
-                          f"within {max_terms} terms")
+    steps = schedule.c * M_g / (1.0 - schedule.r) if schedule.c else 0.0
+    total = 0.0
+    for bound, factor in itertools.islice(
+            _bounds(lam, delta, schedule, L_g, var_init), _MAX_TERMS):
+        tail = total + (root := math.sqrt(bound)) / (1.0 - math.sqrt(limit))
+        if not 0.0 < bound < math.inf or factor < 1.0 and tail == (
+                total + root / (1.0 - math.sqrt(factor))):
+            return (lam + delta) * tail + steps
+        total += root
+    raise ConfigurationError("perturbation series: the step sizes do not "
+                             f"settle within {_MAX_TERMS} terms")
 
 
 @dataclass(frozen=True)
@@ -249,6 +248,13 @@ def _power(base: float, exponent: float) -> float:  # base >= 0
         return math.inf
 
 
+def _finite(name: str, value) -> np.ndarray:  # an array input of theory
+    a = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.isfinite(a).all():
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return a
+
+
 def growth_margin(gcp: GrowthConditionParams, c4k: float) -> float:
     """Value margin q = min(f_inf, (mu * c4k / sqrt(2))^(1/nu)) / 2."""
     _check("c4k", c4k, "(0, inf)")
@@ -273,8 +279,8 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     that of the swarm's consensus point at the given beta, recomputed from
     ``fvals``, which must hold one finite value per particle.
     """
-    pts = np.atleast_2d(np.asarray(positions, dtype=float))
-    xs = np.broadcast_to(np.asarray(xstar, dtype=float), (pts.shape[1],))
+    pts = np.atleast_2d(_finite("positions", positions))
+    xs = np.broadcast_to(_finite("xstar", xstar), (pts.shape[1],))
     _check("r", r, f"(0, {gcp.R0}]")
     _check("q", q, "(0, inf)")
     _check("fstar", fstar, "(-inf, inf)")
@@ -328,9 +334,9 @@ def error_budget(beta: float, epsilon: float, f_samples,
 class ErrorBoundCheck:
     """Outcome of the value-level condition behind the error budget.
 
-    ``satisfied`` is None when the regime cannot be decided in floating
-    point (the Monte-Carlo mean of exp(-beta f) degenerates to the minimal
-    samples alone).  Both sides are reported on the log scale.
+    ``satisfied`` is None when the regime is not decided in floating point:
+    exp(-beta gap) underflows to 0 for the least gap between a sample above
+    the minimum and the minimum.  Both sides are reported on the log scale.
     """
 
     satisfied: Optional[bool]
@@ -365,10 +371,8 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     lhs_log = math.log1p(-epsilon) - beta * lap
     rhs_log = -math.inf if c3 == 0 else \
         math.log(beta) + math.log(L_f) + math.log(c3) - beta * fstar
-    f = np.asarray(f_samples, dtype=float)
-    m = float(f.min())
-    above = f[f > m]  # its least gap to m, in Python floats, cannot warn
-    if above.size and beta * (float(above.min()) - m) > 700.0:
+    u = np.unique(np.asarray(f_samples, dtype=float))  # sorted, distinct
+    if u.size > 1 and math.exp(-beta * (float(u[1]) - float(u[0]))) == 0.0:
         return ErrorBoundCheck(
             satisfied=None, lhs_log=lhs_log, rhs_log=rhs_log, c3=c3,
             note="condition unverifiable in floating point: exp(-beta f) "
@@ -397,7 +401,7 @@ def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
     ``fn`` must accept a (B, d) array and return (B,) values; ``resolution``
     is the grid spacing.  In dimension 1 the far endpoint is always included.
     """
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    c = _finite("center", center)
     _check("radius", radius, "(0, inf)")
     pts = _ball_offsets(c.shape[0], radius, resolution) + c
     if c.shape[0] == 1:
@@ -413,7 +417,7 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     the R0-ball, takes the running maximum outward, and returns the largest
     grid radius where it still satisfies max f - fstar <= q (0.0 if none).
     """
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    c = _finite("center", center)
     _check("fstar", fstar, "(-inf, inf)")
     _check("q", q, "(0, inf)")
     _check("R0", R0, "(0, inf)")

@@ -251,13 +251,25 @@ def test_config_validation():
     dict(success_tol=0.0),
     dict(success_tol=math.nan),
     dict(success_tol=math.inf),
+    dict(dim=10 ** 400),
+    dict(particles=10 ** 400),
+    dict(seed=2 ** 63 - 2, runs=3),
+    dict(seed=np.int64(2 ** 63 - 2), runs=3),
 ], ids=["lam-nan", "stop_tol-nan", "delta-inf", "beta-negative", "sigma-zero",
         "no-particles", "batch-over-particles", "escbo-batch-negative",
         "vanilla-batch-over-particles", "data_seed-negative",
-        "success_tol-zero", "success_tol-nan", "success_tol-inf"])
+        "success_tol-zero", "success_tol-nan", "success_tol-inf",
+        "dim-past-int64", "particles-past-int64", "last-seed-past-int64",
+        "numpy-last-seed-past-int64"])
 def test_config_rejects_invalid_field(overrides):
     with pytest.raises(ConfigurationError):
         quick_config(**overrides)
+
+
+def test_config_names_the_int64_range_of_the_last_seed():
+    with pytest.raises(ConfigurationError, match=r"^last seed must lie in "
+                       r"\[-2\*\*63, 2\*\*63\), got 9223372036854775808$"):
+        quick_config(seed=np.int64(2 ** 63 - 2), runs=3)
 
 
 @pytest.mark.parametrize("overrides", [

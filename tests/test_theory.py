@@ -107,6 +107,23 @@ def test_perturbation_series_of_a_collapsed_swarm_sums_the_steps():
     assert val == pytest.approx(100.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam, delta, schedule, reference", [
+    # (1-lam)^2 + delta^2 = 0.4999 and 0.4997: sqrt(B_n) shrinks by 0.9999
+    # and 0.9997 a term once the steps have settled.
+    (0.5, 0.2499 ** 0.5, StepSchedule.geometric(0.1, 0.5),
+     14328.513340558582),
+    (0.5, 0.2497 ** 0.5, StepSchedule.geometric(0.1, 0.5), 4774.879403876729),
+    # The steps shrink by 0.9999 a term; they sum to 1000.
+    (0.75, 0.25, StepSchedule.geometric(0.1, 0.9999), 1002.9438929666352),
+])
+def test_perturbation_series_of_slow_series(lam, delta, schedule, reference):
+    # Each reference is a math.fsum of the first 2,000,000 terms
+    # (lam+delta) sqrt(B_n) + alpha_n of theory._bounds, at L_g = M_g =
+    # var_init = 1.
+    val = perturbation_series(lam, delta, schedule, 1.0, 1.0, 1.0)
+    assert val == pytest.approx(reference, rel=1e-11)
+
+
 def test_consensus_bound_series_of_a_collapsed_swarm_is_zero():
     series = consensus_bound_series(50, 0.0, 2.0, StepSchedule.constant(3.0),
                                     1e200, 0.0)
@@ -453,6 +470,16 @@ def test_error_bound_condition_on_the_log_scale_throughout():
     assert wide.satisfied is None
 
 
+@pytest.mark.parametrize("beta, decided", [(720.0, True), (750.0, False)])
+def test_error_bound_condition_unverifiable_where_exp_underflows(beta,
+                                                                 decided):
+    # exp(-720) = 2.0e-313 is a subnormal float; exp(-750) underflows to 0.
+    res = check_error_bound_condition(beta, 0.75, 0.25, GEO, 2.0, 1.0, 0.5,
+                                      [0.0, 1.0], 0.0, 1, 0.01)
+    assert isinstance(res.satisfied, bool) if decided else (
+        res.satisfied is None and "unverifiable" in res.note)
+
+
 def test_error_bound_condition_float_unverifiable():
     res = check_error_bound_condition(1e20, 0.75, 0.25, GEO, 2.0, 1.0, 0.5,
                                       [0.0, 0.5, 1.0], 0.0, 1, 0.01)
@@ -524,11 +551,6 @@ POSITIVE = st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
 def test_theory_returns_a_value_or_a_configuration_error(
         lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma, samples):
     schedule = StepSchedule.geometric(c, r)
-    # Near (1-lam)^2 + delta^2 = 1/2 sqrt(B_n) shrinks by sqrt(2 value) a
-    # term, and the series needs more than the default 200,000 terms, which
-    # is the ArithmeticError it documents.
-    value = (1.0 - lam) * (1.0 - lam) + delta * delta
-    slow = 0.4998 < value < 0.5
     calls = [
         lambda: check_consensus_condition(lam, delta, schedule),
         lambda: consensus_bound_series(30, lam, delta, schedule, L_g,
@@ -548,15 +570,10 @@ def test_theory_returns_a_value_or_a_configuration_error(
         lambda: max_on_ball(lambda p: var_init * p[:, 0], [0.0], 1.0, 0.5),
         lambda: growth_radius(lambda p: var_init * p[:, 0] ** 2, [0.0], 0.0,
                               M_g, 1.0, 0.5),
+        lambda: perturbation_series(lam, delta, schedule, L_g, M_g, var_init),
+        lambda: check_error_bound_condition(
+            L_g, lam, delta, schedule, M_g, var_init, r, samples, 0.0, 2, r),
     ]
-    if not slow:
-        calls += [
-            lambda: perturbation_series(lam, delta, schedule, L_g, M_g,
-                                        var_init),
-            lambda: check_error_bound_condition(
-                L_g, lam, delta, schedule, M_g, var_init, r, samples, 0.0, 2,
-                r),
-        ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterConditionWarning)
         warnings.simplefilter("error", RuntimeWarning)
@@ -568,8 +585,9 @@ def test_theory_returns_a_value_or_a_configuration_error(
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: perturbation_series(0.5, 0.1, GEO, 1.0, 1.0, 1.0, max_terms=1),
-     ArithmeticError),
+    # The steps shrink too slowly for f_n to settle within the term limit.
+    (lambda: perturbation_series(0.5, 0.0, StepSchedule.geometric(
+        0.5, 1 - 1e-9), 1.0, 1.0, 1.0), ConfigurationError),
     # core = 2e-17 > 0, but gamma = 1 - 1e-17 rounds to 1.
     (lambda: contraction_constants(1e-17, 0.0), ConfigurationError),
     (lambda: iteration_budget(0.0, 0.1, 0.5), ConfigurationError),
@@ -588,10 +606,29 @@ def test_theory_returns_a_value_or_a_configuration_error(
      ConfigurationError),
     (lambda: growth_radius(np.sum, [0.0], 0.0, 0.0, 1.0),
      ConfigurationError),
+    (lambda: max_on_ball(np.sum, [math.nan], 1.0), ConfigurationError),
+    (lambda: growth_radius(np.sum, [math.inf], 0.0, 0.5, 1.0),
+     ConfigurationError),
+    (lambda: consensus_distance_bound([[0.0], [math.nan]], [0.0, 0.0], [0.0],
+                                      0.0, GCP_1D, r=0.05, q=0.1, beta=10.0,
+                                      f_r=0.0), ConfigurationError),
+    (lambda: consensus_distance_bound(np.zeros((2, 1)), [0.0, 0.0],
+                                      [math.inf], 0.0, GCP_1D, r=0.05, q=0.1,
+                                      beta=10.0, f_r=0.0), ConfigurationError),
 ], ids=["series-max-terms", "gamma-rounds-to-one", "budget-W0", "budget-eps",
         "budget-gamma", "margin-c4k", "distance-q", "laplace-nan",
         "error-bound-epsilon", "ball-radius", "ball-resolution",
-        "growth-radius-q"])
+        "growth-radius-q", "ball-center-nan", "growth-radius-center-inf",
+        "distance-position-nan", "distance-xstar-inf"])
 def test_theory_validation_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_non_finite_minimizer_is_named():
+    # A non-finite xstar also leaves no particle within r of it; the error
+    # names the input instead.
+    with pytest.raises(ConfigurationError, match="xstar must be finite"):
+        consensus_distance_bound(np.zeros((2, 1)), [0.0, 0.0], [math.nan],
+                                 0.0, GCP_1D, r=0.05, q=0.1, beta=10.0,
+                                 f_r=0.0)
