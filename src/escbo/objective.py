@@ -59,9 +59,11 @@ _intervals: dict = {}  # interval text -> (lo, hi, lo closed, hi closed)
 
 
 def _check(name: str, value, interval: str, count: bool = False):
-    """``value`` if it is a real number, or for a ``count`` an integer (not a
-    bool) in [-2**63, 2**63), in ``interval``, written like "(0, inf)" or
-    "[1, 20]", whose infinite ends are open; otherwise a ConfigurationError."""
+    """``value`` as a Python float if it is a real number, or for a ``count``
+    as a Python int if it is an integer (not a bool) in [-2**63, 2**63), in
+    ``interval``, written like "(0, inf)" or "[1, 20]", whose infinite ends
+    are open; otherwise a ConfigurationError.  A numpy scalar thus computes
+    on as the Python number it equals, without numpy's warnings."""
     if interval not in _intervals:  # parsed once, into a bounded cache
         if len(_intervals) >= 256:
             _intervals.clear()
@@ -72,8 +74,10 @@ def _check(name: str, value, interval: str, count: bool = False):
     if ((_is_count(value) if count else _is_real(value))
             and (lo <= value if lo_closed else lo < value)
             and (value <= hi if hi_closed else value < hi)):
-        if not count or -2 ** 63 <= value < 2 ** 63:
-            return value
+        if not count:
+            return float(value)
+        if -2 ** 63 <= value < 2 ** 63:
+            return int(value)
         interval = "[-2**63, 2**63)"  # a count in its interval but past int64
     raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
@@ -113,12 +117,15 @@ class Objective:
         """f at one point of shape (d,): the batch of that one point."""
         return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
 
-    def eval_many(self, points, centers=None) -> np.ndarray:
+    def eval_many(self, points, centers=None, values=None) -> np.ndarray:
         """Evaluate a (B, d) batch of points; counts B evaluations.
 
         ``centers`` marks ``points`` as the coordinate probes of those
         (B // d, d) centers (see the class docstring), which an objective
-        with a probe kernel evaluates through it.
+        with a probe kernel evaluates through it.  ``values``, the (B,)
+        values f(points) already known, are counted and returned without
+        calling ``fn``: the gradient steppers read their base values from
+        the swarm's cache this way.
         """
         pts = np.asarray(points, dtype=float)
         d = self.dim
@@ -130,7 +137,12 @@ class Objective:
             raise ConfigurationError(
                 f"{self.name}: {b} probe rows need ({b // d}, {d}) centers, "
                 f"got shape {np.shape(centers)}")
+        if values is not None and np.shape(values) != (b,):
+            raise ConfigurationError(f"{self.name}: {b} points need ({b},) "
+                                     f"values, got shape {np.shape(values)}")
         self._count += b
+        if values is not None:
+            return np.asarray(values, dtype=float)
         if centers is not None and self._probe_kernel is not None:
             c = np.asarray(centers, dtype=float)
             # Row i*d + l differs from center i in coordinate l only.
@@ -188,8 +200,8 @@ def forward_difference_gradient(obj: Objective, x, sigma: float) -> np.ndarray:
     return minibatch_gradients(obj, x[None, :], [0], sigma)[0]
 
 
-def minibatch_gradients(obj: Objective, positions, batch,
-                        sigma: float) -> np.ndarray:
+def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
+                        values=None) -> np.ndarray:
     """Forward-difference gradients for a subset of particles, zeros elsewhere.
 
     ``batch`` is a set of integer particle indices into ``positions``, or
@@ -197,6 +209,9 @@ def minibatch_gradients(obj: Objective, positions, batch,
     evaluations: one ``eval_many`` call on the batch's base points, then one
     on its coordinate probes.  Particles outside the batch get a zero vector.
     ``sigma`` is the forward-difference interval, a real 0 < sigma < inf.
+    ``values``, when given, holds f at every position, (N,); the base
+    values are read from it (still counted) instead of evaluated.  The
+    gradient steppers pass the swarm's cached values this way.
     """
     _check("sigma", sigma, "(0, inf)")
     pts = np.ascontiguousarray(positions, dtype=float)
@@ -204,6 +219,9 @@ def minibatch_gradients(obj: Objective, positions, batch,
         raise ConfigurationError(
             f"positions must be (N, {obj.dim}), got {pts.shape}")
     n, d = pts.shape
+    if values is not None and np.shape(values) != (n,):
+        raise ConfigurationError(
+            f"values must be ({n},), got {np.shape(values)}")
     if batch is None:
         idx = range(n)
     else:
@@ -220,7 +238,9 @@ def minibatch_gradients(obj: Objective, positions, batch,
             f"batch indices must lie in [0, {n - 1}], got {idx[0]}..{idx[-1]}")
     # Sorted, unique and in range: a batch of size n is every particle.
     centers = pts if b == n else pts[idx]
-    base = obj.eval_many(centers)
+    if values is not None and b < n:
+        values = np.asarray(values)[idx]
+    base = obj.eval_many(centers, values=values)
     probes = centers.repeat(d, axis=0)
     probes.reshape(b, d * d)[:, ::d + 1] += sigma
     vals = obj.eval_many(probes, centers=centers).reshape(b, d)

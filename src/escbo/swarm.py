@@ -86,7 +86,9 @@ class SwarmState:
     """Particle positions at iteration k, with cached objective values.
 
     ``values`` holds f at each position and must be refreshed after every
-    step; the steppers maintain this invariant themselves.
+    step; the steppers maintain this invariant themselves.  The gradient
+    steppers read their forward-difference base values f(x_i) from it, so
+    a hand-built state must hold the true values.
     """
 
     positions: np.ndarray
@@ -113,9 +115,11 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "geometric", "harmonic"):
             raise ConfigurationError(f"unknown schedule kind {self.kind!r}")
-        _check(f"{self.kind} schedule c", self.c, "[0, inf)")
-        _check(f"{self.kind} schedule r", self.r,
-               "(0, 1)" if self.kind == "geometric" else "(-inf, inf)")
+        object.__setattr__(self, "c", _check(f"{self.kind} schedule c",
+                                             self.c, "[0, inf)"))
+        object.__setattr__(self, "r", _check(
+            f"{self.kind} schedule r", self.r,
+            "(0, 1)" if self.kind == "geometric" else "(-inf, inf)"))
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
@@ -271,8 +275,13 @@ def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
 
 
 def _advance(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
-             rng: RngStream, grads=None) -> SwarmState:
+             rng: RngStream, gradient: bool = False,
+             batch=None) -> SwarmState:
+    # The consensus point comes first: it checks the cached values, which
+    # the gradient then reads as its base values.
     xbar = consensus_point(state, cfg.beta)
+    grads = minibatch_gradients(obj, state.positions, batch, cfg.sigma,
+                                state.values) if gradient else None
     eta = draw_noise(cfg.delta, state.dim, rng)
     new_positions = _drift_diffusion(state.positions, xbar, cfg.lam, eta)
     if grads is not None and (alpha := cfg.schedule.alpha(state.k)) != 0.0:
@@ -292,9 +301,10 @@ def escbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
 
     Gradients are estimated at the pre-step positions for every particle.
     Costs N*(d+1) evaluations for the gradients plus N for the value refresh.
+    The gradients' N base values are counted but read from ``state.values``,
+    so the objective computes only the N*d probes and the N refreshed values.
     """
-    grads = minibatch_gradients(obj, state.positions, None, cfg.sigma)
-    return _advance(state, obj, cfg, rng, grads)
+    return _advance(state, obj, cfg, rng, gradient=True)
 
 
 def vanilla_cbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
@@ -307,15 +317,15 @@ def fescbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
                 rng: RngStream) -> SwarmState:
     """ESCBO step with gradients only on a uniform random mini-batch.
 
-    Costs batch_size*(d+1) evaluations for gradients plus N for the refresh.
+    Costs batch_size*(d+1) evaluations for gradients plus N for the refresh,
+    with the batch's base values read from ``state.values``.
     With batch_size == N the trajectory matches escbo_step under the same
     seed, because batch selection draws from its own substream.
     """
     n = state.n_particles
     b = _check("batch_size", cfg.batch_size, f"[1, {n}]", count=True)
     idx = rng.stream("batch").choice(n, size=b, replace=False)
-    grads = minibatch_gradients(obj, state.positions, idx, cfg.sigma)
-    return _advance(state, obj, cfg, rng, grads)
+    return _advance(state, obj, cfg, rng, gradient=True, batch=idx)
 
 
 def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:

@@ -58,9 +58,12 @@ class ConsensusCondition:
     schedule_summable: bool
 
 
+def _lam_delta(lam: float, delta: float) -> tuple[float, float]:
+    return _check("lam", lam, "[0, inf)"), _check("delta", delta, "[0, inf)")
+
+
 def _consensus_value(lam: float, delta: float) -> float:
-    _check("lam", lam, "[0, inf)")
-    _check("delta", delta, "[0, inf)")
+    lam, delta = _lam_delta(lam, delta)
     return (1.0 - lam) * (1.0 - lam) + delta * delta
 
 
@@ -88,8 +91,8 @@ def _bounds(lam: float, delta: float, schedule: StepSchedule, L_g: float,
     """(B_n, f_n) for n = 0, 1, ...: B_0 = 2 var_init and B_{n+1} = f_n B_n,
     f_n = 2 ((1-lam)^2 + delta^2 + (alpha_n L_g)^2), in products, so an
     overflow reads inf and a zero B_0 or factor makes every later B_n 0."""
-    _check("L_g", L_g, "[0, inf)")
-    _check("var_init", var_init, "[0, inf)")
+    L_g = _check("L_g", L_g, "[0, inf)")
+    var_init = _check("var_init", var_init, "[0, inf)")
     value, bound = _consensus_value(lam, delta), 2.0 * var_init
     for alpha in map(schedule.alpha, itertools.count()):
         factor = 2.0 * (value + alpha * L_g * (alpha * L_g))
@@ -102,7 +105,8 @@ def consensus_bound_series(k_max: int, lam: float, delta: float,
                            var_init: float) -> np.ndarray:
     """consensus_bound at every k in 0..k_max (inclusive); an overflowing
     entry reads inf, a vacuous bound rather than an error."""
-    _check("k_max", k_max, "[0, inf)", count=True)
+    # numpy sizes no float64 array of 2**60 entries; 2**59 is exact as float
+    k_max = _check("k_max", k_max, "[0, 576460752303423488]", count=True)
     return np.fromiter((bound for bound, _ in _bounds(
         lam, delta, schedule, L_g, var_init)), float, k_max + 1)
 
@@ -129,7 +133,8 @@ def perturbation_series(lam: float, delta: float, schedule: StepSchedule,
     tail of sqrt(B_n) from n lies between sqrt(B_n) / (1 - sqrt(f)) at f =
     f_n and at f = 2 ((1-lam)^2 + delta^2), the limit f_n falls to; the sum
     stops once both tails give the same float total, or at B_n = 0 or inf."""
-    _check("M_g", M_g, "[0, inf)")
+    M_g = _check("M_g", M_g, "[0, inf)")
+    lam, delta = _lam_delta(lam, delta)
     limit = 2.0 * _consensus_value(lam, delta)
     if not (limit < 1.0 and schedule.summable):
         raise ConfigurationError(
@@ -171,9 +176,8 @@ def contraction_constants(lam: float, delta: float,
     smaller of a linear and a square-root perturbation budget.  xi in (0, 1)
     splits the contraction between the two; 0.5 is a reasonable default.
     """
-    _check("lam", lam, "[0, inf)")
-    _check("delta", delta, "[0, inf)")
-    _check("xi", xi, "(0, 1)")
+    lam, delta = _lam_delta(lam, delta)
+    xi = _check("xi", xi, "(0, 1)")
     core = 2.0 * (lam - lam * lam - delta * delta)  # -inf where it overflows
     if core <= 0:
         raise ConfigurationError(
@@ -238,7 +242,8 @@ class GrowthConditionParams:
 
     def __post_init__(self):
         for name in ("f_inf", "R0", "nu", "mu"):
-            _check(name, getattr(self, name), "(0, inf)")
+            object.__setattr__(self, name,
+                               _check(name, getattr(self, name), "(0, inf)"))
 
 
 def _power(base: float, exponent: float) -> float:  # base >= 0
@@ -257,7 +262,7 @@ def _finite(name: str, value) -> np.ndarray:  # an array input of theory
 
 def growth_margin(gcp: GrowthConditionParams, c4k: float) -> float:
     """Value margin q = min(f_inf, (mu * c4k / sqrt(2))^(1/nu)) / 2."""
-    _check("c4k", c4k, "(0, inf)")
+    c4k = _check("c4k", c4k, "(0, inf)")
     return 0.5 * min(gcp.f_inf,
                      _power(gcp.mu * c4k / math.sqrt(2.0), 1.0 / gcp.nu))
 
@@ -282,9 +287,10 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     pts = np.atleast_2d(_finite("positions", positions))
     xs = np.broadcast_to(_finite("xstar", xstar), (pts.shape[1],))
     _check("r", r, f"(0, {gcp.R0}]")
-    _check("q", q, "(0, inf)")
-    _check("fstar", fstar, "(-inf, inf)")
-    _check("f_r", f_r, f"[{fstar}, inf)")  # the r-ball holds the minimizer
+    q = _check("q", q, "(0, inf)")
+    fstar = _check("fstar", fstar, "(-inf, inf)")
+    f_r = _check("f_r", f_r, f"[{fstar}, inf)")  # the r-ball holds x*
+    beta = _check("beta", beta, "[0, inf)")
     if q + f_r - fstar > gcp.f_inf:
         raise ConfigurationError(
             f"hypothesis q + f_r - f* <= f_inf violated: "
@@ -298,7 +304,7 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     if fvals.shape != (pts.shape[0],):
         raise ConfigurationError(
             f"need one value per particle: {fvals.shape} for {pts.shape}")
-    xbar = consensus_point(SwarmState(pts, values=fvals), beta)  # checks beta
+    xbar = consensus_point(SwarmState(pts, values=fvals), beta)
     bound = _power(q + f_r - fstar, gcp.nu) / gcp.mu \
         + math.exp(-beta * q) / inside * float(dists.sum())
     deviation = float(np.linalg.norm(xbar - xs))
@@ -313,7 +319,7 @@ def laplace_value(beta: float, f_samples) -> float:
     to 1e20.  Always lies between min f_i and mean f_i, and tends to min f_i
     as beta grows.
     """
-    _check("beta", beta, "(0, inf)")
+    beta = _check("beta", beta, "(0, inf)")
     f = np.asarray(f_samples, dtype=float)
     if f.size == 0 or not np.isfinite(f).all():
         raise ConfigurationError("need one or more samples, all finite")
@@ -325,8 +331,9 @@ def laplace_value(beta: float, f_samples) -> float:
 def error_budget(beta: float, epsilon: float, f_samples,
                  fstar: float) -> float:
     """Optimality-gap budget E(beta) = laplace_value - fstar - log(eps)/beta."""
-    _check("epsilon", epsilon, "(0, 1]")
-    _check("fstar", fstar, "(-inf, inf)")
+    epsilon = _check("epsilon", epsilon, "(0, 1]")
+    fstar = _check("fstar", fstar, "(-inf, inf)")
+    beta = _check("beta", beta, "(0, inf)")
     return laplace_value(beta, f_samples) - fstar - math.log(epsilon) / beta
 
 
@@ -358,9 +365,10 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     bounds derived from L_f.  Comparison happens on the log scale so large
     beta does not overflow.
     """
-    _check("epsilon", epsilon, "(0, 1)")
+    epsilon = _check("epsilon", epsilon, "(0, 1)")
     _check("var_init", var_init, "[0, inf)")
-    _check("fstar", fstar, "(-inf, inf)")
+    fstar = _check("fstar", fstar, "(-inf, inf)")
+    beta = _check("beta", beta, "(0, inf)")
     lb = gradient_bounds(L_f, d, sigma)
     lap = laplace_value(beta, f_samples)
     if not (_consensus_value(lam, delta) < 0.5 and schedule.summable):

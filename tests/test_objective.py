@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escbo.benchmarks import lookup, rastrigin
+from escbo.benchmarks import available, lookup, rastrigin
 from escbo.neural import MLPArchitecture, dnn_objective, generate_synthetic
 from escbo.objective import (ConfigurationError, EstimationError, Objective,
                              estimate_lipschitz, forward_difference_gradient,
@@ -52,8 +52,8 @@ def test_eval_many_rejects_values_that_are_not_one_per_point(fn):
         obj.eval(np.ones(3))
 
 
-def dnn_5_2_1():
-    arch = MLPArchitecture((5, 2, 1))
+def network(widths):
+    arch = MLPArchitecture(widths)
     return dnn_objective(arch, generate_synthetic(arch, 0))
 
 
@@ -67,7 +67,8 @@ BAD_CENTERS = {
 
 
 @pytest.mark.parametrize("make", [lambda: lookup("rastrigin", 3).objective,
-                                  dnn_5_2_1], ids=["benchmark", "dnn"])
+                                  lambda: network((5, 2, 1))],
+                         ids=["benchmark", "dnn"])
 @pytest.mark.parametrize("bad", BAD_CENTERS.values(), ids=BAD_CENTERS)
 def test_eval_many_rejects_centers_that_do_not_match(make, bad):
     obj = make()
@@ -105,6 +106,69 @@ def test_probe_kernel_serves_only_calls_with_centers():
     np.testing.assert_array_equal(grads[[0, 2]],
                                   np.repeat((-1.0 - base)[:, None] / 0.2, 2, 1))
     assert obj.eval_count == 2 * 3
+
+
+@pytest.mark.parametrize("batch", [None, [2, 0], np.array([3])],
+                         ids=["all", "pair", "one"])
+def test_gradients_read_their_base_from_values(batch):
+    positions = np.random.default_rng(4).normal(size=(4, 3))
+    rows = []
+
+    def fn(x):
+        rows.append(len(x))
+        return np.sum(x * x, axis=-1)
+
+    obj = Objective(3, fn)
+    values = obj.eval_many(positions)
+    rows.clear()
+    reference = minibatch_gradients(sphere_objective(3), positions, batch,
+                                    0.1)
+    grads = minibatch_gradients(obj, positions, batch, 0.1, values)
+    assert grads.tobytes() == reference.tobytes()
+    b = 4 if batch is None else len(batch)
+    assert rows == [b * 3]  # only the probes reach fn
+    assert obj.eval_count == 4 + b * (3 + 1)  # the base is still counted
+
+
+@pytest.mark.parametrize("values", [np.zeros(3), np.zeros(5),
+                                    np.zeros((4, 1)), 0.0],
+                         ids=["short", "long", "column", "scalar"])
+def test_values_of_the_wrong_shape_are_rejected(values):
+    obj = sphere_objective(2)
+    with pytest.raises(ConfigurationError, match="values"):
+        obj.eval_many(np.zeros((4, 2)), values=values)
+    with pytest.raises(ConfigurationError, match="values"):
+        minibatch_gradients(obj, np.zeros((4, 2)), [1, 2], 0.1, values)
+    assert obj.eval_count == 0
+
+
+def _registered(name):
+    try:
+        return lookup(name).objective  # a fixed-dimension benchmark
+    except ConfigurationError:  # it needs a dimension
+        return lookup(name, 10).objective
+
+
+SUBSET_TARGETS = {**{name: lambda name=name: _registered(name)
+                     for name in available()},
+                  "mlp-2-3-1": lambda: network((2, 3, 1)),
+                  "mlp-5-10-1": lambda: network((5, 10, 1))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 5.0, 1e3]), data=st.data())
+@pytest.mark.parametrize("name", SUBSET_TARGETS)
+def test_eval_many_of_a_subset_equals_those_rows_of_the_batch(name, n, seed,
+                                                              scale, data):
+    # The premise of reading a mini-batch's base values from the swarm's
+    # cache: f of some rows is, bit for bit, those rows of f of all rows.
+    obj = SUBSET_TARGETS[name]()
+    points = scale * np.random.default_rng(seed).normal(size=(n, obj.dim))
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                unique=True), label="subset")
+    assert obj.eval_many(points[subset]).tobytes() == \
+        obj.eval_many(points)[subset].tobytes()
 
 
 @pytest.mark.parametrize("call", [

@@ -74,7 +74,10 @@ def test_only_the_one_helper_words_a_range_error():
     (-2 ** 63, "(-inf, inf)", True),
 ], ids=repr)
 def test_check_accepts_a_number_in_its_interval(value, interval, count):
-    assert _check("x", value, interval, count=count) is value
+    # Returned as the Python number it equals, so that numpy scalars compute
+    # on exactly like Python floats and ints.
+    checked = _check("x", value, interval, count=count)
+    assert checked == value and type(checked) is (int if count else float)
 
 
 @pytest.mark.parametrize("value, interval, count", [
@@ -239,8 +242,9 @@ PARAMETERS = [
      lambda v: check_consensus_condition(v, 0.1, GEO), 0.5, [-0.1], False),
     ("check_consensus_condition-delta",
      lambda v: check_consensus_condition(0.5, v, GEO), 0.0, [-0.1], False),
+    # k_max lies in [0, 2**59]: numpy sizes no float64 array of 2**60.
     ("consensus_bound_series-k_max", lambda v: _bound_series(k_max=v), 0,
-     [-1], True),
+     [-1, 2 ** 59 + 1, 2 ** 62, 2 ** 63 - 1], True),
     ("consensus_bound_series-lam", lambda v: _bound_series(lam=v), 0.0,
      [-0.1], False),
     ("consensus_bound_series-delta", lambda v: _bound_series(delta=v), 0.0,
@@ -250,7 +254,8 @@ PARAMETERS = [
     ("consensus_bound_series-var_init", lambda v: _bound_series(var_init=v),
      0.0, [-1.0], False),
     ("consensus_bound-k",
-     lambda v: consensus_bound(v, 0.5, 0.1, GEO, 1.0, 1.0), 0, [-1], True),
+     lambda v: consensus_bound(v, 0.5, 0.1, GEO, 1.0, 1.0), 0,
+     [-1, 2 ** 62, 2 ** 63 - 1], True),
     ("perturbation_series-lam", lambda v: _series(lam=v), 0.5, [-0.1],
      False),
     ("perturbation_series-delta", lambda v: _series(delta=v), 0.0, [-0.1],

@@ -482,6 +482,37 @@ def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
         assert obj.eval_count == ref_obj.eval_count
 
 
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(["escbo", "vanilla", "fescbo"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       d=st.integers(1, 4), data=st.data())
+def test_steps_evaluate_fewer_rows_than_they_charge(method, seed, n, d, data):
+    # The gradient base f(x_i) is charged, but read from state.values.
+    b = data.draw(st.integers(1, n), label="batch_size")
+    rows = []
+
+    def fn(x):
+        rows.append(len(x))
+        return rastrigin(x)
+
+    obj = Objective(d, fn)
+    rng = RngStream(seed)
+    state = refresh_values(init_swarm(UniformBox(-5, 5), n, d, rng), obj)
+    prm = params(sigma=1e-4, schedule=StepSchedule.geometric(0.5, 0.9),
+                 batch_size=b)
+    step = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
+            "fescbo": fescbo_step}[method]
+    physical = {"escbo": n * (d + 1), "vanilla": n, "fescbo": b * d + n}
+    charged = {"escbo": n * (d + 2), "vanilla": n,
+               "fescbo": b * (d + 1) + n}
+    for _ in range(3):
+        rows.clear()
+        count = obj.eval_count
+        state = step(state, obj, prm, rng)
+        assert sum(rows) == physical[method]
+        assert obj.eval_count - count == charged[method]
+
+
 def test_step_divergence_reports_iteration_and_particle():
     obj = sphere(2)
     state = make_state(np.ones((3, 2)), obj)
@@ -750,6 +781,7 @@ def trap(x):
 
 BASE = np.array([[0.0, -1.0], [-2.0, 0.0], [-1.0, -3.0], [-0.5, -2.0]])
 HUGE = 1.5e308  # finite, but the sum of two overflows
+HUGE_X = np.column_stack([np.full(4, HUGE), BASE[:, 1]])  # trap gives HUGE
 
 
 def with_entry(index, value, arr=BASE):
@@ -789,7 +821,7 @@ GRADIENT_CASES = [
     (with_entry((3, 1), -np.inf), None, None),
     (with_entry((0, 1), 0.75), None, est(0, 1)),
     (with_entry((0, 1), 0.75), [2, 0], est(0, 1)),
-    (np.column_stack([np.full(4, HUGE), BASE[:, 1]]), None, None),
+    (HUGE_X, None, None),
 ]
 
 
@@ -805,26 +837,27 @@ ON_TRAP = np.array([[0.5, 0.0], [1.5, 0.0], [0.5, 0.0], [1.5, 0.0]])
 VALUES = np.array([0.0, 0.0, -1.0, -0.5])
 CONFIG_ERROR = ("ConfigurationError", None, None, None)
 DIVERGED_4_0 = ("DivergenceError", 0, None, 4)
-ANY = "not checked"
 
 # (positions, values, lam, delta, beta, alpha, outcome by escbo, vanilla,
-# fescbo with a full batch).
+# fescbo with a full batch).  The gradient steppers read their base values
+# from the state, so ``values`` is trap(positions), apart from the three
+# rows that test the check of the cached values.
 STEP_CASES = [
-    (with_entry((2, 0), np.nan), VALUES, 0.5, 0.1, 1e20, 0.25,
-     (est(2), ("DivergenceError", 2, None, 3), est(2))),
-    # vanilla is not checked here: its consensus point multiplies the inf
-    # row by a zero weight, which warns (run_once's errstate silences it).
-    (with_entry((1, 0), np.inf), VALUES, 0.5, 0.1, 1e20, 0.25,
-     (est(1), ANY, est(1))),
+    # A nan or inf position has a nan or inf value: the consensus point
+    # rejects the state before any arithmetic on it.
+    (with_entry((2, 0), np.nan), trap(with_entry((2, 0), np.nan)), 0.5, 0.1,
+     1e20, 0.25, (CONFIG_ERROR,) * 3),
+    (with_entry((1, 0), np.inf), trap(with_entry((1, 0), np.inf)), 0.5, 0.1,
+     1e20, 0.25, (CONFIG_ERROR,) * 3),
     (BASE, with_entry(3, np.nan, VALUES), 0.5, 0.1, 1e20, 0.25,
      (CONFIG_ERROR,) * 3),
     (BASE, with_entry(3, np.inf, VALUES), 0.5, 0.1, 1e20, 0.25,
      (CONFIG_ERROR,) * 3),
     (BASE, with_entry(0, -np.inf, VALUES), 0.5, 0.1, 1e20, 0.25,
      (CONFIG_ERROR,) * 3),
-    (BASE, np.full(4, HUGE), 0.5, 0.1, 1e20, 0.25, (None,) * 3),
+    (HUGE_X, trap(HUGE_X), 0.5, 0.1, 1e20, 0.25, (None,) * 3),
     # Full contraction onto the swarm mean, which is on the trap.
-    (ON_TRAP, np.zeros(4), 1.0, 0.0, 1e-300, 0.0, (DIVERGED_4_0,) * 3),
+    (ON_TRAP, trap(ON_TRAP), 1.0, 0.0, 1e-300, 0.0, (DIVERGED_4_0,) * 3),
 ]
 
 
@@ -841,11 +874,9 @@ def test_steps_non_finite_errors_without_warnings(positions, values, lam,
              lambda: vanilla_cbo_step(state, obj, prm, RngStream(0)),
              lambda: fescbo_step(state, obj, prm, RngStream(0)))
     for step, want in zip(steps, expected):
-        if want != ANY:
-            assert outcome(step) == want
-    if expected[1] != ANY:
-        consensus = CONFIG_ERROR if CONFIG_ERROR in expected else None
-        assert outcome(lambda: consensus_point(state, beta)) == consensus
+        assert outcome(step) == want
+    consensus = CONFIG_ERROR if CONFIG_ERROR in expected else None
+    assert outcome(lambda: consensus_point(state, beta)) == consensus
 
 
 @pytest.mark.parametrize("after,values_after", [

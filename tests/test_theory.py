@@ -543,15 +543,11 @@ BIG = st.floats(0.0, 1e200)
 POSITIVE = st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
 
 
-@settings(max_examples=150, deadline=None)
-@given(lam=BIG, delta=BIG, L_g=BIG, M_g=BIG, var_init=BIG, c=BIG,
-       r=st.floats(0.01, 0.99), W0=POSITIVE, eps=POSITIVE,
-       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-       samples=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=4))
-def test_theory_returns_a_value_or_a_configuration_error(
-        lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma, samples):
+def theory_calls(lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma,
+                 samples):
+    """A call of every public function of theory, on the given numbers."""
     schedule = StepSchedule.geometric(c, r)
-    calls = [
+    return [
         lambda: check_consensus_condition(lam, delta, schedule),
         lambda: consensus_bound_series(30, lam, delta, schedule, L_g,
                                        var_init),
@@ -574,14 +570,36 @@ def test_theory_returns_a_value_or_a_configuration_error(
         lambda: check_error_bound_condition(
             L_g, lam, delta, schedule, M_g, var_init, r, samples, 0.0, 2, r),
     ]
+
+
+def theory_result(call):
+    """repr of a call's value, or the name of its ConfigurationError."""
+    try:
+        return repr(call())
+    except ConfigurationError:
+        return "ConfigurationError"
+
+
+@settings(max_examples=150, deadline=None)
+@example(lam=1e200, delta=0.1, L_g=0.0, M_g=0.0, var_init=0.0, c=1.0, r=0.5,
+         W0=1.0, eps=1.0, gamma=0.5, samples=[0.0])
+@example(lam=1e300, delta=0.75, L_g=1e300, M_g=2.0, var_init=1.0, c=0.5,
+         r=0.5, W0=1.0, eps=1.0, gamma=0.5, samples=[0.0, 1e300])
+@given(lam=BIG, delta=BIG, L_g=BIG, M_g=BIG, var_init=BIG, c=BIG,
+       r=st.floats(0.01, 0.99), W0=POSITIVE, eps=POSITIVE,
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       samples=st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=4))
+def test_theory_returns_a_value_or_a_configuration_error(
+        lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma, samples):
+    numbers = (lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma)
+    calls = theory_calls(*numbers, samples)
+    # numpy scalars give the very same values and errors, also no warning.
+    numpy_calls = theory_calls(*map(np.float64, numbers), samples)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterConditionWarning)
         warnings.simplefilter("error", RuntimeWarning)
-        for call in calls:
-            try:
-                call()
-            except ConfigurationError:
-                pass
+        for call, numpy_call in zip(calls, numpy_calls):
+            assert theory_result(numpy_call) == theory_result(call)
 
 
 @pytest.mark.parametrize("call, error", [
