@@ -237,17 +237,8 @@ def _w_value(positions: np.ndarray, x_star: Optional[np.ndarray]) -> float:
     return best
 
 
-def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
-    """One seeded trajectory of the configured stepper.
-
-    Runs until the stopping rule fires, max_iters is reached, a particle
-    diverges, or a gradient estimate meets a non-finite objective value.  The
-    last two are recorded as ``divergence`` or ``estimation`` with the last
-    finite state, not raised; a non-finite initial swarm is a divergence at
-    iteration 0, with a nan consensus point.  Floating-point warnings are
-    silenced for the whole run: the finiteness checks detect what they signal.
-    """
-    target = _build_target(config)
+def _trajectory(config: ExperimentConfig, target: _Target, seed: int):
+    """Step a seeded swarm to its end: state, series, terminated_by, f(x_0)."""
     obj = target.objective
     # Looked up per run, so that a stepper swapped into this namespace runs.
     step = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
@@ -260,52 +251,70 @@ def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
                        _w_value(st.positions, target.x_star),
                        float(st.values.min())))
 
-    with np.errstate(all="ignore"):
-        state = refresh_values(
-            init_swarm(target.init, config.particles, obj.dim, rng), obj)
-        init_mean_f = float(state.values.mean())
+    state = refresh_values(
+        init_swarm(target.init, config.particles, obj.dim, rng), obj)
+    init_values = state.values
+    record(state)
+    terminated_by = "max_iters"
+    try:
+        _check_finite(state.positions, state.values, 0)
+        while state.k < config.max_iters:
+            prev = state
+            state = step(state, obj, config, rng)
+            if (state.k <= CHECKPOINT_DENSE_UNTIL
+                    or state.k % CHECKPOINT_STRIDE == 0):
+                record(state)
+            if check_stop(prev, state, config.stop_tol):
+                terminated_by = "stop_rule"
+                break
+    except (DivergenceError, EstimationError) as exc:
+        # The failed step assigned nothing: state is the last finite one.
+        terminated_by = ("divergence" if isinstance(exc, DivergenceError)
+                         else "estimation")
+    if series[-1][0] != state.k:
         record(state)
-        terminated_by = "max_iters"
-        try:
-            _check_finite(state.positions, state.values, 0)
-            while state.k < config.max_iters:
-                prev = state
-                state = step(state, obj, config, rng)
-                if (state.k <= CHECKPOINT_DENSE_UNTIL
-                        or state.k % CHECKPOINT_STRIDE == 0):
-                    record(state)
-                if check_stop(prev, state, config.stop_tol):
-                    terminated_by = "stop_rule"
-                    break
-        except (DivergenceError, EstimationError) as exc:
-            # The failed step assigned nothing: state is the last finite one.
-            terminated_by = ("divergence" if isinstance(exc, DivergenceError)
-                             else "estimation")
-        if series[-1][0] != state.k:
-            record(state)
-        ks, diam, wks, best = (np.array(col) for col in zip(*series))
-        consensus = (consensus_point(state, config.beta)
-                     if np.isfinite(state.values).all()
-                     else np.full(obj.dim, np.nan))
-        rec = RunRecord(
-            seed=seed, iterations=state.k, terminated_by=terminated_by,
-            final_positions=state.positions, final_values=state.values,
-            ks=ks, diameter=diam, w_k=None if target.x_star is None else wks,
-            best_f=best, consensus=consensus,
-            evals=obj.eval_count)
-        if target.x_star is not None:
-            dist = min(np.linalg.norm(state.positions - xs, axis=1).max()
-                       for xs in target.x_star)
-            rec.success = bool(terminated_by in ("stop_rule", "max_iters")
-                               and dist < config.success_tol)
-            rec.fun_err = float(np.mean(np.abs(state.values - target.f_star)))
+    return state, series, terminated_by, init_values
+
+
+def _score(config, target, seed, state, series, terminated_by, init_values):
+    """A trajectory's RunRecord and scores; it neither steps nor evaluates."""
+    ks, diam, wks, best = (np.array(col) for col in zip(*series))
+    consensus = (consensus_point(state, config.beta)
+                 if np.isfinite(state.values).all()
+                 else np.full(target.objective.dim, np.nan))
+    rec = RunRecord(
+        seed=seed, iterations=state.k, terminated_by=terminated_by,
+        final_positions=state.positions, final_values=state.values,
+        ks=ks, diameter=diam, w_k=None if target.x_star is None else wks,
+        best_f=best, consensus=consensus, evals=target.objective.eval_count)
+    if target.x_star is not None:
+        dist = min(np.linalg.norm(state.positions - xs, axis=1).max()
+                   for xs in target.x_star)
+        rec.success = bool(terminated_by in ("stop_rule", "max_iters")
+                           and dist < config.success_tol)
+        rec.fun_err = float(np.mean(np.abs(state.values - target.f_star)))
     if target.data is not None:
         best_idx = int(np.argmin(state.values))
         best_params = state.positions[best_idx]
         rec.train_err = float(state.values[best_idx])
         rec.test_err = neural.test_error(target.arch, best_params, target.data)
-        rec.init_train_err = init_mean_f
+        rec.init_train_err = float(init_values.mean())
     return rec
+
+
+def run_once(config: ExperimentConfig, seed: int) -> RunRecord:
+    """One seeded trajectory of the configured stepper, scored.
+
+    Runs until the stopping rule fires, max_iters is reached, a particle
+    diverges, or a gradient estimate meets a non-finite objective value.  The
+    last two are recorded as ``divergence`` or ``estimation`` with the last
+    finite state, not raised; a non-finite initial swarm is a divergence at
+    iteration 0, with a nan consensus point.  Floating-point warnings are
+    silenced for the whole run: the finiteness checks detect what they signal.
+    """
+    target = _build_target(config)
+    with np.errstate(all="ignore"):
+        return _score(config, target, seed, *_trajectory(config, target, seed))
 
 
 def _mean(values) -> float:
@@ -351,10 +360,10 @@ class AggregateReport:
 def run_many(config: ExperimentConfig) -> AggregateReport:
     """Independent seeded runs aggregated into success and error statistics.
 
-    Runs are a pure function of (config, seed), so they could go to
-    separate processes; not to threads, since the Gram diameter's work space
-    (``swarm._gram_pair``) is shared by every run.  Aggregation is ordered by
-    run index either way.
+    Each run, a ``_trajectory`` scored by ``_score``, is a pure function of
+    (config, seed), so runs could go to separate processes; not to threads,
+    since the Gram diameter's work space (``swarm._gram_pair``) is shared
+    by every run.  Aggregation is ordered by run index either way.
     """
     records = [run_once(config, config.seed + i) for i in range(config.runs)]
     return AggregateReport.from_records(config, records)

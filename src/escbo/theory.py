@@ -158,9 +158,9 @@ class ComplexityConstants:
     """Contraction rate and perturbation budget for the mean squared error.
 
     ``gamma`` is the per-iteration contraction factor of the expected mean
-    squared distance to the minimizer and ``kappa`` scales the largest
-    tolerable perturbation; both are valid only when 2*lam - 2*lam^2 -
-    2*delta^2 > 0.
+    squared distance to the minimizer and ``kappa`` the linear coefficient of
+    the largest tolerable perturbation; both are valid only when 2*lam -
+    2*lam^2 - 2*delta^2 > 0.
     """
 
     xi: float
@@ -172,9 +172,9 @@ def contraction_constants(lam: float, delta: float,
                           xi: float = 0.5) -> ComplexityConstants:
     """Contraction factor gamma and perturbation coefficient kappa.
 
-    gamma = 1 - (1 - xi) * (2 lam - 2 lam^2 - 2 delta^2); kappa is the
-    smaller of a linear and a square-root perturbation budget.  xi in (0, 1)
-    splits the contraction between the two; 0.5 is a reasonable default.
+    gamma = 1 - (1 - xi) core and kappa = xi core / (4 (2a + sqrt(a) + 1)),
+    with core = 2 lam - 2 lam^2 - 2 delta^2 and a = lam^2 + delta^2; xi in
+    (0, 1) splits the contraction between the two, 0.5 by default.
     """
     lam, delta = _lam_delta(lam, delta)
     xi = _check("xi", xi, "(0, 1)")
@@ -187,9 +187,8 @@ def contraction_constants(lam: float, delta: float,
     if not 0 < gamma < 1:
         raise ConfigurationError(f"gamma = {gamma:.6g} outside (0, 1)")
     a = lam * lam + delta * delta
-    kappa = min(
-        xi * core / (4.0 * (2.0 * a + math.sqrt(a) + 1.0)),
-        math.sqrt(xi * core / (2.0 * (2.0 * a + 2.0))))
+    # The square-root budget sqrt(xi core / (4a + 4)) is larger: xi core < 1/2.
+    kappa = xi * core / (4.0 * (2.0 * a + math.sqrt(a) + 1.0))
     return ComplexityConstants(xi=float(xi), gamma=float(gamma),
                                kappa=float(kappa))
 
@@ -391,16 +390,20 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
 
 def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
     """Grid points of spacing ``resolution`` in the closed radius-ball about
-    the origin, as (n, d) offsets (dimension 1 or 2 only)."""
+    the origin, as (n, d) offsets: dimension 1 or 2, about 1e7 at most."""
     _check("resolution", resolution, f"(0, {radius}]")
+    if d not in (1, 2):
+        raise ConfigurationError("grid search supports dimension 1 or 2 only")
+    if (n := _power(radius / resolution * 2.0 + 1.0, d)) > 1e7:
+        raise ConfigurationError(f"grid of {n:.3g} points; at most 1e7")
     g = np.arange(-radius, radius + resolution / 2, resolution)
     if d == 1:
         return g[:, None]
-    if d == 2:
-        xx, yy = np.meshgrid(g, g)
-        off = np.column_stack([xx.ravel(), yy.ravel()])
-        return off[np.einsum("ij,ij->i", off, off) <= radius ** 2]
-    raise ConfigurationError("grid search supports dimension 1 or 2 only")
+    xx, yy = np.meshgrid(g, g)
+    off = np.column_stack([xx.ravel(), yy.ravel()])
+    m, e = math.frexp(radius)  # radius = m 2^e: scaling by 2^-e is exact
+    unit = np.ldexp(off, -e)  # and keeps the squares finite
+    return off[np.einsum("ij,ij->i", unit, unit) <= m * m]
 
 
 def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
@@ -430,7 +433,7 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     _check("q", q, "(0, inf)")
     _check("R0", R0, "(0, inf)")
     off = _ball_offsets(c.shape[0], R0, resolution)
-    radii = np.linalg.norm(off, axis=1)
+    radii = np.hypot.reduce(np.abs(off), axis=1)  # a norm that cannot overflow
     vals = np.asarray(fn(off + c), dtype=float)
     order = np.argsort(radii)
     running = np.maximum.accumulate(vals[order])

@@ -205,6 +205,66 @@ def test_metrics_match_independent_recomputation():
     assert report.fun_err == pytest.approx(np.mean(funs), rel=1e-12)
 
 
+# ------------------------------------------------- scoring, without stepping
+
+def _trajectory_ending_at(positions, init_values, k=5):
+    """What ``_trajectory`` returns for a swarm that ran k steps to
+    ``positions``: final state, series, terminated_by and initial values."""
+    positions = np.asarray(positions, dtype=float)
+    values = np.sum(positions * positions, axis=1)
+    series = [(0, 2.0, 1.0, 1.0), (k, 1.0, 0.5, float(values.min()))]
+    return (SwarmState(positions, k, values), series, "max_iters",
+            np.asarray(init_values, dtype=float))
+
+
+@pytest.mark.parametrize("offset, success", [(1.5e-3, False),
+                                             (0.5e-3, True)])
+def test_score_succeeds_only_inside_success_tol(offset, success):
+    # The farthest particle lies between success_tol and twice it, or inside.
+    cfg = quick_config(success_tol=1e-3)
+    target = harness._build_target(cfg)
+    final = target.x_star[0] + np.array([[0.0, offset], [0.0, 0.0]])
+    rec = harness._score(cfg, target, 7,
+                         *_trajectory_ending_at(final, [3.0, 4.0]))
+    assert rec.success is success
+    assert (rec.seed, rec.iterations, rec.terminated_by) == (7, 5, "max_iters")
+    assert rec.ks.tolist() == [0, 5] and rec.w_k.tolist() == [1.0, 0.5]
+    assert rec.init_train_err is None
+
+
+def test_score_takes_the_initial_training_error_as_the_mean():
+    cfg = ExperimentConfig(method="fescbo", benchmark="dnn", arch=(2, 3, 1),
+                           particles=3, batch_size=2, max_iters=5, runs=1)
+    target = harness._build_target(cfg)
+    final = np.random.default_rng(0).uniform(
+        -1.0, 1.0, (3, target.objective.dim))
+    rec = harness._score(cfg, target, 0,
+                         *_trajectory_ending_at(final, [1.0, 2.0, 6.0]))
+    assert rec.init_train_err == 3.0
+    assert rec.train_err == float(np.min(rec.final_values))
+    assert rec.success is None and rec.w_k is None
+
+
+@pytest.mark.parametrize("network", [False, True])
+def test_score_neither_steps_nor_evaluates(monkeypatch, network):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_score stepped")
+
+    for name in ("escbo_step", "vanilla_cbo_step", "fescbo_step",
+                 "check_stop", "swarm_diameter", "init_swarm",
+                 "refresh_values"):
+        monkeypatch.setattr(harness, name, forbidden)
+    net = dict(benchmark="dnn", arch=(2, 3, 1)) if network else {}
+    cfg = quick_config(**{**net, "dim": 0 if net else 2})
+    target = harness._build_target(cfg)
+    evals = target.objective.eval_count
+    final = np.full((4, target.objective.dim), 0.25)
+    rec = harness._score(cfg, target, 0,
+                         *_trajectory_ending_at(final, np.ones(4)))
+    assert target.objective.eval_count == evals == rec.evals
+    assert rec.consensus == pytest.approx(final[0], rel=1e-15)
+
+
 def test_degenerate_contraction_fixture_full_success():
     # One-step consensus from a near-point-mass init lands every particle on
     # the initial weighted average, well inside the success ball.
@@ -629,6 +689,14 @@ def test_diagnose_trivial_contraction():
         rep = diagnose(rec, cfg, L_f=60.0)
     assert rep.condition.satisfied
     assert np.all(rec.diameter <= rep.diameter_bound)
+
+
+def test_diagnose_bound_starts_at_the_initial_diameter():
+    # B_0 = 2 var_init, and var_init defaults to half the initial diameter.
+    cfg = quick_config(lam=0.25, delta=0.0, max_iters=10)
+    rec = run_once(cfg, seed=0)
+    rep = diagnose(rec, cfg, L_f=60.0)
+    assert rep.diameter_bound[0] == rec.diameter[0] > 0
 
 
 def test_diagnose_attaches_condition_warning():

@@ -428,6 +428,16 @@ def test_estimate_lipschitz_constant_and_abs():
     assert 0.9 < est <= 1.0 + 1e-9
 
 
+def test_estimate_lipschitz_is_the_largest_quotient():
+    # A pair on one side of 0 has quotient exactly 1 and any other pair less.
+    # Half the pairs of |x| lie on one side, so a median reads 1 there too;
+    # a quarter of those of max(x, 0) lie on its slope.
+    vee = Objective(1, lambda x: np.abs(x[:, 0]))
+    assert estimate_lipschitz(vee, -1, 1) == 1.0
+    hinge = Objective(1, lambda x: np.maximum(x[:, 0], 0.0))
+    assert estimate_lipschitz(hinge, -1, 1) == 1.0
+
+
 def test_estimate_lipschitz_validation():
     obj = sphere_objective()
     with pytest.raises(ConfigurationError):

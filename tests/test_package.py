@@ -328,6 +328,13 @@ PARAMETERS = [
     ("growth_radius-resolution",
      lambda v: growth_radius(_bowl, [0.0], 0.0, 0.5, 1.0, v), 1.0,
      [0.0, 1.5], False),
+    # In dimension 2 the squared offsets of a 1e160 grid pass the float range.
+    ("max_on_ball-radius-2d",
+     lambda v: max_on_ball(lambda p: p[:, 0], [0.0, 0.0], v, v), 1e160,
+     [0.0], False),
+    ("growth_radius-R0-2d",
+     lambda v: growth_radius(lambda p: p[:, 0], [0.0, 0.0], 0.0, 0.5, v, v),
+     1e160, [0.0], False),
 ]
 
 

@@ -498,6 +498,20 @@ def test_max_on_ball_1d_and_2d():
         max_on_ball(lambda p: np.sum(p, axis=-1), [0.0, 0.0, 0.0], 1.0)
 
 
+def test_a_grid_past_1e7_points_is_rejected_before_it_is_made(monkeypatch):
+    # 2e5 points a side in dimension 2, 4e10 in all: without the check the
+    # grid would meet this arange, not the machine's memory.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "arange", forbidden)
+    for call in (lambda: max_on_ball(np.sum, [0.0, 0.0], 1.0, 1e-5),
+                 lambda: growth_radius(np.sum, [0.0, 0.0], 0.0, 0.5, 1.0,
+                                       1e-5)):
+        with pytest.raises(ConfigurationError, match="grid of 4e"):
+            call()
+
+
 def test_growth_radius_self_consistent():
     def kernel(p):
         return rastrigin1d(p)
