@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import ConfigurationError, Objective, _check
+from .objective import ConfigurationError, Objective, _check, _row_sums
 
 __all__ = [
     "BenchmarkSpec",
@@ -32,16 +32,19 @@ _TWO_PI = 2.0 * np.pi
 def rastrigin(x):
     """Dimension-averaged Rastrigin; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
+    c = _TWO_PI * x  # 10.0 * np.cos(_TWO_PI * x), in one temporary
+    np.cos(c, out=c)
+    c *= 10.0
     v = x * x
-    v -= 10.0 * np.cos(_TWO_PI * x)
+    v -= c
     v += 10.0
-    return np.add.reduce(v, axis=-1) / x.shape[-1]  # np.mean, unwrapped
+    return _row_sums(v) / x.shape[-1]  # np.mean, unwrapped
 
 
 def salomon(x):
     """Radial cosine ridge plus a conic term; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x * x, axis=-1))
+    r = np.sqrt(_row_sums(x * x))
     return 1.0 - np.cos(_TWO_PI * r) + 0.1 * r
 
 
@@ -49,7 +52,7 @@ def griewank(x):
     """Quadratic bowl modulated by a cosine product; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
     idx = np.sqrt(np.arange(1, x.shape[-1] + 1, dtype=float))
-    return 1.0 + np.sum(x * x, axis=-1) / 4000.0 \
+    return 1.0 + _row_sums(x * x) / 4000.0 \
         - np.prod(np.cos(x / idx), axis=-1)
 
 
@@ -57,8 +60,8 @@ def ackley(x):
     """Exponential well with cosine ripples; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    msq = np.sum(x * x, axis=-1) / d
-    mc = np.sum(np.cos(_TWO_PI * x), axis=-1) / d
+    msq = _row_sums(x * x) / d
+    mc = _row_sums(np.cos(_TWO_PI * x)) / d
     return -20.0 * np.exp(-0.2 * np.sqrt(msq)) - np.exp(mc) + 20.0 + np.e
 
 
@@ -70,8 +73,8 @@ def xinsheyang4(x):
     """
     x = np.asarray(x, dtype=float)
     s2 = np.sin(x) ** 2
-    inner = np.sum(s2, axis=-1) - np.exp(-np.sum(x * x, axis=-1))
-    return inner * np.exp(-np.sum(np.sin(np.sqrt(np.abs(x))) ** 2, axis=-1)) \
+    inner = _row_sums(s2) - np.exp(-_row_sums(x * x))
+    return inner * np.exp(-_row_sums(np.sin(np.sqrt(np.abs(x))) ** 2)) \
         + 1.0
 
 

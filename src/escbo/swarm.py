@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objective import (ConfigurationError, Objective, _all_finite, _check,
-                        _reals, minibatch_gradients)
+                        _reals, _row_sums, minibatch_gradients)
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ExperimentConfig
@@ -340,7 +340,7 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
     _check("tol", tol, "[0, inf)")
     diff = nxt.positions - prev.positions
     diff *= diff
-    dx = np.add.reduce(diff, axis=1)
+    dx = _row_sums(diff)
     np.sqrt(dx, out=dx)  # np.linalg.norm
     if dx[dx.argmax()] > tol:  # dx.max(), unwrapped
         return False

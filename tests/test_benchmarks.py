@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from escbo.benchmarks import (ackley, available, bartels_conn, griewank,
                               lookup, rastrigin, rastrigin1d, salomon,
                               schaffer4, xinsheyang4)
-from escbo.objective import ConfigurationError
+from escbo.objective import ConfigurationError, _row_sums
 
 PARAMETRIC = ["rastrigin", "salomon", "griewank", "ackley", "xinsheyang4"]
 
@@ -41,6 +41,66 @@ def test_rastrigin_equals_reference_mean(data, seed, shape, scale):
             assert value.tobytes() == reference.tobytes()
 
 
+# The textbook expressions, through np.sum and np.mean.
+REFERENCES = {
+    salomon: lambda x: 1.0 - np.cos(2.0 * np.pi * np.sqrt(
+        np.sum(x * x, axis=-1))) + 0.1 * np.sqrt(np.sum(x * x, axis=-1)),
+    griewank: lambda x: 1.0 + np.sum(x * x, axis=-1) / 4000.0 - np.prod(
+        np.cos(x / np.sqrt(np.arange(1.0, x.shape[-1] + 1.0))), axis=-1),
+    ackley: lambda x: -20.0 * np.exp(-0.2 * np.sqrt(np.mean(x * x, axis=-1)))
+    - np.exp(np.mean(np.cos(2.0 * np.pi * x), axis=-1)) + 20.0 + np.e,
+    xinsheyang4: lambda x: (np.sum(np.sin(x) ** 2, axis=-1)
+                            - np.exp(-np.sum(x * x, axis=-1)))
+    * np.exp(-np.sum(np.sin(np.sqrt(np.abs(x))) ** 2, axis=-1)) + 1.0,
+}
+
+
+@settings(max_examples=100)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       shape=array_shapes(min_dims=1, max_dims=2, max_side=12),
+       scale=st.floats(1e-3, 1e200))
+@pytest.mark.parametrize("fn", REFERENCES, ids=lambda fn: fn.__name__)
+def test_benchmark_equals_reference_sums(fn, data, seed, shape, scale):
+    x = scale * np.random.default_rng(seed).normal(size=shape)
+    drawn = data.draw(arrays(np.float64, shape,
+                             elements=st.floats(-1e200, 1e200)))
+    with np.errstate(all="ignore"):  # cos(inf) is nan
+        for points in (x, drawn):
+            reference = np.asarray(REFERENCES[fn](points))
+            value = np.asarray(fn(points))
+            assert value.shape == reference.shape
+            assert value.tobytes() == reference.tobytes()
+
+
+ENTRIES = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e308]) \
+    | st.floats()
+
+
+@settings(max_examples=300)
+@given(data=st.data(), d=st.integers(1, 12),
+       lead=array_shapes(min_dims=0, max_dims=2, max_side=5))
+def test_row_sums_equal_add_reduce(data, d, lead):
+    # 1-D, 2-D and 3-D, with signed zeros, NaN, infinities and overflow.
+    a = data.draw(arrays(np.float64, lead + (d,), elements=ENTRIES))
+    with np.errstate(all="ignore"):
+        value, reference = _row_sums(a), np.add.reduce(a, axis=-1)
+    assert np.shape(value) == np.shape(reference)
+    assert np.asarray(value).tobytes() == np.asarray(reference).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (1, 7), (4, 2), (2, 3, 5)])
+def test_row_sums_keep_the_traps_of_add_reduce(shape):
+    # Column adds alone sum a row of -0.0 to -0.0; add.reduce gives +0.0.
+    zeros = np.full(shape, -0.0)
+    assert _row_sums(zeros).tobytes() == np.zeros(shape[:-1]).tobytes()
+    # Of two NaN payloads add.reduce keeps the first, also in one row.
+    nans = np.ones(shape)
+    nans[..., 0] = np.uint64(0x7FF8_0000_0000_0001).view(np.float64)
+    nans[..., -1] = -np.nan
+    assert (np.asarray(_row_sums(nans)).tobytes()
+            == np.asarray(np.add.reduce(nans, axis=-1)).tobytes())
+
+
 def test_rastrigin1d_values():
     assert float(rastrigin1d(0.0)) == 0.0
     assert float(rastrigin1d(1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -67,12 +127,12 @@ def test_ackley_exact_cancellation():
 
 def test_batched_evaluation_matches_rows():
     gen = np.random.default_rng(0)
-    pts = gen.uniform(-5, 5, size=(20, 2))
-    for fn in (rastrigin, salomon, griewank, ackley, xinsheyang4,
-               bartels_conn, schaffer4):
-        batch = fn(pts)
-        rows = np.array([float(fn(p)) for p in pts])
-        np.testing.assert_allclose(batch, rows, rtol=1e-15)
+    for d in (2, 3, 10):
+        pts = gen.uniform(-5, 5, size=(20, d))
+        for fn in (rastrigin, salomon, griewank, ackley, xinsheyang4) + (
+                (bartels_conn, schaffer4) if d == 2 else ()):
+            rows = np.array([float(fn(p)) for p in pts])
+            assert fn(pts).tobytes() == rows.tobytes()
 
 
 def test_even_symmetry():

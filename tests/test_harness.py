@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -676,6 +677,41 @@ def test_rerun_is_byte_identical(tmp_path):
     b = emit_report(run_many(cfg), "csv", tmp_path / "r2.csv")
     for p, q in zip(a, b):
         assert Path(p).read_bytes() == Path(q).read_bytes()
+
+
+# ------------------------------------------------------------------ memory
+
+BOX = UniformBox(-5.0, 5.0)
+# The bench self-test's three campaigns, each with its traced heap peak in
+# bytes, measured after a warm-up run (repeats agreed to within 3 KB).
+HEAP_CAMPAIGNS = {
+    "escbo": (dict(method="escbo", dim=2, particles=8, init=BOX,
+                   max_iters=30, runs=2), 17.5e3),
+    "vanilla": (dict(method="vanilla", dim=3, particles=70, init=BOX,
+                     max_iters=12, runs=1), 91.5e3),
+    "fescbo": (dict(method="fescbo", benchmark="dnn", dim=0, arch=(2, 3, 1),
+                    particles=6, batch_size=2, max_iters=5, runs=2,
+                    data_seed=7), 98.5e3),
+}
+
+
+@pytest.mark.parametrize("name", HEAP_CAMPAIGNS)
+def test_campaign_heap_is_bounded(name):
+    # The peak may grow 20 KB; the report may hold 20 KB, where it holds
+    # 4-8 KB.  A run that kept one more (N, N) array would make the N = 70
+    # report hold 39 KB more.
+    overrides, peak_measured = HEAP_CAMPAIGNS[name]
+    config = ExperimentConfig(seed=7, **overrides)
+    run_many(config)  # sizes the module-level work space (swarm._gram_pair)
+    tracemalloc.start()
+    try:
+        report = run_many(config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.records) == config.runs
+    assert peak < peak_measured + 20e3
+    assert held < 20e3
 
 
 # --------------------------------------------------------------- diagnostics

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,6 +437,44 @@ def test_estimate_lipschitz_is_the_largest_quotient():
     assert estimate_lipschitz(vee, -1, 1) == 1.0
     hinge = Objective(1, lambda x: np.maximum(x[:, 0], 0.0))
     assert estimate_lipschitz(hinge, -1, 1) == 1.0
+
+
+def _all_pairs_lipschitz(obj, lo, hi, samples, seed):
+    # The (samples, samples, d) form that estimate_lipschitz replaced.
+    pts = np.random.default_rng(seed).uniform(
+        np.full(obj.dim, float(lo)), np.full(obj.dim, float(hi)),
+        size=(samples, obj.dim))
+    vals = obj.eval_many(pts)
+    dv = np.abs(vals[:, None] - vals[None, :])
+    dx = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    iu = np.triu_indices(samples, k=1)
+    dv, dx = dv[iu], dx[iu]
+    mask = dx > 0
+    return float(np.max(dv[mask] / dx[mask])) if mask.any() else 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_estimate_lipschitz_equals_all_pairs_formula(seed):
+    arch = MLPArchitecture((5, 10, 1))
+    dnn = dnn_objective(arch, generate_synthetic(arch, seed=seed))
+    ras = lookup("rastrigin", 3).objective
+    for obj, samples in ((dnn, 40), (ras, 300), (ras, 2)):
+        assert (estimate_lipschitz(obj, -2.0, 3.0, samples, seed)
+                == _all_pairs_lipschitz(obj, -2.0, 3.0, samples, seed))
+
+
+def test_estimate_lipschitz_memory_is_linear_in_samples():
+    # The 256 network evaluations peak near 2 MB; all (samples, samples, d)
+    # differences at once took 76 MB.
+    arch = MLPArchitecture((5, 10, 1))
+    obj = dnn_objective(arch, generate_synthetic(arch, seed=0))
+    tracemalloc.start()
+    try:
+        estimate_lipschitz(obj, -1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_estimate_lipschitz_validation():
