@@ -61,14 +61,17 @@ class MLPArchitecture:
         return "-".join(str(w) for w in self.widths)
 
 
-def _sigmoid(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Below s = -709.78, exp(-s) overflows to inf and the result is 0; the
-    # callers silence that overflow.  Pass out=s to transform in place.
-    out = np.negative(s, out=out)
-    np.exp(out, out=out)
+def _sigmoid_of_negated(nz: np.ndarray, out=None) -> np.ndarray:
+    # The sigmoid of -nz in three passes.  Above nz = 709.78, exp overflows
+    # to inf and the result is 0; the callers silence that overflow.
+    out = np.exp(nz, out=out)
     out += 1.0
-    np.reciprocal(out, out=out)
-    return out
+    return np.reciprocal(out, out=out)
+
+
+def _sigmoid(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.negative(s, out=out)
+    return _sigmoid_of_negated(out, out=out)
 
 
 def flatten(weights, biases) -> np.ndarray:
@@ -114,18 +117,29 @@ def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
     return h[0, :, 0] if x.ndim == 1 else h[0].T
 
 
-@np.errstate(over="ignore")
 def _forward(arch: MLPArchitecture, pop: np.ndarray, h: np.ndarray,
              keep: list | None = None) -> np.ndarray:
     """Outputs (B, NL, M) of a population of parameter vectors (B, d) on
     inputs h (N0, M).  Given a list ``keep``, appends each layer's
     pre-activations z and activations a, both (B, width, M), as (z, a)."""
-    for wm, bias in _layers(arch, pop):
-        z = wm @ h
-        z += bias[:, :, None]
-        h = _sigmoid(z, out=z if keep is None else None)
+    # Negated as each layer runs: at B = 100, negating the whole population
+    # first made the pass several percent slower.
+    negated = ((np.negative(wm), np.negative(bias))
+               for wm, bias in _layers(arch, pop))
+    return _negated_forward(negated, h, keep)
+
+
+@np.errstate(over="ignore")
+def _negated_forward(layers, h: np.ndarray, keep: list | None = None):
+    """``_forward`` from each layer's negated weights and biases (-W, -b).
+    Each layer computes -z = (-W) h + (-b), exact but for the sign of a zero
+    (rounding is symmetric in sign), so the sigmoid skips its negation."""
+    for nwm, nbias in layers:
+        nz = nwm @ h
+        nz += nbias[:, :, None]
+        h = _sigmoid_of_negated(nz, out=nz if keep is None else None)
         if keep is not None:
-            keep.append((z, h))
+            keep.append((np.negative(nz, out=nz), h))
     return h
 
 
@@ -217,8 +231,9 @@ class _ProbeKernel:
     the probe's step (see ``Objective``).  Then a_i[j] changes, layer i+1's
     pre-activation moves by that change times column j of W_{i+1}, and only
     the layers after that run in full; an output-layer probe changes only
-    that output's residual.  All probes of a layer are evaluated together as
-    broadcasts over (j, k), and each later layer as one matrix product per
+    that output's residual.  All probes of a layer are evaluated together,
+    probe column k first, as -z, which the sigmoid takes without a negation
+    pass (see ``_negated_forward``), and each later layer as one matrix product per
     center.  Work arrays are kept between calls: allocating them afresh
     costs more in page faults than the arithmetic done in them.
     """
@@ -238,44 +253,45 @@ class _ProbeKernel:
     def __call__(self, centers: np.ndarray, delta: np.ndarray) -> np.ndarray:
         b_count, d = centers.shape
         m = self.u.shape[1]
-        layers = _layers(self.arch, centers)
+        layers = _layers(self.arch, np.negative(centers))   # (-W, -b)
         trace = []   # the base pass: per layer, (z, a) in (B, width, M)
-        resid = _forward(self.arch, centers, self.u, keep=trace) - self.v
+        resid = _negated_forward(layers, self.u, keep=trace) - self.v
         zs, acts = zip(*trace)
         sq_out = np.einsum("bom,bom->bo", resid, resid)   # (B, NL)
         out = np.empty((b_count, d))
         for i, ((dw, db), (out_w, out_b)) in enumerate(
                 zip(_layers(self.arch, delta), _layers(self.arch, out))):
-            # The layer's deltas as (B, n_out, n_in + 1) with the bias in
-            # the last column, and its input with a row of ones below.
+            # As einsum reads fastest: negated deltas (n_in + 1, B, n_out),
+            # bias last, and the input (n_in + 1, B, M), a row of ones last.
             _, n_out, n_in = dw.shape
-            dl = self._buffer(("delta", i), (b_count, n_out, n_in + 1))
-            dl[:, :, :n_in] = dw
-            dl[:, :, n_in] = db
-            ext = self._buffer(("in", i), (b_count, n_in + 1, m))
-            ext[:, :-1] = acts[i - 1] if i else self.u
-            ext[:, -1] = 1.0
-            z = self._buffer(("z", i), (b_count, n_out, n_in + 1, m))
-            np.multiply(dl[:, :, :, None], ext[:, None, :, :], out=z)
-            z += zs[i][:, :, None, :]
-            a = _sigmoid(z, out=z)                # (B, n_out, n_in + 1, M)
+            dl = self._buffer(("delta", i), (n_in + 1, b_count, n_out))
+            np.negative(dw.transpose(2, 0, 1), out=dl[:-1])
+            np.negative(db, out=dl[-1])
+            ext = self._buffer(("in", i), (n_in + 1, b_count, m))
+            ext[:-1] = acts[i - 1].transpose(1, 0, 2) if i else self.u[:, None]
+            ext[-1] = 1.0
+            nz = self._buffer(("z", i), (n_in + 1, b_count, n_out, m))
+            np.einsum("kbj,kbm->kbjm", dl, ext, out=nz)
+            nz -= zs[i]
+            a = _sigmoid_of_negated(nz, out=nz)   # (n_in + 1, B, n_out, M)
             if i == len(layers) - 1:
-                a -= self.v[:, None, :]
+                a -= self.v
                 a *= a
-                vals = (sq_out.sum(axis=1)[:, None, None] - sq_out[:, :, None]
-                        + a.sum(axis=3))
+                vals = (sq_out.sum(axis=1)[:, None] - sq_out) + a.sum(axis=3)
+                vals = vals.transpose(1, 2, 0)          # (B, n_out, n_in + 1)
             else:
-                a -= acts[i][:, :, None, :]          # change in a_i[j]
-                wm = layers[i + 1][0]
+                a -= acts[i]                            # change in a_i[j]
+                a = a.transpose(1, 2, 0, 3)      # (B, n_out, n_in + 1, M)
+                wm = layers[i + 1][0]         # -W_{i+1}, (B, n_next, n_out)
                 h = self._buffer(("h", i, i + 1), wm.shape[:2] + a.shape[1:])
                 np.multiply(wm[:, :, :, None, None], a[:, None], out=h)
-                h += zs[i + 1][:, :, None, None, :]
-                h = _sigmoid(h, out=h).reshape(wm.shape[:2] + (-1,))
+                h -= zs[i + 1][:, :, None, None, :]
+                h = _sigmoid_of_negated(h, out=h).reshape(wm.shape[:2] + (-1,))
                 for j, (wm, bias) in enumerate(layers[i + 2:], i + 2):
                     nxt = self._buffer(("h", i, j), wm.shape[:2] + h.shape[2:])
                     np.matmul(wm, h, out=nxt)
                     nxt += bias[:, :, None]
-                    h = _sigmoid(nxt, out=nxt)
+                    h = _sigmoid_of_negated(nxt, out=nxt)
                 h = h.reshape(h.shape[:2] + a.shape[1:])
                 h -= self.v[:, None, None, :]
                 h *= h

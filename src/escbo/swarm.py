@@ -339,6 +339,9 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
         raise ConfigurationError("check_stop expects consecutive iterates")
     _check("tol", tol, "[0, inf)")
     diff = nxt.positions - prev.positions
+    big = np.abs(diff, out=diff).flat[diff.argmax()]   # nan if any is nan
+    if big > tol and big >= 2.0 ** -511:   # x*x is normal: sqrt(fl(x*x)) = |x|
+        return False   # and the norm of big's row is at least big
     diff *= diff
     dx = _row_sums(diff)
     np.sqrt(dx, out=dx)  # np.linalg.norm

@@ -396,14 +396,14 @@ def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
         raise ConfigurationError("grid search supports dimension 1 or 2 only")
     if (n := _power(radius / resolution * 2.0 + 1.0, d)) > 1e7:
         raise ConfigurationError(f"grid of {n:.3g} points; at most 1e7")
-    g = np.arange(-radius, radius + resolution / 2, resolution)
-    if d == 1:
-        return g[:, None]
-    xx, yy = np.meshgrid(g, g)
-    off = np.column_stack([xx.ravel(), yy.ravel()])
     m, e = math.frexp(radius)  # radius = m 2^e: scaling by 2^-e is exact
-    unit = np.ldexp(off, -e)  # and keeps the squares finite
-    return off[np.einsum("ij,ij->i", unit, unit) <= m * m]
+    step = math.ldexp(resolution, -e)  # and keeps the span and squares finite
+    unit = np.arange(-m, m + step / 2, step)
+    if d == 1:
+        return np.ldexp(unit, e)[:, None]
+    xx, yy = np.meshgrid(unit, unit)
+    unit = np.column_stack([xx.ravel(), yy.ravel()])
+    return np.ldexp(unit[np.einsum("ij,ij->i", unit, unit) <= m * m], e)
 
 
 def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from escbo.neural import (NOISE_STD, MLPArchitecture, SyntheticDataset,
-                          _forward, _layers, _mse, _sigmoid, dnn_objective,
-                          flatten, forward, generate_synthetic, load_dataset,
+                          _forward, _layers, _mse, _ProbeKernel, _sigmoid,
+                          _sigmoid_of_negated, dnn_objective, flatten,
+                          forward, generate_synthetic, load_dataset,
                           save_dataset, train_error, unflatten)
 from escbo.neural import test_error as held_out_error
-from escbo.objective import (ConfigurationError, forward_difference_gradient,
-                             minibatch_gradients)
+from escbo.objective import (ConfigurationError, Objective,
+                             forward_difference_gradient, minibatch_gradients)
 
 
 def test_flattened_dimensions():
@@ -375,3 +376,133 @@ def test_network_path_warns_nothing_when_exp_overflows():
                    minibatch_gradients(obj, positions, [0, 2, 3], 1e-3)]
     for value in results:
         assert np.all(np.isfinite(value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=arrays(np.float64, st.integers(1, 40), elements=st.floats()))
+@example(s=np.array([-800.0, -745.2, -709.79, -709.78, -0.0, 0.0, 36.8,
+                     745.2, np.inf, -np.inf, np.nan]))
+def test_three_pass_core_of_the_negation_equals_the_sigmoid(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            full = _sigmoid(s)
+            core = _sigmoid_of_negated(-s)
+            in_place = -s
+            _sigmoid_of_negated(in_place, out=in_place)
+    assert core.tobytes() == full.tobytes() == in_place.tobytes()
+
+
+# The network path as it was computed before the three-pass sigmoid on -z
+# and the probe-major kernel layout, kept as the byte-exact reference.
+
+def reference_sigmoid(s, out=None):
+    out = np.negative(s, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out
+
+
+@np.errstate(over="ignore")
+def reference_forward(arch, pop, h, keep=None):
+    for wm, bias in _layers(arch, pop):
+        z = wm @ h
+        z += bias[:, :, None]
+        h = reference_sigmoid(z, out=z if keep is None else None)
+        if keep is not None:
+            keep.append((z, h))
+    return h
+
+
+def reference_mse(arch, pop, u, v):
+    resid = reference_forward(arch, pop.reshape(-1, arch.dim), u)
+    resid -= v
+    sq = np.einsum("bom,bom->b", resid, resid)
+    return (sq / u.shape[1]).reshape(pop.shape[:-1])
+
+
+@np.errstate(over="ignore")
+def reference_probe_kernel(arch, u, v, centers, delta):
+    b_count, d = centers.shape
+    m = u.shape[1]
+    layers = _layers(arch, centers)
+    trace = []
+    resid = reference_forward(arch, centers, u, keep=trace) - v
+    zs, acts = zip(*trace)
+    sq_out = np.einsum("bom,bom->bo", resid, resid)
+    out = np.empty((b_count, d))
+    for i, ((dw, db), (out_w, out_b)) in enumerate(
+            zip(_layers(arch, delta), _layers(arch, out))):
+        _, n_out, n_in = dw.shape
+        dl = np.empty((b_count, n_out, n_in + 1))
+        dl[:, :, :n_in] = dw
+        dl[:, :, n_in] = db
+        ext = np.empty((b_count, n_in + 1, m))
+        ext[:, :-1] = acts[i - 1] if i else u
+        ext[:, -1] = 1.0
+        z = dl[:, :, :, None] * ext[:, None, :, :]
+        z += zs[i][:, :, None, :]
+        a = reference_sigmoid(z, out=z)
+        if i == len(layers) - 1:
+            a -= v[:, None, :]
+            a *= a
+            vals = (sq_out.sum(axis=1)[:, None, None] - sq_out[:, :, None]
+                    + a.sum(axis=3))
+        else:
+            a -= acts[i][:, :, None, :]
+            wm = layers[i + 1][0]
+            h = wm[:, :, :, None, None] * a[:, None]
+            h += zs[i + 1][:, :, None, None, :]
+            h = reference_sigmoid(h, out=h).reshape(wm.shape[:2] + (-1,))
+            for wm, bias in layers[i + 2:]:
+                h = wm @ h
+                h += bias[:, :, None]
+                h = reference_sigmoid(h, out=h)
+            h = h.reshape(h.shape[:2] + a.shape[1:])
+            h -= v[:, None, None, :]
+            h *= h
+            vals = h.sum(axis=(1, 4))
+        out_w[...] = vals[:, :, :-1]
+        out_b[...] = vals[:, :, -1]
+    out /= m
+    return out.ravel()
+
+
+# Nine outputs: numpy sums a contiguous axis of 8 or more pairwise, so the
+# order in which the kernel adds the outputs shows.
+@pytest.mark.parametrize("widths", PROBE_ARCHS + [(3, 4, 9), (2, 3, 4, 9)],
+                         ids=str)
+@pytest.mark.parametrize("b_count", [1, 4, 10])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_network_path_is_byte_identical_to_the_reference(widths, b_count,
+                                                          scale):
+    # Zeros of both signs in the inputs, centers and steps test that the
+    # einsum products, whose exact zeros may differ in sign from a multiply,
+    # change no result; at scale 1e3, exp(-z) overflows.
+    arch = MLPArchitecture(widths)
+    data = generate_synthetic(arch, seed=14)
+    u, v = data.train_inputs.T.copy(), data.train_targets.T.copy()
+    u[0, ::3], u[-1, 1::4] = 0.0, -0.0
+    gen = np.random.default_rng(15)
+    centers = scale * gen.uniform(-3, 3, size=(b_count, arch.dim))
+    centers[:, ::7], centers[:, 3::11] = 0.0, -0.0
+    delta = (centers + 1e-3) - centers
+    delta[:, ::5], delta[:, 2::9] = 0.0, -0.0
+    if scale > 1.0:
+        trace = []
+        reference_forward(arch, centers, u, keep=trace)
+        assert min(z.min() for z, _ in trace) < -745.0
+    kernel = _ProbeKernel(arch, u, v)
+    expected = reference_probe_kernel(arch, u, v, centers, delta).tobytes()
+    assert kernel(centers, delta).tobytes() == expected
+    assert kernel(centers, delta).tobytes() == expected   # buffers reused
+    assert _mse(arch, centers, u, v).tobytes() \
+        == reference_mse(arch, centers, u, v).tobytes()
+    obj = Objective(arch.dim, lambda pop: _mse(arch, pop, u, v),
+                    probe_kernel=kernel)
+    ref = Objective(arch.dim, lambda pop: reference_mse(arch, pop, u, v),
+                    probe_kernel=lambda c, dl: reference_probe_kernel(
+                        arch, u, v, c, dl))
+    assert minibatch_gradients(obj, centers, None, 1e-3).tobytes() \
+        == minibatch_gradients(ref, centers, None, 1e-3).tobytes()

@@ -335,6 +335,14 @@ PARAMETERS = [
     ("growth_radius-R0-2d",
      lambda v: growth_radius(lambda p: p[:, 0], [0.0, 0.0], 0.0, 0.5, v, v),
      1e160, [0.0], False),
+    # Near the float maximum the span radius - (-radius) of an unscaled
+    # grid overflows.
+    ("max_on_ball-radius-max",
+     lambda v: max_on_ball(lambda p: p[:, 0], [0.0], v, v), 1e308, [0.0],
+     False),
+    ("growth_radius-R0-max",
+     lambda v: growth_radius(lambda p: p[:, 0], [0.0, 0.0], 0.0, 0.5, v, v),
+     1e308, [0.0], False),
 ]
 
 

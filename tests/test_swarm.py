@@ -644,6 +644,34 @@ def test_check_stop_equals_norm_reference(seed, n, d, move, fscale, still,
     assert check_stop(prev, nxt, tol) == check_stop_reference(prev, nxt, tol)
 
 
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       d=st.integers(1, 12),
+       move=st.sampled_from([1e-170, 1e-160, 2.0 ** -511, 1e-154, 1e-150]),
+       special=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+                        max_size=3),
+       fscale=st.sampled_from([0.0, 1.0]), tol_rule=st.booleans(),
+       tol=st.floats(0.0, 1e-154))
+def test_check_stop_equals_norm_reference_where_squares_underflow(
+        seed, n, d, move, special, fscale, tol_rule, tol):
+    # Displacements near 2**-511, where x*x leaves the normal range, and
+    # single displacements of nan, +-inf and -0.0 (a move from +0.0 to -0.0).
+    gen = np.random.default_rng(seed)
+    before = move * gen.normal(size=(n, d))
+    after = before + move * gen.normal(size=(n, d))
+    for value in special:
+        i, j = gen.integers(n), gen.integers(d)
+        before[i, j] = 0.0
+        after[i, j] = value
+    values = gen.normal(size=n)
+    prev = SwarmState(before, 0, values)
+    nxt = SwarmState(after, 1, values + fscale * move * gen.normal(size=n))
+    if tol_rule:   # tol exactly on the reference's largest distance
+        dx = np.linalg.norm(after - before, axis=1)
+        tol = float(np.nan_to_num(dx.max(), nan=0.0, posinf=0.0))
+    assert check_stop(prev, nxt, tol) == check_stop_reference(prev, nxt, tol)
+
+
 def test_check_stop_requires_consecutive():
     prev = SwarmState(np.zeros((2, 1)), 0, np.zeros(2))
     nxt = SwarmState(np.zeros((2, 1)), 2, np.zeros(2))

@@ -15,7 +15,7 @@ from escbo.benchmarks import rastrigin1d
 from escbo.objective import ConfigurationError
 from escbo.swarm import StepSchedule
 from escbo.theory import (GrowthConditionParams, ParameterConditionWarning,
-                          check_consensus_condition,
+                          _ball_offsets, check_consensus_condition,
                           check_error_bound_condition, consensus_bound,
                           consensus_bound_series, consensus_distance_bound,
                           contraction_constants, error_budget, growth_margin,
@@ -510,6 +510,39 @@ def test_a_grid_past_1e7_points_is_rejected_before_it_is_made(monkeypatch):
                                        1e-5)):
         with pytest.raises(ConfigurationError, match="grid of 4e"):
             call()
+
+
+def reference_ball_offsets(d, radius, resolution):
+    """The grid as it was built before the arange moved to radius * 2^-e."""
+    g = np.arange(-radius, radius + resolution / 2, resolution)
+    if d == 1:
+        return g[:, None]
+    xx, yy = np.meshgrid(g, g)
+    off = np.column_stack([xx.ravel(), yy.ravel()])
+    m, e = math.frexp(radius)
+    unit = np.ldexp(off, -e)
+    return off[np.einsum("ij,ij->i", unit, unit) <= m * m]
+
+
+# (d, radius, resolution) of every grid the other tests build.
+GRID_ARGUMENTS = [(1, 2.0, 1e-3), (2, 1.0, 5e-3), (1, 1.0, 1e-4),
+                  (1, 1.0, 1e-3), (1, 1.0, 0.5), (1, 0.5, 0.5), (1, 1.0, 1.0),
+                  (1, 1.0, 0.1), (1, 0.1, 0.1), (2, 1e160, 1e160)]
+
+
+@pytest.mark.parametrize("d, radius, resolution", GRID_ARGUMENTS, ids=str)
+def test_ball_offsets_are_unchanged_by_the_scaled_arange(d, radius,
+                                                         resolution):
+    new = _ball_offsets(d, radius, resolution)
+    assert new.tobytes() == reference_ball_offsets(d, radius,
+                                                   resolution).tobytes()
+
+
+def test_grid_search_reaches_the_float_maximum():
+    assert max_on_ball(lambda p: p[:, 0], [0.0], 1e308, 1e308) == 1e308
+    assert max_on_ball(lambda p: p[:, 1], [0.0, 0.0], 1e308, 1e308) == 1e308
+    assert growth_radius(lambda p: np.zeros(len(p)), [0.0, 0.0], 0.0, 0.5,
+                         1e308, 1e308) == 1e308
 
 
 def test_growth_radius_self_consistent():
