@@ -69,11 +69,6 @@ def _sigmoid_of_negated(nz: np.ndarray, out=None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def _sigmoid(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.negative(s, out=out)
-    return _sigmoid_of_negated(out, out=out)
-
-
 def flatten(weights, biases) -> np.ndarray:
     """Concatenate (W1 row-major, b1, W2, b2, ...) into one vector."""
     parts = []

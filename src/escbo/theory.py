@@ -390,7 +390,8 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
 
 def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
     """Grid points of spacing ``resolution`` in the closed radius-ball about
-    the origin, as (n, d) offsets: dimension 1 or 2, about 1e7 at most."""
+    the origin, as (n, d) offsets: dimension 1 or 2, about 1e7 at most.  The
+    grid is its own negation and holds 0 and +-radius on each axis."""
     _check("resolution", resolution, f"(0, {radius}]")
     if d not in (1, 2):
         raise ConfigurationError("grid search supports dimension 1 or 2 only")
@@ -398,7 +399,9 @@ def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
         raise ConfigurationError(f"grid of {n:.3g} points; at most 1e7")
     m, e = math.frexp(radius)  # radius = m 2^e: scaling by 2^-e is exact
     step = math.ldexp(resolution, -e)  # and keeps the span and squares finite
-    unit = np.arange(-m, m + step / 2, step)
+    half = np.arange(0.0, m, step)  # 0 outward, then the rim m: symmetric
+    half = np.append(half[half < m], m)
+    unit = np.concatenate((-half[:0:-1], half))
     if d == 1:
         return np.ldexp(unit, e)[:, None]
     xx, yy = np.meshgrid(unit, unit)
@@ -410,23 +413,20 @@ def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
     """Grid-search maximum of fn over the closed ball (dimension 1 or 2 only).
 
     ``fn`` must accept a (B, d) array and return (B,) values; ``resolution``
-    is the grid spacing.  In dimension 1 the far endpoint is always included.
+    is the grid spacing.
     """
     c = _finite("center", center)
     _check("radius", radius, "(0, inf)")
-    pts = _ball_offsets(c.shape[0], radius, resolution) + c
-    if c.shape[0] == 1:
-        pts = np.append(pts, [c + radius], axis=0)
-    return float(np.max(fn(pts)))
+    return float(np.max(fn(_ball_offsets(c.shape[0], radius, resolution) + c)))
 
 
 def growth_radius(fn, center, fstar: float, q: float, R0: float,
                   resolution: float = 1e-3) -> float:
     """Largest radius s <= R0 whose ball maximum stays within fstar + q.
 
-    Grid approximation for dimension 1 or 2: evaluates fn on a dense grid of
-    the R0-ball, takes the running maximum outward, and returns the largest
-    grid radius where it still satisfies max f - fstar <= q (0.0 if none).
+    Grid approximation for dimension 1 or 2: evaluates fn on a grid of the
+    R0-ball and returns the largest grid radius below that of the nearest
+    point where f - fstar <= q fails (a nan fails it), or 0.0 if none is.
     """
     c = _finite("center", center)
     _check("fstar", fstar, "(-inf, inf)")
@@ -435,10 +435,6 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     off = _ball_offsets(c.shape[0], R0, resolution)
     radii = np.hypot.reduce(np.abs(off), axis=1)  # a norm that cannot overflow
     vals = np.asarray(fn(off + c), dtype=float)
-    order = np.argsort(radii)
-    running = np.maximum.accumulate(vals[order])
-    ok = running - fstar <= q
-    if not ok[0]:
-        return 0.0
-    last = np.flatnonzero(ok)[-1] if ok.all() else np.flatnonzero(~ok)[0] - 1
-    return float(min(radii[order][last], R0))
+    with np.errstate(over="ignore"):  # an f - fstar past the floats fails
+        limit = np.min(radii, where=~(vals - fstar <= q), initial=np.inf)
+    return float(min(np.max(radii, where=radii < limit, initial=0.0), R0))

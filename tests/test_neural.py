@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from escbo.neural import (NOISE_STD, MLPArchitecture, SyntheticDataset,
-                          _forward, _layers, _mse, _ProbeKernel, _sigmoid,
+                          _forward, _layers, _mse, _ProbeKernel,
                           _sigmoid_of_negated, dnn_objective, flatten,
                           forward, generate_synthetic, load_dataset,
                           save_dataset, train_error, unflatten)
@@ -332,7 +332,7 @@ SIGMOID_FLOOR = 1.0 / (1.0 + np.exp(709.0))
 @example(s=np.linspace(-760.0, -700.0, 6001))
 def test_four_pass_sigmoid_equals_the_capped_five_pass_form(s):
     with np.errstate(over="ignore"):
-        four = _sigmoid(s)
+        four = reference_sigmoid(s)
     five = five_pass_sigmoid(s)
     above = s >= -709.0
     assert np.array_equal(four[above], five[above])
@@ -386,7 +386,7 @@ def test_three_pass_core_of_the_negation_equals_the_sigmoid(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            full = _sigmoid(s)
+            full = reference_sigmoid(s)
             core = _sigmoid_of_negated(-s)
             in_place = -s
             _sigmoid_of_negated(in_place, out=in_place)

@@ -1,6 +1,7 @@
 """Package-wide rules: every exported name exists, once; every numeric
 parameter is range-checked by the one helper, ``objective._check``."""
 
+import ast
 import importlib
 import math
 import pathlib
@@ -62,6 +63,35 @@ def test_only_the_one_helper_words_a_range_error():
                if path.name != "objective.py"
                and "must lie in" in path.read_text()]
     assert modules == []
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+NAMING = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_every_private_definition_is_named_elsewhere_in_the_package():
+    # A private top-level function, class or method that no line of the
+    # package names outside its own body runs only in tests: dead code.
+    defined, named = {}, set()
+    for path in sorted(pathlib.Path(escbo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in [top, *(top.body if isinstance(top, ast.ClassDef)
+                                else ())]:
+                if isinstance(node, DEFINITIONS) and node.name[0] == "_" \
+                        and not node.name.endswith("__"):
+                    defined[f"{path.stem}.{node.name}"] = node.name
+        stack = [(tree, frozenset())]
+        while stack:
+            node, inside = stack.pop()
+            if isinstance(node, DEFINITIONS):
+                inside |= {node.name}
+            if (field := NAMING.get(type(node))) and \
+                    getattr(node, field) not in inside:
+                named.add(getattr(node, field))
+            stack.extend((child, inside)
+                         for child in ast.iter_child_nodes(node))
+    assert [key for key, name in defined.items() if name not in named] == []
 
 
 # ------------------------------------------------------- the range helper

@@ -273,8 +273,7 @@ GCP_1D = GrowthConditionParams(f_inf=1.0, R0=1.0, nu=0.5, mu=1.0)
 
 
 def _fr_grid(r, resolution=1e-4):
-    xs = np.arange(-r, r + resolution / 2, resolution)
-    return float(np.max(rastrigin1d(xs[:, None])))
+    return max_on_ball(rastrigin1d, [0.0], r, resolution)
 
 
 def test_distance_bound_degenerate_swarm():
@@ -496,6 +495,8 @@ def test_max_on_ball_1d_and_2d():
                        resolution=5e-3) == pytest.approx(1.0, abs=2e-2)
     with pytest.raises(ConfigurationError):
         max_on_ball(lambda p: np.sum(p, axis=-1), [0.0, 0.0, 0.0], 1.0)
+    # The grid 0, 0.3, 0.6, 0.9 ends at the rim 1, not at 1.2 outside it.
+    assert max_on_ball(lambda p: p[:, 0], [0.0], 1.0, 0.3) == 1.0
 
 
 def test_a_grid_past_1e7_points_is_rejected_before_it_is_made(monkeypatch):
@@ -512,30 +513,29 @@ def test_a_grid_past_1e7_points_is_rejected_before_it_is_made(monkeypatch):
             call()
 
 
-def reference_ball_offsets(d, radius, resolution):
-    """The grid as it was built before the arange moved to radius * 2^-e."""
-    g = np.arange(-radius, radius + resolution / 2, resolution)
-    if d == 1:
-        return g[:, None]
-    xx, yy = np.meshgrid(g, g)
-    off = np.column_stack([xx.ravel(), yy.ravel()])
-    m, e = math.frexp(radius)
-    unit = np.ldexp(off, -e)
-    return off[np.einsum("ij,ij->i", unit, unit) <= m * m]
-
-
-# (d, radius, resolution) of every grid the other tests build.
+# (d, radius, resolution) of every grid the other tests build, a
+# subnormal radius and the largest one.
 GRID_ARGUMENTS = [(1, 2.0, 1e-3), (2, 1.0, 5e-3), (1, 1.0, 1e-4),
                   (1, 1.0, 1e-3), (1, 1.0, 0.5), (1, 0.5, 0.5), (1, 1.0, 1.0),
-                  (1, 1.0, 0.1), (1, 0.1, 0.1), (2, 1e160, 1e160)]
+                  (1, 1.0, 0.1), (1, 0.1, 0.1), (2, 1e160, 1e160),
+                  (2, 5e-322, 3e-323), (1, 1e308, 3e306)]
 
 
 @pytest.mark.parametrize("d, radius, resolution", GRID_ARGUMENTS, ids=str)
-def test_ball_offsets_are_unchanged_by_the_scaled_arange(d, radius,
-                                                         resolution):
-    new = _ball_offsets(d, radius, resolution)
-    assert new.tobytes() == reference_ball_offsets(d, radius,
-                                                   resolution).tobytes()
+def test_ball_offsets_are_a_symmetric_grid_in_the_ball(d, radius,
+                                                       resolution):
+    off = _ball_offsets(d, radius, resolution)
+    assert off.tobytes() == (0.0 - off[::-1]).tobytes()  # 0 - 0 is +0
+    axes = {(0.0,) * d} | {tuple(sign * radius * (np.arange(d) == i))
+                            for i in range(d) for sign in (-1.0, 1.0)}
+    assert axes <= set(map(tuple, off))
+    m, e = math.frexp(radius)
+    unit = np.ldexp(off, -e)
+    assert np.all(np.einsum("ij,ij->i", unit, unit) <= m * m)
+    if d == 1:  # a rounded multiple of the step is an ulp of radius off
+        gaps = np.diff(off[:, 0])
+        assert np.all(gaps > 0.0)
+        assert np.all(gaps <= resolution + 2.0 * np.spacing(radius))
 
 
 def test_grid_search_reaches_the_float_maximum():
@@ -560,6 +560,43 @@ def test_growth_radius_is_zero_when_the_center_exceeds_q():
     # f - fstar = 1 > q already at the innermost grid point.
     assert growth_radius(lambda p: np.ones(len(p)), [0.0], 0.0, 0.5,
                          R0=1.0) == 0.0
+
+
+def test_growth_radius_stops_before_the_rim_point_that_breaks_q():
+    assert growth_radius(lambda p: p[:, 0], [0.0], 0.0, 0.95, 1.0, 0.3) < 1.0
+
+
+@pytest.mark.parametrize("d, sign", [(2, 1.0), (1, 1.0), (1, -1.0)])
+def test_growth_radius_counts_every_point_of_a_radius(d, sign):
+    # f(1, 0) = 1 > q in the 1-ball, so only the centre's radius 0 is left.
+    assert growth_radius(lambda p: sign * p[:, 0], [0.0] * d, 0.0, 0.5, 1.0,
+                         1.0) == 0.0
+
+
+def test_growth_radius_of_a_gap_past_the_largest_float_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert growth_radius(lambda p: np.full(len(p), 1e308), [0.0], -1e308,
+                             0.5, 1.0, 0.5) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([1, 2]), radius=st.floats(0.1, 10.0),
+       per_step=st.floats(1.0, 6.0), fstar=st.integers(-2, 2),
+       q=st.sampled_from([0.5, 1.0, 2.5]), data=st.data())
+def test_growth_radius_is_its_definition_on_its_grid(d, radius, per_step,
+                                                     fstar, q, data):
+    off = _ball_offsets(d, radius, radius / per_step)
+    radii = np.hypot.reduce(np.abs(off), axis=1)
+    vals = np.array(data.draw(st.lists(
+        st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, math.nan]),
+        min_size=len(off), max_size=len(off))))
+    within = [r for r in np.unique(radii)
+              if np.all(vals[radii <= r] - fstar <= q)]
+    expected = min(max(within, default=0.0), radius)
+    got = growth_radius(lambda p: vals, [0.0] * d, fstar, q, radius,
+                        radius / per_step)
+    assert got == expected
 
 
 # ------------------------------------------------- bound series, property
