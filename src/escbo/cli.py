@@ -12,6 +12,7 @@ from . import benchmarks, theory
 from .harness import (_KINDS, ExperimentConfig, _summary_row, diagnose,
                       emit_report, run_many, run_once, table_preset)
 from .objective import ConfigurationError
+from .swarm import UniformBox
 
 
 # Every ExperimentConfig field is a flag and a config-file key: the key its
@@ -148,8 +149,8 @@ def _cmd_laplace(args) -> int:
         (("dim", int), ("samples", _natural), ("eps", float),
          ("seed", _natural)))
     spec = benchmarks.lookup(args.benchmark, dim)
-    gen = np.random.default_rng(seed)
-    pts = gen.uniform(spec.lo, spec.hi, size=(samples, spec.dim))
+    pts = UniformBox(spec.lo, spec.hi).sample(samples, spec.dim,
+                                              np.random.default_rng(seed))
     f_samples = spec.objective.eval_many(pts)
     rows = [(beta, theory.laplace_value(beta, f_samples),
              theory.error_budget(beta, eps, f_samples, spec.f_star))

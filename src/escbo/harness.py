@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks, neural, theory
-from .objective import (ConfigurationError, EstimationError, _check,
+from .objective import (ConfigurationError, EstimationError, _check, _fit,
                         _is_count, _is_real, gradient_bounds)
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, _check_finite,
@@ -158,12 +158,8 @@ class ExperimentConfig:
         else:
             dim, unread = self.dim, (0, None)
             benchmarks.lookup(self.benchmark, dim)
-        # Each array of an init holds one value or one per coordinate.
-        if self.init is not None and any(
-                np.shape(getattr(self.init, f.name)) not in ((), (1,), (dim,))
-                for f in fields(self.init)):
-            raise ConfigurationError(
-                f"init {self.init} does not fit dimension {dim}")
+        for f in fields(self.init) if self.init is not None else ():
+            _fit(f"init {f.name}", getattr(self.init, f.name), dim)
         for f in fields(self):
             target, value = f.metadata["target"], getattr(self, f.name)
             if target and (target == "dnn") != dnn and value not in unread:

@@ -82,6 +82,15 @@ def _check(name: str, value, interval: str, count: bool = False):
     raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
 
+def _fit(name: str, value, d: int) -> np.ndarray:
+    """One value or one per coordinate, broadcast to a (d,) float array."""
+    a = np.asarray(value, dtype=float)
+    if a.shape not in ((), (1,), (d,)):
+        raise ConfigurationError(
+            f"{name} of shape {a.shape} does not fit dimension {d}")
+    return np.broadcast_to(a, (d,))
+
+
 def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
     return np.count_nonzero(np.isfinite(a)) == a.size
 
@@ -280,20 +289,15 @@ def estimate_lipschitz(obj: Objective, lo, hi, samples: int = 256,
                        seed: int = 0) -> float:
     """Estimate a Lipschitz constant by the largest pairwise difference quotient.
 
-    Samples points uniformly in the box [lo, hi] and returns
+    Samples points from ``UniformBox(lo, hi)`` and returns
     max |f(x) - f(y)| / ||x - y|| over all sampled pairs.  This is a lower
     estimate of the true constant; report it as an estimate, not a bound.
     """
     _check("samples", samples, "[2, inf)", count=True)
     _check("seed", seed, "[0, inf)", count=True)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (obj.dim,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (obj.dim,))
-    with np.errstate(over="ignore", invalid="ignore"):  # nan, inf fail here
-        if not np.all(np.isfinite(hi - lo) & (lo < hi)):
-            raise ConfigurationError("the box needs lo < hi and a finite "
-                                     "width in every coordinate")
-    gen = np.random.default_rng(seed)
-    pts = gen.uniform(lo, hi, size=(samples, obj.dim))
+    from .swarm import UniformBox  # swarm imports this module
+    pts = UniformBox(lo, hi).sample(samples, obj.dim,
+                                    np.random.default_rng(seed))
     vals = obj.eval_many(pts)
     best = []  # the largest quotient of each row of pairs i < j
     for i in range(samples - 1):

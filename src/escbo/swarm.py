@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .objective import (ConfigurationError, Objective, _all_finite, _check,
-                        _reals, _row_sums, minibatch_gradients)
+                        _fit, _reals, _row_sums, minibatch_gradients)
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ExperimentConfig
@@ -161,16 +161,14 @@ class UniformBox:
                     if _reals(self.lo) and _reals(self.hi) else np.nan
         except ValueError:  # shapes that do not broadcast together
             width = np.nan
-        if not np.isfinite(width).all():  # also an inf or nan bound
-            raise ConfigurationError(f"UniformBox needs real finite lo, hi, "
-                                     f"hi - lo, got {self.lo!r}, {self.hi!r}")
-        if np.any(width <= 0):
-            raise ConfigurationError("UniformBox needs lo < hi in every coordinate")
+        if not np.all(np.isfinite(width) & (width > 0)):  # nan, inf fail
+            raise ConfigurationError(
+                f"UniformBox needs real lo < hi and a finite width in every "
+                f"coordinate, got {self.lo!r}, {self.hi!r}")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
-        lo = np.broadcast_to(np.asarray(self.lo, dtype=float), (d,))
-        hi = np.broadcast_to(np.asarray(self.hi, dtype=float), (d,))
-        return gen.uniform(lo, hi, size=(n, d))
+        return gen.uniform(_fit("lo", self.lo, d), _fit("hi", self.hi, d),
+                           size=(n, d))
 
     def __str__(self):
         return f"uniform[{self.lo},{self.hi}]"
@@ -190,7 +188,8 @@ class ComponentGaussian:
         _check("variance", self.variance, "[0, inf)")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
-        return gen.normal(self.mean, np.sqrt(self.variance), size=(n, d))
+        return gen.normal(_fit("mean", self.mean, d), np.sqrt(self.variance),
+                          size=(n, d))
 
     def __str__(self):
         return f"gaussian({self.mean},{self.variance})"

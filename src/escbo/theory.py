@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objective import ConfigurationError, _check, gradient_bounds
+from .objective import ConfigurationError, _check, _fit, gradient_bounds
 from .swarm import StepSchedule, SwarmState, consensus_point
 
 __all__ = [
@@ -284,7 +284,9 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     ``fvals``, which must hold one finite value per particle.
     """
     pts = np.atleast_2d(_finite("positions", positions))
-    xs = np.broadcast_to(_finite("xstar", xstar), (pts.shape[1],))
+    if pts.ndim != 2:
+        raise ConfigurationError(f"positions must be (N, d), got {pts.shape}")
+    xs = _fit("xstar", _finite("xstar", xstar), pts.shape[1])
     _check("r", r, f"(0, {gcp.R0}]")
     q = _check("q", q, "(0, inf)")
     fstar = _check("fstar", fstar, "(-inf, inf)")

@@ -23,7 +23,8 @@ from escbo.swarm import (RngStream, StepSchedule, SwarmState,
                          vanilla_cbo_step)
 from escbo.theory import (GrowthConditionParams, consensus_bound_series,
                           consensus_distance_bound, contraction_constants,
-                          error_budget, iteration_budget, laplace_value)
+                          error_budget, iteration_budget, laplace_value,
+                          max_on_ball)
 
 
 def report_line(num: int, label: str, ok: bool, detail: str) -> None:
@@ -293,8 +294,7 @@ def test_09_proximity_bound_instances():
     held = 0
     for trial in range(100):
         r = float(gen.uniform(0.01, 0.07))
-        xs = np.arange(-r, r + 5e-5, 1e-4)
-        f_r = float(np.max(rastrigin1d(xs[:, None])))
+        f_r = max_on_ball(rastrigin1d, [0.0], r, 1e-4)
         q = float(gen.uniform(0.1, 0.95)) * (1.0 - f_r)
         pts = np.concatenate([gen.uniform(-3, 3, size=(17, 1)),
                               gen.uniform(-r, r, size=(3, 1))])

@@ -332,7 +332,7 @@ SIGMOID_FLOOR = 1.0 / (1.0 + np.exp(709.0))
 @example(s=np.linspace(-760.0, -700.0, 6001))
 def test_four_pass_sigmoid_equals_the_capped_five_pass_form(s):
     with np.errstate(over="ignore"):
-        four = reference_sigmoid(s)
+        four = _sigmoid_of_negated(-s)
     five = five_pass_sigmoid(s)
     above = s >= -709.0
     assert np.array_equal(four[above], five[above])

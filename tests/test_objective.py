@@ -179,8 +179,10 @@ def test_eval_many_of_a_subset_equals_those_rows_of_the_batch(name, n, seed,
                                         np.array([0.0, np.nan]), 0.1),
     lambda: minibatch_gradients(sphere_objective(), np.zeros((4, 3)), None,
                                 0.1),
+    lambda: estimate_lipschitz(Objective(2, np.sum), [0, 0, 0], [1, 1, 1],
+                               samples=4),
 ], ids=["dim-zero", "gradient-shape", "gradient-non-finite",
-        "minibatch-shape"])
+        "minibatch-shape", "lipschitz-box-3-on-dim-2"])
 def test_objective_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()

@@ -65,7 +65,26 @@ def test_only_the_one_helper_words_a_range_error():
     assert modules == []
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+def test_one_helper_fits_and_one_box_samples():
+    # An input of one value or one per coordinate is broadcast to (d,) only
+    # by objective._fit, and a box is sampled only by UniformBox.sample.
+    calls = []
+    for path in sorted(pathlib.Path(escbo.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), path.stem)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, DEFINITIONS):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "attr", None) in ("broadcast_to",
+                                                         "uniform"):
+                calls.append((where, node.func.attr))
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    assert sorted(calls) == [("objective._fit", "broadcast_to"),
+                             ("swarm.UniformBox.sample", "uniform")]
+
+
+DEFINITIONS =(ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 NAMING = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 

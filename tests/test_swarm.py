@@ -181,9 +181,13 @@ def test_rng_stream_labels():
                              np.inf), ConfigurationError),
     (lambda: draw_noise(np.nan, 2, RngStream(0)), ConfigurationError),
     (lambda: draw_noise(np.inf, 2, RngStream(0)), ConfigurationError),
+    (lambda: init_swarm(UniformBox([0, 0, 0], [1, 1, 1]), 4, 2, RngStream(0)),
+     ConfigurationError),
+    (lambda: init_swarm(ComponentGaussian([0, 0, 0], 1.0), 4, 2,
+                        RngStream(0)), ConfigurationError),
 ], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream",
         "nan-beta", "inf-beta", "consensus-inf-beta", "nan-delta",
-        "inf-delta"])
+        "inf-delta", "box-3-on-dim-2", "gaussian-3-on-dim-2"])
 def test_swarm_validation_errors(call, error):
     with pytest.raises(error):
         call()
