@@ -22,7 +22,7 @@ from .objective import (ConfigurationError, EstimationError, LipschitzData,
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox,
                     check_stop, consensus_point, draw_noise, escbo_step,
-                    fescbo_step, init_swarm, refresh_values, softmin_weights,
+                    fescbo_step, init_swarm, softmin_weights,
                     swarm_diameter, vanilla_cbo_step)
 from .theory import (ComplexityConstants, ConsensusCondition, ErrorBoundCheck,
                      GrowthConditionParams, ParameterConditionWarning,

@@ -23,8 +23,7 @@ from .objective import (ConfigurationError, EstimationError, _check, _fit,
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, _check_finite,
                     check_stop, consensus_point, escbo_step, fescbo_step,
-                    init_swarm, refresh_values, swarm_diameter,
-                    vanilla_cbo_step)
+                    init_swarm, swarm_diameter, vanilla_cbo_step)
 
 __all__ = [
     "AggregateReport",
@@ -247,8 +246,7 @@ def _trajectory(config: ExperimentConfig, target: _Target, seed: int):
                        _w_value(st.positions, target.x_star),
                        float(st.values.min())))
 
-    state = refresh_values(
-        init_swarm(target.init, config.particles, obj.dim, rng), obj)
+    state = init_swarm(target.init, config.particles, obj, rng)
     init_values = state.values
     record(state)
     terminated_by = "max_iters"

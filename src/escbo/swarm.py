@@ -1,4 +1,4 @@
-"""Particle-system state and the consensus-based optimization steppers.
+"""Whole swarm states (positions and their values) and the CBO steppers.
 
 Three steppers share the same drift-diffusion core: ``escbo_step`` adds a
 forward-difference gradient step for every particle, ``fescbo_step`` restricts
@@ -14,7 +14,7 @@ steppers ``sigma`` and ``schedule`` too, and ``fescbo_step`` ``batch_size``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "escbo_step",
     "fescbo_step",
     "init_swarm",
-    "refresh_values",
     "softmin_weights",
     "swarm_diameter",
     "vanilla_cbo_step",
@@ -83,17 +82,29 @@ class RngStream:
 
 @dataclass
 class SwarmState:
-    """Particle positions at iteration k, with cached objective values.
+    """Particle positions at iteration k and the objective values there.
 
-    ``values`` holds f at each position and must be refreshed after every
-    step; the steppers maintain this invariant themselves.  The gradient
-    steppers read their forward-difference base values f(x_i) from it, so
-    a hand-built state must hold the true values.
+    Checked once, when built: real (N, d) positions, N, d >= 1, (N,) values
+    and a count k >= 0, or ConfigurationError.  The gradient steppers read
+    f(x_i) from ``values``, so a hand-built state must hold the true ones.
     """
 
     positions: np.ndarray
+    values: np.ndarray
     k: int = 0
-    values: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        p, v, k = self.positions, self.values, self.k
+        if not (type(p) is type(v) is np.ndarray and p.dtype == v.dtype
+                == float and type(k) is int and k >= 0):  # else convert
+            k = self.k = _check("k", k, "[0, inf)", count=True)
+            if not (_reals(p) and _reals(v)):  # ragged, None, not numbers
+                p = v = np.empty(0)  # fails below
+            p = self.positions = np.asarray(p, dtype=float)
+            v = self.values = np.asarray(v, dtype=float)
+        if not (p.ndim == 2 and p.size and v.shape == p.shape[:1]):
+            raise ConfigurationError("a swarm state needs real (N, d) "
+                                     "positions, N, d >= 1, and (N,) values")
 
     @property
     def n_particles(self) -> int:
@@ -195,18 +206,12 @@ class ComponentGaussian:
         return f"gaussian({self.mean},{self.variance})"
 
 
-def init_swarm(dist, n_particles: int, dim: int, rng: RngStream) -> SwarmState:
-    """Draw n i.i.d. initial positions from ``dist``; values start unset."""
+def init_swarm(dist, n_particles: int, obj: Objective,
+               rng: RngStream) -> SwarmState:
+    """Draw n i.i.d. initial positions from ``dist`` and evaluate them."""
     _check("n_particles", n_particles, "[1, inf)", count=True)
-    _check("dim", dim, "[1, inf)", count=True)
-    positions = dist.sample(n_particles, dim, rng.stream("init"))
-    return SwarmState(positions=positions, k=0, values=None)
-
-
-def refresh_values(state: SwarmState, obj: Objective) -> SwarmState:
-    """Populate the cached objective values (costs N evaluations)."""
-    return SwarmState(state.positions, state.k,
-                      obj.eval_many(state.positions))
+    positions = dist.sample(n_particles, obj.dim, rng.stream("init"))
+    return SwarmState(positions, obj.eval_many(positions))
 
 
 def softmin_weights(values, beta: float) -> np.ndarray:
@@ -218,6 +223,8 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     """
     f = np.asarray(values, dtype=float)
     _check("beta", beta, "[0, inf)")
+    if f.ndim != 1 or not f.size:
+        raise ConfigurationError(f"need (N,) values, N >= 1, got {f.shape}")
     # exp(-beta * (f - min f)) / sum, in place on one fresh array.
     w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
     w *= -beta
@@ -233,9 +240,6 @@ def consensus_point(state: SwarmState, beta: float) -> np.ndarray:
     neutral (weights sum to one) but keeps a collapsed swarm's average equal
     to the common position bit for bit.
     """
-    if state.values is None:
-        raise ConfigurationError(
-            "swarm values not populated; call refresh_values first")
     if not _all_finite(state.values):
         raise ConfigurationError("non-finite objective values in swarm")
     w = softmin_weights(state.values, beta)
@@ -291,7 +295,7 @@ def _advance(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
         # A non-finite input particle reaches every particle through xbar.
         _check_finite(state.positions, state.values, state.k)
         _check_finite(new_positions, new_values, state.k + 1)
-    return SwarmState(new_positions, state.k + 1, new_values)
+    return SwarmState(new_positions, new_values, state.k + 1)
 
 
 def escbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
@@ -334,8 +338,8 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
     max_i |f(x_i') - f(x_i)| / ||x_i' - x_i|| <= tol, where particles that did
     not move contribute zero to the second maximum.
     """
-    if prev.k + 1 != nxt.k:
-        raise ConfigurationError("check_stop expects consecutive iterates")
+    if prev.k + 1 != nxt.k or prev.positions.shape != nxt.positions.shape:
+        raise ConfigurationError("need consecutive iterates of one swarm")
     _check("tol", tol, "[0, inf)")
     diff = nxt.positions - prev.positions
     big = np.abs(diff, out=diff).flat[diff.argmax()]   # nan if any is nan
@@ -353,14 +357,16 @@ def check_stop(prev: SwarmState, nxt: SwarmState, tol: float) -> bool:
 
 
 def swarm_diameter(positions: np.ndarray) -> float:
-    """Largest squared pairwise distance of the (N, d) positions, N >= 1.
+    """Largest squared pairwise distance of the (N, d) positions, N, d >= 1.
 
     The Gram form of the offsets from particle 0, so its absolute error is
     ~1e-16 times the diameter wherever the swarm sits; the largest squared
     offset if that is not finite, so inf for a swarm that overflows.  It
     writes into module-level work arrays, so it is not reentrant.
     """
-    y = np.subtract(positions, positions[0], dtype=float)  # one (N, d) copy
+    if (y := np.asarray(positions, dtype=float)).ndim != 2 or not y.size:
+        raise ConfigurationError(f"need (N, d) positions, got {y.shape}")
+    y = y - y[0]  # one (N, d) copy
     sq = np.einsum("ij,ij->i", y, y)
     if not (top := sq[sq.argmax()]) < np.inf:  # sq.max(), unwrapped
         return float(top)

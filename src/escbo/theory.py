@@ -281,12 +281,10 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     one particle within distance r of the minimizer.  ``f_r`` is the maximum
     of f over the r-ball (supply it from a grid search).  The deviation is
     that of the swarm's consensus point at the given beta, recomputed from
-    ``fvals``, which must hold one finite value per particle.
+    the (N, d) ``positions`` and ``fvals``, one finite value per particle.
     """
-    pts = np.atleast_2d(_finite("positions", positions))
-    if pts.ndim != 2:
-        raise ConfigurationError(f"positions must be (N, d), got {pts.shape}")
-    xs = _fit("xstar", _finite("xstar", xstar), pts.shape[1])
+    state = SwarmState(_finite("positions", positions), fvals)
+    xs = _fit("xstar", _finite("xstar", xstar), state.dim)
     _check("r", r, f"(0, {gcp.R0}]")
     q = _check("q", q, "(0, inf)")
     fstar = _check("fstar", fstar, "(-inf, inf)")
@@ -296,16 +294,12 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
         raise ConfigurationError(
             f"hypothesis q + f_r - f* <= f_inf violated: "
             f"{q + f_r - fstar:.6g} > {gcp.f_inf:.6g}")
-    dists = np.linalg.norm(pts - xs, axis=1)
+    dists = np.linalg.norm(state.positions - xs, axis=1)
     inside = int(np.count_nonzero(dists <= r))
     if inside == 0:
         raise ConfigurationError(
             f"no particle within distance {r} of the minimizer")
-    fvals = np.asarray(fvals, dtype=float)
-    if fvals.shape != (pts.shape[0],):
-        raise ConfigurationError(
-            f"need one value per particle: {fvals.shape} for {pts.shape}")
-    xbar = consensus_point(SwarmState(pts, values=fvals), beta)
+    xbar = consensus_point(state, beta)
     bound = _power(q + f_r - fstar, gcp.nu) / gcp.mu \
         + math.exp(-beta * q) / inside * float(dists.sum())
     deviation = float(np.linalg.norm(xbar - xs))
@@ -417,7 +411,8 @@ def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
     ``fn`` must accept a (B, d) array and return (B,) values; ``resolution``
     is the grid spacing.
     """
-    c = _finite("center", center)
+    if (c := _finite("center", center)).ndim != 1:
+        raise ConfigurationError(f"center must be one point, got {c.shape}")
     _check("radius", radius, "(0, inf)")
     return float(np.max(fn(_ball_offsets(c.shape[0], radius, resolution) + c)))
 
@@ -430,7 +425,8 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     R0-ball and returns the largest grid radius below that of the nearest
     point where f - fstar <= q fails (a nan fails it), or 0.0 if none is.
     """
-    c = _finite("center", center)
+    if (c := _finite("center", center)).ndim != 1:
+        raise ConfigurationError(f"center must be one point, got {c.shape}")
     _check("fstar", fstar, "(-inf, inf)")
     _check("q", q, "(0, inf)")
     _check("R0", R0, "(0, inf)")

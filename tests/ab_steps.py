@@ -65,8 +65,12 @@ class Side:
         target = pkg.harness._build_target(config)
         self.config, self.obj = config, target.objective
         self.rng = swarm.RngStream(seed)
-        self.state = swarm.refresh_values(swarm.init_swarm(
-            target.init, config.particles, self.obj.dim, self.rng), self.obj)
+        # Built by hand, so that a ref from before init_swarm evaluated its
+        # swarm builds the same state.
+        positions = target.init.sample(config.particles, self.obj.dim,
+                                       self.rng.stream("init"))
+        self.state = swarm.SwarmState(
+            positions, values=self.obj.eval_many(positions), k=0)
         self.stepper = {"escbo": swarm.escbo_step,
                         "vanilla": swarm.vanilla_cbo_step,
                         "fescbo": swarm.fescbo_step}[config.method]

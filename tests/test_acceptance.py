@@ -19,8 +19,7 @@ from escbo.objective import (Objective, forward_difference_gradient,
                              gradient_bounds)
 from escbo.swarm import (RngStream, StepSchedule, SwarmState,
                          UniformBox, consensus_point, escbo_step, init_swarm,
-                         refresh_values, softmin_weights, swarm_diameter,
-                         vanilla_cbo_step)
+                         softmin_weights, swarm_diameter, vanilla_cbo_step)
 from escbo.theory import (GrowthConditionParams, consensus_bound_series,
                           consensus_distance_bound, contraction_constants,
                           error_budget, iteration_budget, laplace_value,
@@ -129,8 +128,7 @@ def test_04_contraction_bound_and_rate():
     for run in range(n_runs):
         spec = lookup("rastrigin", 2)
         rng = RngStream(run)
-        state = refresh_values(init_swarm(UniformBox(-5, 5), 20, 2, rng),
-                               spec.objective)
+        state = init_swarm(UniformBox(-5, 5), 20, spec.objective, rng)
         row, nxt = [swarm_diameter(state.positions)], 1
         for k in range(1, k_max + 1):
             state = escbo_step(state, spec.objective, config, rng)
@@ -166,7 +164,7 @@ def test_05_coupling_identity():
         lam = float(gen.uniform(0.0, 1.5))
         delta = float(gen.uniform(0.0, 0.6))
         obj = Objective(d, lambda x: np.sum(x * x, axis=-1))
-        state = refresh_values(SwarmState(pts.copy()), obj)
+        state = SwarmState(pts.copy(), obj.eval_many(pts))
         eta = RngStream(trial).stream("noise").normal(0.0, delta, size=d)
         new = vanilla_cbo_step(state, obj,
                                ExperimentConfig(lam=lam, delta=delta,
@@ -194,7 +192,7 @@ def test_06_softmin_limits():
     obj = Objective(3, lambda x: np.sum(x * x, axis=-1) + np.sin(x[..., 0]))
     for _ in range(200):
         pts = gen.uniform(-4, 4, size=(int(gen.integers(2, 25)), 3))
-        state = refresh_values(SwarmState(pts.copy()), obj)
+        state = SwarmState(pts.copy(), obj.eval_many(pts))
         sharp = consensus_point(state, 1e20)
         best = pts[int(np.argmin(state.values))]
         np.testing.assert_array_equal(sharp, best)
@@ -260,8 +258,7 @@ def test_08_complexity_constants_and_decay():
     for run in range(n_runs):
         spec = lookup("rastrigin1d")
         rng = RngStream(run)
-        state = refresh_values(init_swarm(UniformBox(-3, 3), 50, 1, rng),
-                               spec.objective)
+        state = init_swarm(UniformBox(-3, 3), 50, spec.objective, rng)
         w[run, 0] = np.mean(state.positions[:, 0] ** 2)
         for k in range(1, k_max + 1):
             state = escbo_step(state, spec.objective, config, rng)

@@ -89,7 +89,7 @@ def test_run_many_builds_each_target_once(monkeypatch):
 def test_consensus_is_the_final_point():
     cfg = quick_config(max_iters=40)
     rec = run_once(cfg, seed=2)
-    final = SwarmState(rec.final_positions, rec.iterations, rec.final_values)
+    final = SwarmState(rec.final_positions, rec.final_values, rec.iterations)
     assert rec.consensus.shape == (2,)
     assert np.array_equal(rec.consensus, consensus_point(final, cfg.beta))
 
@@ -214,7 +214,7 @@ def _trajectory_ending_at(positions, init_values, k=5):
     positions = np.asarray(positions, dtype=float)
     values = np.sum(positions * positions, axis=1)
     series = [(0, 2.0, 1.0, 1.0), (k, 1.0, 0.5, float(values.min()))]
-    return (SwarmState(positions, k, values), series, "max_iters",
+    return (SwarmState(positions, values, k), series, "max_iters",
             np.asarray(init_values, dtype=float))
 
 
@@ -252,8 +252,7 @@ def test_score_neither_steps_nor_evaluates(monkeypatch, network):
         raise AssertionError("_score stepped")
 
     for name in ("escbo_step", "vanilla_cbo_step", "fescbo_step",
-                 "check_stop", "swarm_diameter", "init_swarm",
-                 "refresh_values"):
+                 "check_stop", "swarm_diameter", "init_swarm"):
         monkeypatch.setattr(harness, name, forbidden)
     net = dict(benchmark="dnn", arch=(2, 3, 1)) if network else {}
     cfg = quick_config(**{**net, "dim": 0 if net else 2})

@@ -196,7 +196,7 @@ def _distance(**kw):
 
 
 def _fescbo(b):
-    state = SwarmState(np.zeros((3, 2)), 0, np.zeros(3))
+    state = SwarmState(np.zeros((3, 2)), np.zeros(3))
     cfg = types.SimpleNamespace(lam=0.1, delta=0.1, beta=1.0, sigma=1e-3,
                                 schedule=GEO, batch_size=b)
     return fescbo_step(state, SPHERE, cfg, RngStream(0))
@@ -207,8 +207,8 @@ def _bowl(points):
 
 
 def _stop(tol):
-    return check_stop(SwarmState(np.zeros((3, 2)), 0, np.zeros(3)),
-                      SwarmState(np.zeros((3, 2)), 1, np.zeros(3)), tol)
+    return check_stop(SwarmState(np.zeros((3, 2)), np.zeros(3), 0),
+                      SwarmState(np.zeros((3, 2)), np.zeros(3), 1), tol)
 
 
 QUICK = ExperimentConfig(runs=1, max_iters=1, particles=4)
@@ -274,11 +274,12 @@ PARAMETERS = [
     ("ComponentGaussian-variance", lambda v: ComponentGaussian(0.0, v), 0.0,
      [-1.0], False),
     ("init_swarm-n_particles",
-     lambda v: init_swarm(UniformBox(-1, 1), v, 2, RngStream(0)), 1, [0],
-     True),
+     lambda v: init_swarm(UniformBox(-1, 1), v, SPHERE, RngStream(0)), 1,
+     [0], True),
+    # init_swarm draws in its objective's dimension.
     ("init_swarm-dim",
-     lambda v: init_swarm(UniformBox(-1, 1), 3, v, RngStream(0)), 1, [0],
-     True),
+     lambda v: init_swarm(UniformBox(-1, 1), 3, Objective(v, _bowl),
+                          RngStream(0)), 1, [0], True),
     ("RngStream-seed", RngStream, -1, [], True),
     ("run_once-seed", lambda v: run_once(QUICK, v), 0, [], True),
     ("softmin_weights-beta", lambda v: softmin_weights(np.zeros(3), v), 0.0,

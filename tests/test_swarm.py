@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from escbo.benchmarks import rastrigin
 from escbo.harness import ExperimentConfig, run_once, table_preset
@@ -16,8 +16,8 @@ from escbo.objective import (ConfigurationError, EstimationError, Objective,
 from escbo.swarm import (ComponentGaussian, DivergenceError,
                          RngStream, StepSchedule, SwarmState, UniformBox,
                          check_stop, consensus_point, draw_noise, escbo_step,
-                         fescbo_step, init_swarm, refresh_values,
-                         softmin_weights, swarm_diameter, vanilla_cbo_step)
+                         fescbo_step, init_swarm, softmin_weights,
+                         swarm_diameter, vanilla_cbo_step)
 
 
 def sphere(dim):
@@ -25,7 +25,8 @@ def sphere(dim):
 
 
 def make_state(positions, obj):
-    return refresh_values(SwarmState(np.asarray(positions, dtype=float)), obj)
+    positions = np.asarray(positions, dtype=float)
+    return SwarmState(positions, obj.eval_many(positions))
 
 
 def params(lam=0.1, delta=0.1, beta=10.0, sigma=0.01, **fields):
@@ -65,7 +66,7 @@ def test_schedule_validation():
 
 def test_uniform_box_bounds_and_validation():
     rng = RngStream(0)
-    state = init_swarm(UniformBox(-5.0, 5.0), 50, 2, rng)
+    state = init_swarm(UniformBox(-5.0, 5.0), 50, sphere(2), rng)
     assert state.positions.shape == (50, 2)
     assert np.all(state.positions >= -5) and np.all(state.positions <= 5)
     with pytest.raises(ConfigurationError):
@@ -144,18 +145,19 @@ def test_parameter_of_a_wrong_kind_is_a_configuration_error(make):
 
 def test_component_gaussian_variance_convention():
     rng = RngStream(1)
-    state = init_swarm(ComponentGaussian(0.0, 3.0), 4000, 5, rng)
+    state = init_swarm(ComponentGaussian(0.0, 3.0), 4000, sphere(5), rng)
     var = state.positions.var()
     assert abs(var - 3.0) < 0.15
 
-    point_mass = init_swarm(ComponentGaussian(2.0, 0.0), 10, 3, RngStream(2))
+    point_mass = init_swarm(ComponentGaussian(2.0, 0.0), 10, sphere(3),
+                            RngStream(2))
     np.testing.assert_array_equal(point_mass.positions,
                                   np.full((10, 3), 2.0))
 
 
 def test_init_swarm_determinism():
-    a = init_swarm(UniformBox(-1, 1), 8, 3, RngStream(42)).positions
-    b = init_swarm(UniformBox(-1, 1), 8, 3, RngStream(42)).positions
+    a = init_swarm(UniformBox(-1, 1), 8, sphere(3), RngStream(42)).positions
+    b = init_swarm(UniformBox(-1, 1), 8, sphere(3), RngStream(42)).positions
     np.testing.assert_array_equal(a, b)
 
 
@@ -170,7 +172,7 @@ def test_rng_stream_labels():
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: init_swarm(UniformBox(-1, 1), 0, 2, RngStream(0)),
+    (lambda: init_swarm(UniformBox(-1, 1), 0, sphere(2), RngStream(0)),
      ConfigurationError),
     (lambda: softmin_weights(np.zeros(3), -1.0), ConfigurationError),
     (lambda: draw_noise(-0.1, 2, RngStream(0)), ConfigurationError),
@@ -181,16 +183,87 @@ def test_rng_stream_labels():
                              np.inf), ConfigurationError),
     (lambda: draw_noise(np.nan, 2, RngStream(0)), ConfigurationError),
     (lambda: draw_noise(np.inf, 2, RngStream(0)), ConfigurationError),
-    (lambda: init_swarm(UniformBox([0, 0, 0], [1, 1, 1]), 4, 2, RngStream(0)),
+    (lambda: init_swarm(UniformBox([0, 0, 0], [1, 1, 1]), 4, sphere(2),
+                        RngStream(0)),
      ConfigurationError),
-    (lambda: init_swarm(ComponentGaussian([0, 0, 0], 1.0), 4, 2,
+    (lambda: init_swarm(ComponentGaussian([0, 0, 0], 1.0), 4, sphere(2),
                         RngStream(0)), ConfigurationError),
+    # A state is checked once, when it is built.
+    (lambda: SwarmState(np.zeros((3, 2)), values=None), ConfigurationError),
+    (lambda: consensus_point(SwarmState(np.zeros((3, 2)),
+                                        values=np.zeros(4)), 1.0),
+     ConfigurationError),
+    (lambda: vanilla_cbo_step(SwarmState(np.zeros((3, 2)),
+                                         values=np.zeros(4)),
+                              sphere(2), params(), RngStream(0)),
+     ConfigurationError),
+    (lambda: escbo_step(SwarmState(np.zeros((3, 2)), values=np.zeros(3),
+                                   k=-1), sphere(2),
+                        params(schedule=StepSchedule.harmonic(1.0)),
+                        RngStream(0)), ConfigurationError),
+    (lambda: SwarmState(np.zeros((3, 2)), values=np.zeros(3), k=2.5),
+     ConfigurationError),
+    (lambda: check_stop(SwarmState(np.zeros((3, 2)), values=np.zeros(3), k=0),
+                        SwarmState(np.zeros((2, 2)), values=np.zeros(2), k=1),
+                        1e-6), ConfigurationError),
+    (lambda: swarm_diameter(np.zeros(3)), ConfigurationError),
+    (lambda: swarm_diameter(np.zeros((0, 2))), ConfigurationError),
+    (lambda: softmin_weights([], 1.0), ConfigurationError),
+    (lambda: softmin_weights(0.0, 1.0), ConfigurationError),
 ], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream",
         "nan-beta", "inf-beta", "consensus-inf-beta", "nan-delta",
-        "inf-delta", "box-3-on-dim-2", "gaussian-3-on-dim-2"])
+        "inf-delta", "box-3-on-dim-2", "gaussian-3-on-dim-2",
+        "state-without-values", "consensus-4-values-on-3",
+        "step-4-values-on-3", "escbo-harmonic-k-negative", "state-k-2.5",
+        "stop-particle-counts-differ", "diameter-1-axis",
+        "diameter-no-particles", "softmin-no-values", "softmin-scalar"])
 def test_swarm_validation_errors(call, error):
     with pytest.raises(error):
         call()
+
+
+def swarm_result(call):
+    """A call's value, or the name of its error from the package's family."""
+    try:
+        return call()
+    except ConfigurationError:
+        return "ConfigurationError"
+    except (DivergenceError, EstimationError):  # non-finite input, stepped
+        return "non-finite"
+
+
+REALS = st.one_of(st.floats(-10.0, 10.0), st.floats())
+SHAPES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+# Half of the drawn positions are (N, d) with N, d >= 1.
+POINT_SETS = st.one_of(array_shapes(min_dims=2, max_dims=2, max_side=3),
+                       SHAPES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(positions=arrays(np.float64, POINT_SETS, elements=REALS),
+       data=st.data(), k=st.sampled_from([-1, 0, 2, 2.5, True]))
+def test_swarm_returns_a_value_or_a_configuration_error(positions, data, k):
+    # Values of any shape, and half of them one per particle.
+    values = data.draw(arrays(np.float64, st.one_of(
+        st.just(positions.shape[:1]), SHAPES), elements=REALS), label="values")
+    d = positions.shape[1] if positions.ndim == 2 and positions.shape[1] else 1
+    obj = Objective(d, rastrigin)
+    cfg = params(schedule=StepSchedule.harmonic(1.0))
+    with np.errstate(all="ignore"):
+        swarm_result(lambda: softmin_weights(values, 1.0))
+        swarm_result(lambda: swarm_diameter(positions))
+        state = swarm_result(lambda: SwarmState(positions, values=values, k=k))
+        if state == "ConfigurationError":
+            return
+        swarm_result(lambda: consensus_point(state, 1.0))
+        steps = [swarm_result(lambda: step(state, obj, cfg, RngStream(0)))
+                 for step in (escbo_step, vanilla_cbo_step)]
+        for nxt in steps:
+            if isinstance(nxt, SwarmState):
+                swarm_result(lambda: check_stop(state, nxt, 1e-6))
+        if all(isinstance(nxt, SwarmState) for nxt in steps):
+            assert swarm_result(lambda: check_stop(*steps, 1e-6)) == \
+                "ConfigurationError"
 
 
 # ------------------------------------------------------------- consensus
@@ -267,12 +340,6 @@ def test_consensus_shift_invariance():
         np.testing.assert_allclose(softmin_weights(values + shift, 7.0),
                                    softmin_weights(values, 7.0),
                                    rtol=0, atol=1e-9)
-
-
-def test_consensus_requires_values():
-    state = SwarmState(np.zeros((3, 2)))
-    with pytest.raises(ConfigurationError):
-        consensus_point(state, 1.0)
 
 
 def same_bits(a, b):
@@ -472,14 +539,13 @@ def test_steps_equal_parent_expressions(method, seed, n, d, lam, delta, beta,
     obj = Objective(d, rastrigin)
     ref_obj = Objective(d, rastrigin)
     rng, ref_rng = RngStream(seed), RngStream(seed)
-    state = refresh_values(init_swarm(UniformBox(-5, 5), n, d, rng), obj)
-    ref = refresh_values(init_swarm(UniformBox(-5, 5), n, d, ref_rng),
-                         ref_obj)
+    state = init_swarm(UniformBox(-5, 5), n, obj, rng)
+    ref = init_swarm(UniformBox(-5, 5), n, ref_obj, ref_rng)
     for _ in range(4):
         state = step(state, obj, prm, rng)
         new, values = reference_step(ref, ref_obj, prm, schedule, ref_rng,
                                      method, batch_size)
-        ref = SwarmState(new, ref.k + 1, values)
+        ref = SwarmState(new, values, ref.k + 1)
         assert state.k == ref.k
         assert state.positions.tobytes() == ref.positions.tobytes()
         assert state.values.tobytes() == ref.values.tobytes()
@@ -501,7 +567,7 @@ def test_steps_evaluate_fewer_rows_than_they_charge(method, seed, n, d, data):
 
     obj = Objective(d, fn)
     rng = RngStream(seed)
-    state = refresh_values(init_swarm(UniformBox(-5, 5), n, d, rng), obj)
+    state = init_swarm(UniformBox(-5, 5), n, obj, rng)
     prm = params(sigma=1e-4, schedule=StepSchedule.geometric(0.5, 0.9),
                  batch_size=b)
     step = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
@@ -532,7 +598,7 @@ def test_trajectory_determinism():
     def run():
         obj = Objective(2, rastrigin)
         rng = RngStream(123)
-        state = refresh_values(init_swarm(UniformBox(-5, 5), 15, 2, rng), obj)
+        state = init_swarm(UniformBox(-5, 5), 15, obj, rng)
         cfg = params(beta=1e6, schedule=StepSchedule.geometric(1.0, 0.95),
                      batch_size=6)
         for _ in range(30):
@@ -589,7 +655,7 @@ def test_coupling_identity_property(pts, lam, delta, beta, seed):
 def test_check_stop_identical_states():
     obj = sphere(2)
     prev = make_state(np.ones((3, 2)), obj)
-    nxt = SwarmState(prev.positions.copy(), 1, prev.values.copy())
+    nxt = SwarmState(prev.positions.copy(), prev.values.copy(), 1)
     assert check_stop(prev, nxt, 1e-6)
 
 
@@ -598,16 +664,16 @@ def test_check_stop_large_move_fails():
     prev = make_state(np.zeros((2, 2)), obj)
     moved = prev.positions.copy()
     moved[0, 0] += 1.0
-    nxt = refresh_values(SwarmState(moved, 1), obj)
+    nxt = SwarmState(moved, obj.eval_many(moved), 1)
     assert not check_stop(prev, nxt, 1e-6)
 
 
 def test_check_stop_ratio_rule():
     # dx = 1e-7 and df = 1e-14 per particle: both maxima within 1e-6.
-    prev = SwarmState(np.zeros((3, 1)), 0, np.zeros(3))
-    nxt = SwarmState(np.full((3, 1), 1e-7), 1, np.full(3, 1e-14))
+    prev = SwarmState(np.zeros((3, 1)), np.zeros(3), 0)
+    nxt = SwarmState(np.full((3, 1), 1e-7), np.full(3, 1e-14), 1)
     assert check_stop(prev, nxt, 1e-6)
-    worse = SwarmState(np.full((3, 1), 1e-7), 1, np.full(3, 1e-12))
+    worse = SwarmState(np.full((3, 1), 1e-7), np.full(3, 1e-12), 1)
     assert not check_stop(prev, worse, 1e-6)
 
 
@@ -637,8 +703,8 @@ def test_check_stop_equals_norm_reference(seed, n, d, move, fscale, still,
     values = gen.normal(size=n)
     if tol_rule == "dx":
         fscale = 0.0  # only the distance test decides
-    prev = SwarmState(before, 0, values)
-    nxt = SwarmState(after, 1, values + fscale * move * gen.normal(size=n))
+    prev = SwarmState(before, values, 0)
+    nxt = SwarmState(after, values + fscale * move * gen.normal(size=n), 1)
     # Put tol exactly on a reference maximum, where one ulp decides.
     dx = np.linalg.norm(after - before, axis=1)
     if tol_rule == "dx":
@@ -668,8 +734,8 @@ def test_check_stop_equals_norm_reference_where_squares_underflow(
         before[i, j] = 0.0
         after[i, j] = value
     values = gen.normal(size=n)
-    prev = SwarmState(before, 0, values)
-    nxt = SwarmState(after, 1, values + fscale * move * gen.normal(size=n))
+    prev = SwarmState(before, values, 0)
+    nxt = SwarmState(after, values + fscale * move * gen.normal(size=n), 1)
     if tol_rule:   # tol exactly on the reference's largest distance
         dx = np.linalg.norm(after - before, axis=1)
         tol = float(np.nan_to_num(dx.max(), nan=0.0, posinf=0.0))
@@ -677,8 +743,8 @@ def test_check_stop_equals_norm_reference_where_squares_underflow(
 
 
 def test_check_stop_requires_consecutive():
-    prev = SwarmState(np.zeros((2, 1)), 0, np.zeros(2))
-    nxt = SwarmState(np.zeros((2, 1)), 2, np.zeros(2))
+    prev = SwarmState(np.zeros((2, 1)), np.zeros(2), 0)
+    nxt = SwarmState(np.zeros((2, 1)), np.zeros(2), 2)
     with pytest.raises(ConfigurationError):
         check_stop(prev, nxt, 1e-6)
 
@@ -785,7 +851,7 @@ def test_empirical_consensus_decay_and_bound():
     for run in range(n_runs):
         obj = Objective(2, rastrigin)
         rng = RngStream(run)
-        state = refresh_values(init_swarm(UniformBox(-5, 5), 10, 2, rng), obj)
+        state = init_swarm(UniformBox(-5, 5), 10, obj, rng)
         diam[run, 0] = swarm_diameter(state.positions)
         p = params(lam=lam, delta=delta, beta=50.0, sigma=sigma,
                    schedule=sched)
@@ -900,7 +966,7 @@ def test_steps_non_finite_errors_without_warnings(positions, values, lam,
                                                   expected):
     prm = params(lam=lam, delta=delta, beta=beta, sigma=0.25,
                  schedule=StepSchedule.constant(alpha), batch_size=4)
-    state = SwarmState(positions, 3, values)
+    state = SwarmState(positions, values, 3)
     obj = Objective(2, trap)
     steps = (lambda: escbo_step(state, obj, prm, RngStream(0)),
              lambda: vanilla_cbo_step(state, obj, prm, RngStream(0)),
@@ -926,7 +992,7 @@ def test_check_stop_non_finite_without_warnings(after, values_after,
     if values_before == "huge":
         values_after = np.where(np.isfinite(values_after), HUGE,
                                 values_after)
-    prev, nxt = SwarmState(BASE, 0, before), SwarmState(after, 1, values_after)
+    prev, nxt = SwarmState(BASE, before, 0), SwarmState(after, values_after, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tol in (0.0, 1e-6, 1.0):

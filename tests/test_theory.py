@@ -724,12 +724,18 @@ def test_theory_returns_a_value_or_a_configuration_error(
     (lambda: consensus_distance_bound(np.zeros((2, 1, 1)), [0.0, 0.0], [0.0],
                                       0.0, GCP_1D, r=0.05, q=0.1, beta=10.0,
                                       f_r=0.0), ConfigurationError),
+    # A grid search is about one point: a center of one axis.
+    (lambda: max_on_ball(lambda p: np.sum(p * p, axis=1), [[0.0, 0.0]], 1.0,
+                         0.25), ConfigurationError),
+    (lambda: growth_radius(lambda p: np.sum(p * p, axis=1), [[0.0, 0.0]],
+                           0.0, 0.5, 1.0, 0.25), ConfigurationError),
 ], ids=["series-max-terms", "gamma-rounds-to-one", "budget-W0", "budget-eps",
         "budget-gamma", "margin-c4k", "distance-q", "laplace-nan",
         "error-bound-epsilon", "ball-radius", "ball-resolution",
         "growth-radius-q", "ball-center-nan", "growth-radius-center-inf",
         "distance-position-nan", "distance-xstar-inf",
-        "distance-xstar-3-on-dim-1", "distance-positions-3-axes"])
+        "distance-xstar-3-on-dim-1", "distance-positions-3-axes",
+        "ball-center-2-axes", "growth-center-2-axes"])
 def test_theory_validation_errors(call, error):
     with pytest.raises(error):
         call()
