@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ConfigurationError, Objective, _check
+from .objective import ConfigurationError, Objective, _array, _check
 
 __all__ = [
     "MLPArchitecture",
@@ -73,18 +73,9 @@ def flatten(weights, biases) -> np.ndarray:
     """Concatenate (W1 row-major, b1, W2, b2, ...) into one vector."""
     parts = []
     for w, b in zip(weights, biases):
-        parts.append(np.asarray(w, dtype=float).ravel())
-        parts.append(np.asarray(b, dtype=float).ravel())
+        parts.append(_array("weights", w).ravel())
+        parts.append(_array("biases", b).ravel())
     return np.concatenate(parts)
-
-
-def _param_vector(params, arch: MLPArchitecture) -> np.ndarray:
-    vec = np.asarray(params, dtype=float).ravel()
-    if vec.size != arch.dim:
-        raise ConfigurationError(
-            f"parameter vector length {vec.size} != {arch.dim} "
-            f"for architecture {arch}")
-    return vec
 
 
 def _layers(arch: MLPArchitecture, pop: np.ndarray) -> list:
@@ -101,14 +92,16 @@ def _layers(arch: MLPArchitecture, pop: np.ndarray) -> list:
 
 def unflatten(params, arch: MLPArchitecture):
     """Split a flat vector back into weight matrices and bias vectors."""
-    layers = _layers(arch, _param_vector(params, arch)[None])
+    layers = _layers(arch, _array("params", params, 1, (arch.dim,))[None])
     return [wm[0] for wm, _ in layers], [bias[0] for _, bias in layers]
 
 
 def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
     """Network output for inputs u of shape (N0,) or (M, N0)."""
-    x = np.asarray(u, dtype=float)
-    h = _forward(arch, _param_vector(params, arch)[None], np.atleast_2d(x).T)
+    x = _array("u", u)  # then one input or a batch of them
+    x = _array("u", x, 2 if x.ndim > 1 else 1, (arch.widths[0],))
+    h = _forward(arch, _array("params", params, 1, (arch.dim,))[None],
+                 np.atleast_2d(x).T)
     return h[0, :, 0] if x.ndim == 1 else h[0].T
 
 
@@ -206,14 +199,14 @@ def _mse(arch, pop: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def train_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     """Mean squared error over the training split."""
-    return float(_mse(arch, _param_vector(params, arch), data.train_inputs.T,
-                      data.train_targets.T))
+    return float(_mse(arch, _array("params", params, 1, (arch.dim,)),
+                      data.train_inputs.T, data.train_targets.T))
 
 
 def test_error(arch: MLPArchitecture, params, data: SyntheticDataset) -> float:
     """Mean squared error over the held-out split."""
-    return float(_mse(arch, _param_vector(params, arch), data.test_inputs.T,
-                      data.test_targets.T))
+    return float(_mse(arch, _array("params", params, 1, (arch.dim,)),
+                      data.test_inputs.T, data.test_targets.T))
 
 
 class _ProbeKernel:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -56,6 +57,7 @@ def _is_real(value) -> bool:  # one real number; numpy scalars count
 
 
 _intervals: dict = {}  # interval text -> (lo, hi, lo closed, hi closed)
+_FLOAT = np.dtype(float)
 
 
 def _check(name: str, value, interval: str, count: bool = False):
@@ -82,17 +84,38 @@ def _check(name: str, value, interval: str, count: bool = False):
     raise ConfigurationError(f"{name} must lie in {interval}, got {value!r}")
 
 
+def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _array(name: str, value, ndim: Optional[int] = None, tail: tuple = (),
+           finite: bool = False) -> np.ndarray:
+    """``value`` as a float64 array of ``ndim`` axes (any if None) whose shape
+    ends in ``tail``, all finite if ``finite``, or else a ConfigurationError:
+    ragged, string, bool, complex and too-large integer input is not real.
+    A float64 ndarray is returned as it is, not copied."""
+    a = value
+    if type(a) is not np.ndarray or a.dtype is not _FLOAT:
+        if not _reals(a):
+            raise ConfigurationError(f"{name} must be an array of real "
+                                     f"numbers, got {reprlib.repr(value)}")
+        a = np.asarray(a, dtype=float)
+    if ndim is not None and (a.ndim != ndim
+                             or a.shape[ndim - len(tail):] != tail):
+        want = str(("*",) * (ndim - len(tail)) + tail).replace("'", "")
+        raise ConfigurationError(f"{name} must have shape {want}, got {a.shape}")
+    if finite and not _all_finite(a):
+        raise ConfigurationError(f"{name} must be finite, got {reprlib.repr(a)}")
+    return a
+
+
 def _fit(name: str, value, d: int) -> np.ndarray:
     """One value or one per coordinate, broadcast to a (d,) float array."""
-    a = np.asarray(value, dtype=float)
+    a = _array(name, value)
     if a.shape not in ((), (1,), (d,)):
         raise ConfigurationError(
             f"{name} of shape {a.shape} does not fit dimension {d}")
     return np.broadcast_to(a, (d,))
-
-
-def _all_finite(a: np.ndarray) -> bool:  # np.isfinite(a).all(), unwrapped
-    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def _row_sums(a: np.ndarray):
@@ -138,7 +161,8 @@ class Objective:
 
     def eval(self, x) -> float:
         """f at one point of shape (d,): the batch of that one point."""
-        return float(self.eval_many(np.asarray(x, dtype=float)[None])[0])
+        x = _array(f"{self.name}: point", x, 1, (self.dim,))
+        return float(self.eval_many(x[None])[0])
 
     def eval_many(self, points, centers=None, values=None) -> np.ndarray:
         """Evaluate a (B, d) batch of points; counts B evaluations.
@@ -150,32 +174,28 @@ class Objective:
         calling ``fn``: the gradient steppers read their base values from
         the swarm's cache this way.
         """
-        pts = np.asarray(points, dtype=float)
         d = self.dim
-        if pts.ndim != 2 or pts.shape[1] != d:
-            raise ConfigurationError(f"{self.name}: expected a (B, {d}) "
-                                     f"batch, got shape {pts.shape}")
-        b = pts.shape[0]
-        if centers is not None and (b % d or np.shape(centers) != (b // d, d)):
-            raise ConfigurationError(
-                f"{self.name}: {b} probe rows need ({b // d}, {d}) centers, "
-                f"got shape {np.shape(centers)}")
-        if values is not None and np.shape(values) != (b,):
-            raise ConfigurationError(f"{self.name}: {b} points need ({b},) "
-                                     f"values, got shape {np.shape(values)}")
-        self._count += b
-        if values is not None:
-            return np.asarray(values, dtype=float)
-        if centers is not None and self._probe_kernel is not None:
-            c = np.asarray(centers, dtype=float)
-            # Row i*d + l differs from center i in coordinate l only.
-            delta = pts.reshape(b // d, d * d)[:, ::d + 1] - c
-            return self._probe_kernel(c, delta)
-        vals = np.asarray(self._fn(pts), dtype=float)
-        if vals.shape != (b,):
-            raise ConfigurationError(f"{self.name}: fn gave shape "
-                                     f"{vals.shape} for {b} points, not ({b},)")
-        return vals
+        try:  # named here, so that only a failing call formats the name
+            pts = _array("points", points, 2, (d,))
+            b = pts.shape[0]
+            if centers is not None:
+                if b % d:
+                    raise ConfigurationError(
+                        f"centers need {d} probe rows each, got {b} rows")
+                centers = _array("centers", centers, 2, (b // d, d))
+            if values is not None:
+                values = _array("values", values, 1, (b,))
+            self._count += b
+            if values is not None:
+                return values
+            if centers is not None and self._probe_kernel is not None:
+                # Row i*d + l differs from center i in coordinate l only.
+                delta = pts.reshape(b // d, d * d)[:, ::d + 1] - centers
+                return self._probe_kernel(centers, delta)
+            return _array("fn values", self._fn(pts), 1, (b,))
+        except ConfigurationError as exc:  # its traceback kept
+            exc.args = (f"{self.name}: {exc}",)
+            raise
 
     def __repr__(self):
         return f"Objective({self.name!r}, dim={self.dim}, evals={self._count})"
@@ -215,11 +235,7 @@ def forward_difference_gradient(obj: Objective, x, sigma: float) -> np.ndarray:
     d + 1 evaluations, the base value f(x) once and shared across all d
     coordinate probes.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (obj.dim,):
-        raise ConfigurationError(f"point shape {x.shape} != ({obj.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ConfigurationError("non-finite point")
+    x = _array("x", x, 1, (obj.dim,), finite=True)
     return minibatch_gradients(obj, x[None, :], [0], sigma)[0]
 
 
@@ -237,21 +253,20 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
     gradient steppers pass the swarm's cached values this way.
     """
     _check("sigma", sigma, "(0, inf)")
-    pts = np.ascontiguousarray(positions, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != obj.dim:
-        raise ConfigurationError(
-            f"positions must be (N, {obj.dim}), got {pts.shape}")
+    pts = _array("positions", positions, 2, (obj.dim,))
     n, d = pts.shape
-    if values is not None and np.shape(values) != (n,):
-        raise ConfigurationError(
-            f"values must be ({n},), got {np.shape(values)}")
+    if values is not None:
+        values = _array("values", values, 1, (n,))
     if batch is None:
         idx = range(n)
     else:
-        raw = np.asarray(list(batch))
-        if raw.size and raw.dtype.kind not in "iu":  # a mask, 1.7, ...
+        try:  # indices in a list, a set or an array
+            raw = np.asarray(list(batch))
+        except (TypeError, ValueError):  # not iterable, or ragged
+            raw = np.empty((0, 0))  # fails below
+        if raw.ndim != 1 or raw.size and raw.dtype.kind not in "iu":
             raise ConfigurationError(
-                f"batch must hold integer indices, got {raw.dtype}")
+                f"batch must hold integer indices, got {reprlib.repr(batch)}")
         idx = np.unique(raw.astype(int))
     b = len(idx)
     if b == 0:
@@ -259,10 +274,11 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
     if idx[0] < 0 or idx[-1] >= n:
         raise ConfigurationError(
             f"batch indices must lie in [0, {n - 1}], got {idx[0]}..{idx[-1]}")
-    # Sorted, unique and in range: a batch of size n is every particle.
-    centers = pts if b == n else pts[idx]
+    # Sorted, unique and in range: a batch of size n is every particle, used
+    # as it is if C-ordered (a probe kernel's rounding follows the layout).
+    centers = pts if b == n and pts.flags.c_contiguous else pts[idx]
     if values is not None and b < n:
-        values = np.asarray(values)[idx]
+        values = values[idx]
     base = obj.eval_many(centers, values=values)
     probes = centers.repeat(d, axis=0)
     probes.reshape(b, d * d)[:, ::d + 1] += sigma

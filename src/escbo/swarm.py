@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .objective import (ConfigurationError, Objective, _all_finite, _check,
-                        _fit, _reals, _row_sums, minibatch_gradients)
+from .objective import (ConfigurationError, Objective, _all_finite, _array,
+                        _check, _fit, _row_sums, minibatch_gradients)
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ExperimentConfig
@@ -98,10 +98,8 @@ class SwarmState:
         if not (type(p) is type(v) is np.ndarray and p.dtype == v.dtype
                 == float and type(k) is int and k >= 0):  # else convert
             k = self.k = _check("k", k, "[0, inf)", count=True)
-            if not (_reals(p) and _reals(v)):  # ragged, None, not numbers
-                p = v = np.empty(0)  # fails below
-            p = self.positions = np.asarray(p, dtype=float)
-            v = self.values = np.asarray(v, dtype=float)
+            p = self.positions = _array("positions", p)
+            v = self.values = _array("values", v)
         if not (p.ndim == 2 and p.size and v.shape == p.shape[:1]):
             raise ConfigurationError("a swarm state needs real (N, d) "
                                      "positions, N, d >= 1, and (N,) values")
@@ -168,9 +166,8 @@ class UniformBox:
     def __post_init__(self):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                width = np.subtract(self.hi, self.lo, dtype=float) \
-                    if _reals(self.lo) and _reals(self.hi) else np.nan
-        except ValueError:  # shapes that do not broadcast together
+                width = _array("hi", self.hi) - _array("lo", self.lo)
+        except ValueError:  # not real arrays, or shapes that do not broadcast
             width = np.nan
         if not np.all(np.isfinite(width) & (width > 0)):  # nan, inf fail
             raise ConfigurationError(
@@ -193,9 +190,7 @@ class ComponentGaussian:
     variance: float
 
     def __post_init__(self):
-        if not (_reals(self.mean) and np.isfinite(self.mean).all()):
-            raise ConfigurationError(
-                f"need a finite real mean, got {self.mean!r}")
+        _array("mean", self.mean, finite=True)
         _check("variance", self.variance, "[0, inf)")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
@@ -221,10 +216,10 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     the normalized weights and keeps them finite for beta up to 1e20: the
     best particle always has pre-normalization weight exactly one.
     """
-    f = np.asarray(values, dtype=float)
+    f = _array("values", values, 1)
     _check("beta", beta, "[0, inf)")
-    if f.ndim != 1 or not f.size:
-        raise ConfigurationError(f"need (N,) values, N >= 1, got {f.shape}")
+    if not f.size:
+        raise ConfigurationError("softmin needs one value or more")
     # exp(-beta * (f - min f)) / sum, in place on one fresh array.
     w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
     w *= -beta
@@ -364,8 +359,8 @@ def swarm_diameter(positions: np.ndarray) -> float:
     offset if that is not finite, so inf for a swarm that overflows.  It
     writes into module-level work arrays, so it is not reentrant.
     """
-    if (y := np.asarray(positions, dtype=float)).ndim != 2 or not y.size:
-        raise ConfigurationError(f"need (N, d) positions, got {y.shape}")
+    if not (y := _array("positions", positions, 2)).size:
+        raise ConfigurationError(f"positions of shape {y.shape} are empty")
     y = y - y[0]  # one (N, d) copy
     sq = np.einsum("ij,ij->i", y, y)
     if not (top := sq[sq.argmax()]) < np.inf:  # sq.max(), unwrapped

@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objective import ConfigurationError, _check, _fit, gradient_bounds
+from .objective import (ConfigurationError, _array, _check, _fit,
+                        gradient_bounds)
 from .swarm import StepSchedule, SwarmState, consensus_point
 
 __all__ = [
@@ -252,13 +253,6 @@ def _power(base: float, exponent: float) -> float:  # base >= 0
         return math.inf
 
 
-def _finite(name: str, value) -> np.ndarray:  # an array input of theory
-    a = np.atleast_1d(np.asarray(value, dtype=float))
-    if not np.isfinite(a).all():
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
-    return a
-
-
 def growth_margin(gcp: GrowthConditionParams, c4k: float) -> float:
     """Value margin q = min(f_inf, (mu * c4k / sqrt(2))^(1/nu)) / 2."""
     c4k = _check("c4k", c4k, "(0, inf)")
@@ -283,8 +277,8 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     that of the swarm's consensus point at the given beta, recomputed from
     the (N, d) ``positions`` and ``fvals``, one finite value per particle.
     """
-    state = SwarmState(_finite("positions", positions), fvals)
-    xs = _fit("xstar", _finite("xstar", xstar), state.dim)
+    state = SwarmState(_array("positions", positions, finite=True), fvals)
+    xs = _fit("xstar", _array("xstar", xstar, finite=True), state.dim)
     _check("r", r, f"(0, {gcp.R0}]")
     q = _check("q", q, "(0, inf)")
     fstar = _check("fstar", fstar, "(-inf, inf)")
@@ -315,9 +309,9 @@ def laplace_value(beta: float, f_samples) -> float:
     as beta grows.
     """
     beta = _check("beta", beta, "(0, inf)")
-    f = np.asarray(f_samples, dtype=float)
-    if f.size == 0 or not np.isfinite(f).all():
-        raise ConfigurationError("need one or more samples, all finite")
+    f = _array("f_samples", f_samples, finite=True)
+    if not f.size:
+        raise ConfigurationError("need one or more samples")
     m = float(f.min())
     with np.errstate(over="ignore"):  # a gap past the largest float weighs 0
         return m - math.log(float(np.mean(np.exp(-beta * (f - m))))) / beta
@@ -374,7 +368,7 @@ def check_error_bound_condition(beta: float, lam: float, delta: float,
     lhs_log = math.log1p(-epsilon) - beta * lap
     rhs_log = -math.inf if c3 == 0 else \
         math.log(beta) + math.log(L_f) + math.log(c3) - beta * fstar
-    u = np.unique(np.asarray(f_samples, dtype=float))  # sorted, distinct
+    u = np.unique(_array("f_samples", f_samples))  # sorted, distinct
     if u.size > 1 and math.exp(-beta * (float(u[1]) - float(u[0]))) == 0.0:
         return ErrorBoundCheck(
             satisfied=None, lhs_log=lhs_log, rhs_log=rhs_log, c3=c3,
@@ -411,10 +405,11 @@ def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
     ``fn`` must accept a (B, d) array and return (B,) values; ``resolution``
     is the grid spacing.
     """
-    if (c := _finite("center", center)).ndim != 1:
-        raise ConfigurationError(f"center must be one point, got {c.shape}")
+    c = np.atleast_1d(_array("center", center, finite=True))  # a number: 1-D
+    _array("center", c, 1)  # one point
     _check("radius", radius, "(0, inf)")
-    return float(np.max(fn(_ball_offsets(c.shape[0], radius, resolution) + c)))
+    pts = _ball_offsets(len(c), radius, resolution) + c
+    return float(np.max(_array("fn values", fn(pts), 1, (len(pts),))))
 
 
 def growth_radius(fn, center, fstar: float, q: float, R0: float,
@@ -425,14 +420,14 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     R0-ball and returns the largest grid radius below that of the nearest
     point where f - fstar <= q fails (a nan fails it), or 0.0 if none is.
     """
-    if (c := _finite("center", center)).ndim != 1:
-        raise ConfigurationError(f"center must be one point, got {c.shape}")
+    c = np.atleast_1d(_array("center", center, finite=True))  # a number: 1-D
+    _array("center", c, 1)  # one point
     _check("fstar", fstar, "(-inf, inf)")
     _check("q", q, "(0, inf)")
     _check("R0", R0, "(0, inf)")
-    off = _ball_offsets(c.shape[0], R0, resolution)
+    off = _ball_offsets(len(c), R0, resolution)
     radii = np.hypot.reduce(np.abs(off), axis=1)  # a norm that cannot overflow
-    vals = np.asarray(fn(off + c), dtype=float)
+    vals = _array("fn values", fn(off + c), 1, (len(off),))
     with np.errstate(over="ignore"):  # an f - fstar past the floats fails
         limit = np.min(radii, where=~(vals - fstar <= q), initial=np.inf)
     return float(min(np.max(radii, where=radii < limit, initial=0.0), R0))

@@ -19,6 +19,8 @@ from escbo.neural import test_error as held_out_error
 from escbo.objective import (ConfigurationError, Objective,
                              forward_difference_gradient, minibatch_gradients)
 
+from conftest import not_real
+
 
 def test_flattened_dimensions():
     cases = {(5, 10, 1): 71, (5, 5, 5, 5, 1): 96, (5, 10, 10, 10, 1): 291,
@@ -52,6 +54,38 @@ def test_flatten_round_trip():
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ConfigurationError):
         unflatten(np.zeros(70), MLPArchitecture((5, 10, 1)))
+
+
+NET = MLPArchitecture((2, 1))  # three parameters
+NET_DATA = generate_synthetic(NET, seed=0, M=3, M_test=2)
+# Each array input of the module, in a call that a valid value of it passes.
+NOT_REAL = not_real({
+    "flatten-weights": (lambda a: flatten([a], [np.zeros(1)]),
+                        np.zeros((1, 2))),
+    "flatten-biases": (lambda a: flatten([np.zeros((1, 2))], [a]),
+                       np.zeros(1)),
+    "unflatten-params": (lambda a: unflatten(a, NET), np.zeros(3)),
+    "forward-params": (lambda a: forward(NET, a, np.zeros(2)), np.zeros(3)),
+    "forward-inputs": (lambda a: forward(NET, np.zeros(3), a),
+                       np.zeros((4, 2))),
+    "train-params": (lambda a: train_error(NET, a, NET_DATA), np.zeros(3)),
+    "test-params": (lambda a: held_out_error(NET, a, NET_DATA), np.zeros(3)),
+})
+
+
+@pytest.mark.parametrize("call", [
+    # Inputs of one width N0, as one point or as a batch of them.
+    lambda: forward(NET, np.zeros(3), [0.0, 0.0, 0.0]),
+    lambda: forward(NET, np.zeros(3), np.zeros((4, 3))),
+    lambda: forward(NET, np.zeros(3), np.zeros((1, 4, 2))),
+    # One flat parameter vector.
+    lambda: forward(NET, np.zeros((1, 3)), np.zeros(2)),
+    *NOT_REAL.values(),
+], ids=["forward-inputs-width-3", "forward-batch-width-3",
+        "forward-inputs-3-axes", "forward-params-2-axes", *NOT_REAL])
+def test_neural_validation_errors(call):
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 def test_forward_zero_network():

@@ -15,6 +15,8 @@ from escbo.objective import (ConfigurationError, EstimationError, Objective,
                              estimate_lipschitz, forward_difference_gradient,
                              gradient_bounds, minibatch_gradients)
 
+from conftest import not_real
+
 
 def sphere_objective(dim=2):
     return Objective(dim, lambda x: np.sum(x * x, axis=-1), name="sphere")
@@ -172,6 +174,26 @@ def test_eval_many_of_a_subset_equals_those_rows_of_the_batch(name, n, seed,
         obj.eval_many(points)[subset].tobytes()
 
 
+# Each public array input of the module, in a call that a valid value of it
+# passes; not_real gives the calls on its ragged, string, bool and complex
+# forms.
+NOT_REAL = not_real({
+    "eval-point": (lambda a: sphere_objective().eval(a), np.zeros(2)),
+    "eval_many-points": (lambda a: sphere_objective().eval_many(a),
+                         np.zeros((3, 2))),
+    "eval_many-centers": (lambda a: sphere_objective().eval_many(
+        np.zeros((4, 2)), centers=a), np.zeros((2, 2))),
+    "eval_many-values": (lambda a: sphere_objective().eval_many(
+        np.zeros((3, 2)), values=a), np.zeros(3)),
+    "gradient-point": (lambda a: forward_difference_gradient(
+        sphere_objective(), a, 0.1), np.zeros(2)),
+    "minibatch-positions": (lambda a: minibatch_gradients(
+        sphere_objective(), a, None, 0.1), np.zeros((3, 2))),
+    "minibatch-values": (lambda a: minibatch_gradients(
+        sphere_objective(), np.zeros((3, 2)), None, 0.1, a), np.zeros(3)),
+})
+
+
 @pytest.mark.parametrize("call", [
     lambda: Objective(0, np.sum),
     lambda: forward_difference_gradient(sphere_objective(), np.zeros(3), 0.1),
@@ -181,8 +203,15 @@ def test_eval_many_of_a_subset_equals_those_rows_of_the_batch(name, n, seed,
                                 0.1),
     lambda: estimate_lipschitz(Objective(2, np.sum), [0, 0, 0], [1, 1, 1],
                                samples=4),
+    # fn's values are an array input too.
+    lambda: Objective(2, lambda x: [[0.0], [1.0, 2.0]]).eval_many(
+        np.zeros((2, 2))),
+    lambda: estimate_lipschitz(Objective(2, lambda x: np.full(len(x), "a")),
+                               0.0, 1.0, samples=4),
+    *NOT_REAL.values(),
 ], ids=["dim-zero", "gradient-shape", "gradient-non-finite",
-        "minibatch-shape", "lipschitz-box-3-on-dim-2"])
+        "minibatch-shape", "lipschitz-box-3-on-dim-2", "eval_many-fn-ragged",
+        "lipschitz-fn-strings", *NOT_REAL])
 def test_objective_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()
@@ -334,6 +363,24 @@ def test_minibatch_batch_forms_equal_reference(data, seed, n, d, sigma):
     assert every[subset].tobytes() == expected[subset].tobytes()
 
 
+@pytest.mark.parametrize("batch", [None, [0, 2, 5]], ids=["all", "subset"])
+@pytest.mark.parametrize("layout", [np.asfortranarray,
+                                    lambda p: np.repeat(p, 2, axis=1)[:, ::2]],
+                         ids=["fortran", "strided"])
+@pytest.mark.parametrize("make", [lambda: lookup("rastrigin", 3).objective,
+                                  lambda: network((2, 3, 1))],
+                         ids=["benchmark", "dnn"])
+def test_minibatch_gradients_do_not_depend_on_the_layout(make, layout, batch):
+    # Positions pass into the estimator without a copy; one that is not
+    # C-ordered is copied first, so a probe kernel rounds alike.
+    obj = make()
+    positions = np.random.default_rng(1).normal(size=(6, obj.dim))
+    values = obj.eval_many(positions)
+    expected = minibatch_gradients(obj, positions, batch, 0.01, values)
+    got = minibatch_gradients(obj, layout(positions), batch, 0.01, values)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_minibatch_rejects_out_of_range():
     obj = sphere_objective()
     with pytest.raises(ConfigurationError):
@@ -342,7 +389,7 @@ def test_minibatch_rejects_out_of_range():
 
 @pytest.mark.parametrize("batch", [
     [True, False, True, False], np.array([True, False, True, False]),
-    [1.7], np.array([0.0, 2.0]), [np.True_], ["1"]])
+    [1.7], np.array([0.0, 2.0]), [np.True_], ["1"], 1, [[0, 1]]])
 def test_minibatch_rejects_batches_that_are_not_indices(batch):
     # A mask or a float used to read as indices (the mask above as
     # particles 0 and 1, [1.7] as particle 1).

@@ -19,6 +19,8 @@ from escbo.swarm import (ComponentGaussian, DivergenceError,
                          fescbo_step, init_swarm, softmin_weights,
                          swarm_diameter, vanilla_cbo_step)
 
+from conftest import not_real
+
 
 def sphere(dim):
     return Objective(dim, lambda x: np.sum(x * x, axis=-1))
@@ -171,6 +173,13 @@ def test_rng_stream_labels():
     assert not np.allclose(a, c)
 
 
+# The array inputs that a state, a box or a Gaussian does not check already.
+NOT_REAL = not_real({
+    "softmin-values": (lambda a: softmin_weights(a, 1.0), np.zeros(3)),
+    "diameter-positions": (swarm_diameter, np.zeros((3, 2))),
+})
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: init_swarm(UniformBox(-1, 1), 0, sphere(2), RngStream(0)),
      ConfigurationError),
@@ -210,13 +219,15 @@ def test_rng_stream_labels():
     (lambda: swarm_diameter(np.zeros((0, 2))), ConfigurationError),
     (lambda: softmin_weights([], 1.0), ConfigurationError),
     (lambda: softmin_weights(0.0, 1.0), ConfigurationError),
+    *((call, ConfigurationError) for call in NOT_REAL.values()),
 ], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream",
         "nan-beta", "inf-beta", "consensus-inf-beta", "nan-delta",
         "inf-delta", "box-3-on-dim-2", "gaussian-3-on-dim-2",
         "state-without-values", "consensus-4-values-on-3",
         "step-4-values-on-3", "escbo-harmonic-k-negative", "state-k-2.5",
         "stop-particle-counts-differ", "diameter-1-axis",
-        "diameter-no-particles", "softmin-no-values", "softmin-scalar"])
+        "diameter-no-particles", "softmin-no-values", "softmin-scalar",
+        *NOT_REAL])
 def test_swarm_validation_errors(call, error):
     with pytest.raises(error):
         call()

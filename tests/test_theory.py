@@ -22,6 +22,8 @@ from escbo.theory import (GrowthConditionParams, ParameterConditionWarning,
                           growth_radius, iteration_budget, laplace_value,
                           max_on_ball, perturbation_series)
 
+from conftest import not_real
+
 GEO = StepSchedule.geometric(0.5, 0.5)
 ZERO = StepSchedule.constant(0.0)
 
@@ -686,6 +688,26 @@ def test_theory_returns_a_value_or_a_configuration_error(
             assert theory_result(numpy_call) == theory_result(call)
 
 
+def distance(positions=np.zeros((2, 1)), xstar=(0.0,)):
+    return consensus_distance_bound(positions, [0.0, 0.0], xstar, 0.0, GCP_1D,
+                                    r=0.05, q=0.1, beta=10.0, f_r=0.0)
+
+
+# Each array input of the module, in a call that a valid value of it passes.
+NOT_REAL = not_real({
+    "distance-positions": (lambda a: distance(positions=a), np.zeros((2, 1))),
+    "distance-xstar": (lambda a: distance(xstar=a), np.zeros(1)),
+    "laplace-samples": (lambda a: laplace_value(1.0, a), np.zeros(2)),
+    "budget-samples": (lambda a: error_budget(1.0, 0.5, a, 0.0), np.zeros(2)),
+    "error-bound-samples": (lambda a: check_error_bound_condition(
+        1.0, 0.5, 0.1, GEO, 1.0, 1.0, 0.5, a, 0.0, 1, 0.1), np.zeros(2)),
+    "ball-center": (lambda a: max_on_ball(lambda p: p[:, 0], a, 1.0, 0.5),
+                    np.zeros(1)),
+    "growth-center": (lambda a: growth_radius(lambda p: p[:, 0], a, 0.0, 0.5,
+                                              1.0, 0.5), np.zeros(1)),
+})
+
+
 @pytest.mark.parametrize("call, error", [
     # The steps shrink too slowly for f_n to settle within the term limit.
     (lambda: perturbation_series(0.5, 0.0, StepSchedule.geometric(
@@ -729,13 +751,20 @@ def test_theory_returns_a_value_or_a_configuration_error(
                          0.25), ConfigurationError),
     (lambda: growth_radius(lambda p: np.sum(p * p, axis=1), [[0.0, 0.0]],
                            0.0, 0.5, 1.0, 0.25), ConfigurationError),
+    # fn's values are an array input too: one real value per point.
+    (lambda: growth_radius(lambda p: p, [0.0], 0.0, 0.5, 1.0, 0.5),
+     ConfigurationError),
+    (lambda: max_on_ball(lambda p: np.full(len(p), "a"), [0.0], 1.0, 0.5),
+     ConfigurationError),
+    *((call, ConfigurationError) for call in NOT_REAL.values()),
 ], ids=["series-max-terms", "gamma-rounds-to-one", "budget-W0", "budget-eps",
         "budget-gamma", "margin-c4k", "distance-q", "laplace-nan",
         "error-bound-epsilon", "ball-radius", "ball-resolution",
         "growth-radius-q", "ball-center-nan", "growth-radius-center-inf",
         "distance-position-nan", "distance-xstar-inf",
         "distance-xstar-3-on-dim-1", "distance-positions-3-axes",
-        "ball-center-2-axes", "growth-center-2-axes"])
+        "ball-center-2-axes", "growth-center-2-axes", "growth-fn-columns",
+        "ball-fn-strings", *NOT_REAL])
 def test_theory_validation_errors(call, error):
     with pytest.raises(error):
         call()
