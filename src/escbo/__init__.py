@@ -8,13 +8,12 @@ bundles the steppers with benchmark objectives, a sigmoid-MLP training
 target, computable convergence bounds, and a seeded experiment harness.
 """
 
+import importlib
+
 from .benchmarks import BenchmarkSpec, available, lookup
 from .harness import (AggregateReport, DiagnosticReport, ExperimentConfig,
                       RunRecord, diagnose, emit_report, run_many, run_once,
                       table_preset)
-from .neural import (MLPArchitecture, SyntheticDataset, dnn_objective,
-                     flatten, forward, generate_synthetic, load_dataset,
-                     save_dataset, test_error, train_error, unflatten)
 from .objective import (ConfigurationError, EstimationError, LipschitzData,
                         Objective, estimate_lipschitz,
                         forward_difference_gradient, gradient_bounds,
@@ -24,13 +23,30 @@ from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     check_stop, consensus_point, draw_noise, escbo_step,
                     fescbo_step, init_swarm, softmin_weights,
                     swarm_diameter, vanilla_cbo_step)
-from .theory import (ComplexityConstants, ConsensusCondition, ErrorBoundCheck,
-                     GrowthConditionParams, ParameterConditionWarning,
-                     ProximityResult, check_consensus_condition,
-                     check_error_bound_condition, consensus_bound,
-                     consensus_bound_series, consensus_distance_bound,
-                     contraction_constants, error_budget, growth_margin,
-                     growth_radius, iteration_budget, laplace_value,
-                     max_on_ball, perturbation_series)
+
+# Loaded on first use, as no benchmark campaign runs them: name -> module.
+_LAZY = {name: module for module, names in {
+    "neural": """neural MLPArchitecture SyntheticDataset dnn_objective flatten
+        forward generate_synthetic load_dataset save_dataset test_error
+        train_error unflatten""",
+    "theory": """theory ComplexityConstants ConsensusCondition ErrorBoundCheck
+        GrowthConditionParams ParameterConditionWarning ProximityResult
+        check_consensus_condition check_error_bound_condition consensus_bound
+        consensus_bound_series consensus_distance_bound contraction_constants
+        error_budget growth_margin growth_radius iteration_budget
+        laplace_value max_on_ball perturbation_series"""}.items()
+    for name in names.split()}
+
+
+def __getattr__(name):  # importlib: ``from . import`` would ask here again
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module("." + _LAZY[name], __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from . import benchmarks, theory
+from . import benchmarks
 from .harness import (_KINDS, ExperimentConfig, _summary_row, diagnose,
                       emit_report, run_many, run_once, table_preset)
 from .objective import ConfigurationError
@@ -142,6 +142,7 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_laplace(args) -> int:
+    from . import theory
     betas = _parse("beta-grid", args.beta_grid,
                    lambda text: [float(b) for b in text.split(",")])
     dim, samples, eps, seed = (

@@ -8,7 +8,6 @@ config therefore reproduces report files byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import warnings
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import benchmarks, neural, theory
+from . import benchmarks
 from .objective import (ConfigurationError, EstimationError, _check, _fit,
                         _is_count, _is_real, gradient_bounds)
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
@@ -152,6 +151,7 @@ class ExperimentConfig:
         # The target's own checks.  A field the target does not read holds
         # 0 or None, or on a network, dim may hold the network's dimension.
         if dnn:
+            from . import neural
             dim = neural.MLPArchitecture(self.arch).dim
             unread = (0, dim)
         else:
@@ -179,6 +179,7 @@ class _Target:
 
 def _build_target(config: ExperimentConfig) -> _Target:
     if config.benchmark == "dnn":
+        from . import neural
         arch = neural.MLPArchitecture(config.arch)
         data = neural.generate_synthetic(arch, config.data_seed)
         init = config.init if config.init is not None else UniformBox(-3.0, 3.0)
@@ -288,6 +289,7 @@ def _score(config, target, seed, state, series, terminated_by, init_values):
                            and dist < config.success_tol)
         rec.fun_err = float(np.mean(np.abs(state.values - target.f_star)))
     if target.data is not None:
+        from . import neural
         best_idx = int(np.argmin(state.values))
         best_params = state.positions[best_idx]
         rec.train_err = float(state.values[best_idx])
@@ -427,8 +429,10 @@ def _blank(row: dict, missing) -> dict:
 
 def _summary_row(report: AggregateReport) -> dict:
     cfg = report.config
-    target_name = cfg.benchmark if cfg.benchmark != "dnn" \
-        else f"dnn({neural.MLPArchitecture(cfg.arch)})"
+    target_name = cfg.benchmark
+    if cfg.benchmark == "dnn":
+        from . import neural
+        target_name = f"dnn({neural.MLPArchitecture(cfg.arch)})"
     init = cfg.init if cfg.init is not None else "default"
     row = {
         "method": cfg.method, "benchmark": target_name,
@@ -470,6 +474,7 @@ def emit_report(reports, fmt: str, path) -> list[str]:
     series = [row for r in reports for row in _series_rows(r)]
     path = os.fspath(path)
     if fmt == "json":
+        import json
         doc = {"summary": [_blank(r, math.isinf) for r in rows],
                "series": [_blank(r, math.isinf) for r in series]}
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -533,6 +538,7 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
     ``var_init`` defaults to half the observed initial diameter; where that
     is not finite, a note replaces the overlay.
     """
+    from . import theory
     _check("xi", xi, "(0, 1)")
     notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:

@@ -71,11 +71,12 @@ def _sigmoid_of_negated(nz: np.ndarray, out=None) -> np.ndarray:
 
 def flatten(weights, biases) -> np.ndarray:
     """Concatenate (W1 row-major, b1, W2, b2, ...) into one vector."""
-    parts = []
-    for w, b in zip(weights, biases):
-        parts.append(_array("weights", w).ravel())
-        parts.append(_array("biases", b).ravel())
-    return np.concatenate(parts)
+    if not all(isinstance(s, (list, tuple)) and s for s in (weights, biases)) \
+            or len(weights) != len(biases):
+        raise ConfigurationError("weights and biases must be lists of arrays, "
+                                 "one of each per layer")
+    return np.concatenate([a for w, b in zip(weights, biases) for a in (
+        _array("weights", w).ravel(), _array("biases", b).ravel())])
 
 
 def _layers(arch: MLPArchitecture, pop: np.ndarray) -> list:

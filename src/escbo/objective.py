@@ -45,8 +45,9 @@ def _is_count(value) -> bool:  # numpy integers count, bools do not
 
 
 def _reals(value) -> bool:  # reals or arrays of them, not bools or 10**400
-    try:
-        return np.asarray(value).dtype.kind in ("i", "u", "f")
+    try:  # numpy reads [0.0, True] as reals, so each item is asked too
+        return np.asarray(value).dtype.kind in ("i", "u", "f") and (
+            not isinstance(value, (list, tuple)) or all(map(_reals, value)))
     except ValueError:  # a ragged sequence
         return False
 

@@ -373,6 +373,7 @@ def swarm_diameter(positions: np.ndarray) -> float:
     # sq_i + sq_j - 2.0 * G_ij, rounded as written; row 0 is sq, so >= 0.
     np.matmul(y, y.T, out=gram)
     gram *= 2.0
-    np.add.outer(sq, sq, out=d2)
+    d2[...] = sq  # then sq_j + sq_i, which addition rounds as sq_i + sq_j
+    d2 += sq[:, None]
     d2 -= gram
     return float(d2.flat[d2.argmax()])  # d2.max(), unwrapped

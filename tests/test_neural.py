@@ -80,9 +80,13 @@ NOT_REAL = not_real({
     lambda: forward(NET, np.zeros(3), np.zeros((1, 4, 2))),
     # One flat parameter vector.
     lambda: forward(NET, np.zeros((1, 3)), np.zeros(2)),
+    # Lists of arrays, one of each per layer.
+    lambda: flatten([], []),
+    lambda: flatten(1.0, 2.0),
     *NOT_REAL.values(),
 ], ids=["forward-inputs-width-3", "forward-batch-width-3",
-        "forward-inputs-3-axes", "forward-params-2-axes", *NOT_REAL])
+        "forward-inputs-3-axes", "forward-params-2-axes", "flatten-empty",
+        "flatten-not-lists", *NOT_REAL])
 def test_neural_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()

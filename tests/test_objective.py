@@ -208,10 +208,12 @@ NOT_REAL = not_real({
         np.zeros((2, 2))),
     lambda: estimate_lipschitz(Objective(2, lambda x: np.full(len(x), "a")),
                                0.0, 1.0, samples=4),
+    # numpy reads a bool among reals as a real.
+    lambda: sphere_objective().eval_many([[0.0, 1.0], [True, 0.5]]),
     *NOT_REAL.values(),
 ], ids=["dim-zero", "gradient-shape", "gradient-non-finite",
         "minibatch-shape", "lipschitz-box-3-on-dim-2", "eval_many-fn-ragged",
-        "lipschitz-fn-strings", *NOT_REAL])
+        "lipschitz-fn-strings", "eval_many-bool-in-list", *NOT_REAL])
 def test_objective_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()

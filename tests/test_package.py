@@ -1,11 +1,15 @@
-"""Package-wide rules: every exported name exists, once; every numeric
-parameter is range-checked by the one helper, ``objective._check``."""
+"""Package-wide rules: every exported name exists, once; ``theory`` and
+``neural`` load on first use; every numeric parameter is range-checked by
+the one helper, ``objective._check``."""
 
 import ast
 import importlib
 import math
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -31,6 +35,67 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(escbo.__path__))
 def test_seven_modules():
     assert MODULES == ["benchmarks", "cli", "harness", "neural", "objective",
                        "swarm", "theory"]
+
+
+# Every name that escbo exports, by the module that defines it.
+EXPORTS = {
+    "benchmarks": "BenchmarkSpec available lookup",
+    "harness": "AggregateReport DiagnosticReport ExperimentConfig RunRecord "
+               "diagnose emit_report run_many run_once table_preset",
+    "neural": "MLPArchitecture SyntheticDataset dnn_objective flatten forward "
+              "generate_synthetic load_dataset save_dataset test_error "
+              "train_error unflatten",
+    "objective": "ConfigurationError EstimationError LipschitzData Objective "
+                 "estimate_lipschitz forward_difference_gradient "
+                 "gradient_bounds minibatch_gradients",
+    "swarm": "ComponentGaussian DivergenceError RngStream StepSchedule "
+             "SwarmState UniformBox check_stop consensus_point draw_noise "
+             "escbo_step fescbo_step init_swarm softmin_weights "
+             "swarm_diameter vanilla_cbo_step",
+    "theory": "ComplexityConstants ConsensusCondition ErrorBoundCheck "
+              "GrowthConditionParams ParameterConditionWarning "
+              "ProximityResult check_consensus_condition "
+              "check_error_bound_condition consensus_bound "
+              "consensus_bound_series consensus_distance_bound "
+              "contraction_constants error_budget growth_margin "
+              "growth_radius iteration_budget laplace_value max_on_ball "
+              "perturbation_series",
+}
+
+# Run in a fresh process, where nothing has imported the lazy modules yet.
+IMPORT_BOUNDARY = """
+import sys
+LAZY = ("escbo.theory", "escbo.neural", "json", "fractions")
+def loaded():
+    return [m for m in LAZY if m in sys.modules]
+import numpy
+preloaded = loaded()  # by the interpreter's start-up or numpy, if any
+import escbo
+assert loaded() == preloaded, ("import escbo", loaded())
+import escbo.cli
+assert loaded() == preloaded, ("import escbo.cli", loaded())
+lazy = {"theory", "neural"} | {name for module in ("theory", "neural")
+                               for name in EXPORTS[module].split()}
+assert lazy <= set(dir(escbo)), lazy - set(dir(escbo))
+assert loaded() == preloaded, ("dir(escbo)", loaded())
+from escbo import theory, neural
+assert (theory, neural) == (sys.modules["escbo.theory"],
+                            sys.modules["escbo.neural"])
+for module, names in EXPORTS.items():
+    for name in names.split():
+        assert getattr(escbo, name) is \\
+            getattr(sys.modules["escbo." + module], name), name
+"""
+
+
+def test_theory_neural_and_json_load_on_first_use():
+    src = str(pathlib.Path(escbo.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", f"EXPORTS = {EXPORTS!r}\n{IMPORT_BOUNDARY}"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert sum(len(names.split()) for names in EXPORTS.values()) == 65
 
 
 @pytest.mark.parametrize("name", MODULES)

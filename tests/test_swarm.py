@@ -219,6 +219,9 @@ NOT_REAL = not_real({
     (lambda: swarm_diameter(np.zeros((0, 2))), ConfigurationError),
     (lambda: softmin_weights([], 1.0), ConfigurationError),
     (lambda: softmin_weights(0.0, 1.0), ConfigurationError),
+    # numpy reads a bool among reals as a real.
+    (lambda: softmin_weights([0.0, True], 1.0), ConfigurationError),
+    (lambda: SwarmState([[0.0, np.True_]], values=[0.0]), ConfigurationError),
     *((call, ConfigurationError) for call in NOT_REAL.values()),
 ], ids=["no-particles", "negative-beta", "negative-delta", "unknown-stream",
         "nan-beta", "inf-beta", "consensus-inf-beta", "nan-delta",
@@ -227,7 +230,7 @@ NOT_REAL = not_real({
         "step-4-values-on-3", "escbo-harmonic-k-negative", "state-k-2.5",
         "stop-particle-counts-differ", "diameter-1-axis",
         "diameter-no-particles", "softmin-no-values", "softmin-scalar",
-        *NOT_REAL])
+        "softmin-bool-in-list", "state-bool-in-list", *NOT_REAL])
 def test_swarm_validation_errors(call, error):
     with pytest.raises(error):
         call()
