@@ -15,9 +15,8 @@ from .harness import (AggregateReport, DiagnosticReport, ExperimentConfig,
                       RunRecord, diagnose, emit_report, run_many, run_once,
                       table_preset)
 from .objective import (ConfigurationError, EstimationError, LipschitzData,
-                        Objective, estimate_lipschitz,
-                        forward_difference_gradient, gradient_bounds,
-                        minibatch_gradients)
+                        Objective, forward_difference_gradient,
+                        gradient_bounds, minibatch_gradients)
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox,
                     check_stop, consensus_point, draw_noise, escbo_step,
@@ -26,12 +25,11 @@ from .swarm import (ComponentGaussian, DivergenceError, RngStream,
 
 # Loaded on first use, as no benchmark campaign runs them: name -> module.
 _LAZY = {name: module for module, names in {
-    "neural": """neural MLPArchitecture SyntheticDataset dnn_objective flatten
-        forward generate_synthetic load_dataset save_dataset test_error
-        train_error unflatten""",
+    "neural": """neural MLPArchitecture SyntheticDataset dnn_objective forward
+        generate_synthetic test_error train_error""",
     "theory": """theory ComplexityConstants ConsensusCondition ErrorBoundCheck
         GrowthConditionParams ParameterConditionWarning ProximityResult
-        check_consensus_condition check_error_bound_condition consensus_bound
+        check_consensus_condition check_error_bound_condition
         consensus_bound_series consensus_distance_bound contraction_constants
         error_budget growth_margin growth_radius iteration_budget
         laplace_value max_on_ball perturbation_series"""}.items()

@@ -139,9 +139,10 @@ class ExperimentConfig:
                                          f"choose one of {', '.join(allowed)}")
             if isinstance(allowed, str) and allowed:  # ends may name fields
                 lo, hi = (getattr(self, e, e) for e in allowed[1:-1].split(", "))
-                _check(f.name, value, f"{allowed[0]}{lo}, {hi}{allowed[-1]}",
-                       count=f.metadata["kind"] == "count")
-        last = int(self.seed) + int(self.runs) - 1  # Python ints do not wrap
+                object.__setattr__(self, f.name, _check(  # a Python number
+                    f.name, value, f"{allowed[0]}{lo}, {hi}{allowed[-1]}",
+                    count=f.metadata["kind"] == "count"))
+        last = self.seed + self.runs - 1  # Python ints do not wrap
         _check("last seed", last, "(-inf, inf)", count=True)
         if self.method == "fescbo" and self.batch_size is None:
             raise ConfigurationError("method fescbo needs a batch_size")

@@ -1,7 +1,7 @@
 """Sigmoid multilayer perceptron packaged as a black-box training objective.
 
 The network applies a sigmoid after every layer, including the last one, and
-is optimized over a single flattened parameter vector so any stepper can
+is optimized over a single flat parameter vector so any stepper can
 train it.  Synthetic regression data comes from a randomly drawn
 ground-truth network plus observation noise.
 """
@@ -18,14 +18,10 @@ __all__ = [
     "MLPArchitecture",
     "SyntheticDataset",
     "dnn_objective",
-    "flatten",
     "forward",
     "generate_synthetic",
-    "load_dataset",
-    "save_dataset",
     "test_error",
     "train_error",
-    "unflatten",
 ]
 
 TRUTH_VARIANCE = 0.8
@@ -34,7 +30,7 @@ NOISE_STD = 0.0025
 
 @dataclass(frozen=True)
 class MLPArchitecture:
-    """Layer widths N0..NL; the flattened parameter dimension follows."""
+    """Layer widths N0..NL; the flat parameter dimension follows."""
 
     widths: tuple[int, ...]
 
@@ -69,19 +65,10 @@ def _sigmoid_of_negated(nz: np.ndarray, out=None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def flatten(weights, biases) -> np.ndarray:
-    """Concatenate (W1 row-major, b1, W2, b2, ...) into one vector."""
-    if not all(isinstance(s, (list, tuple)) and s for s in (weights, biases)) \
-            or len(weights) != len(biases):
-        raise ConfigurationError("weights and biases must be lists of arrays, "
-                                 "one of each per layer")
-    return np.concatenate([a for w, b in zip(weights, biases) for a in (
-        _array("weights", w).ravel(), _array("biases", b).ravel())])
-
-
 def _layers(arch: MLPArchitecture, pop: np.ndarray) -> list:
     """Per layer, the views (W (B, n_out, n_in), b (B, n_out)) of a (B, d)
-    array of flattened parameter vectors; writing to them writes to pop."""
+    array of flat parameter vectors, laid out as (W1 row-major, b1,
+    W2, b2, ...); writing to them writes to pop."""
     b_count, pos, layers = pop.shape[0], 0, []
     for n_in, n_out in zip(arch.widths, arch.widths[1:]):
         end = pos + n_out * n_in
@@ -89,12 +76,6 @@ def _layers(arch: MLPArchitecture, pop: np.ndarray) -> list:
                        pop[:, end:end + n_out]))
         pos = end + n_out
     return layers
-
-
-def unflatten(params, arch: MLPArchitecture):
-    """Split a flat vector back into weight matrices and bias vectors."""
-    layers = _layers(arch, _array("params", params, 1, (arch.dim,))[None])
-    return [wm[0] for wm, _ in layers], [bias[0] for _, bias in layers]
 
 
 def forward(arch: MLPArchitecture, params, u) -> np.ndarray:
@@ -136,14 +117,14 @@ def _negated_forward(layers, h: np.ndarray, keep: list | None = None):
 class SyntheticDataset:
     """Inputs and noisy targets; the first M rows are the training split.
 
-    ``truth_params`` is the generating network (None for imported data).
+    ``truth_params`` is the generating network.
     """
 
     inputs: np.ndarray   # (M + M_test, N0)
     targets: np.ndarray  # (M + M_test, NL)
     M: int
     M_test: int
-    truth_params: np.ndarray | None = None
+    truth_params: np.ndarray
 
     @property
     def train_inputs(self):
@@ -292,7 +273,7 @@ class _ProbeKernel:
 
 
 def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
-    """Training error as an Objective over the flattened parameter space.
+    """Training error as an Objective over the flat parameter space.
 
     Coordinate probes go through a probe kernel that reuses each center's
     forward pass up to the probed layer (see ``_ProbeKernel``).
@@ -301,37 +282,3 @@ def dnn_objective(arch: MLPArchitecture, data: SyntheticDataset) -> Objective:
     return Objective(dim=arch.dim, fn=lambda pop: _mse(arch, pop, u, v),
                      name=f"dnn({arch})", probe_kernel=_ProbeKernel(arch, u, v))
 
-
-def save_dataset(data: SyntheticDataset, path) -> None:
-    """Write the dataset as a flat numeric text table.
-
-    Header row: N0 NL M M_test.  Then one row per sample with the N0 input
-    components followed by the NL target components.
-    """
-    n0 = data.inputs.shape[1]
-    nl = data.targets.shape[1]
-    rows = np.hstack([data.inputs, data.targets])
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{n0} {nl} {data.M} {data.M_test}\n")
-        for row in rows:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_dataset(path) -> SyntheticDataset:
-    """Read a dataset written by save_dataset; truth_params is not stored.
-    A file of any other form raises ConfigurationError naming the file."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            n0, nl, m, m_test = (int(v) for v in fh.readline().split())
-            rows = np.loadtxt(fh, ndmin=2)
-        except ValueError as exc:  # not four integers, or a non-number
-            raise ConfigurationError(f"{path}: dataset header must be: N0 NL "
-                                     f"M M_test, then numbers ({exc})") from None
-    for name, value, low in (("N0", n0, 1), ("NL", nl, 1), ("M", m, 1),
-                             ("M_test", m_test, 0)):
-        _check(f"{path} header {name}", value, f"[{low}, inf)", count=True)
-    if rows.shape != (m + m_test, n0 + nl):
-        raise ConfigurationError(
-            f"{path}: dataset body shape {rows.shape} does not match header")
-    return SyntheticDataset(inputs=rows[:, :n0], targets=rows[:, n0:],
-                            M=m, M_test=m_test, truth_params=None)

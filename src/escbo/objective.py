@@ -14,7 +14,6 @@ __all__ = [
     "EstimationError",
     "LipschitzData",
     "Objective",
-    "estimate_lipschitz",
     "forward_difference_gradient",
     "gradient_bounds",
     "minibatch_gradients",
@@ -301,26 +300,3 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
     out[idx] = grads
     return out
 
-
-def estimate_lipschitz(obj: Objective, lo, hi, samples: int = 256,
-                       seed: int = 0) -> float:
-    """Estimate a Lipschitz constant by the largest pairwise difference quotient.
-
-    Samples points from ``UniformBox(lo, hi)`` and returns
-    max |f(x) - f(y)| / ||x - y|| over all sampled pairs.  This is a lower
-    estimate of the true constant; report it as an estimate, not a bound.
-    """
-    _check("samples", samples, "[2, inf)", count=True)
-    _check("seed", seed, "[0, inf)", count=True)
-    from .swarm import UniformBox  # swarm imports this module
-    pts = UniformBox(lo, hi).sample(samples, obj.dim,
-                                    np.random.default_rng(seed))
-    vals = obj.eval_many(pts)
-    best = []  # the largest quotient of each row of pairs i < j
-    for i in range(samples - 1):
-        dv = np.abs(vals[i] - vals[i + 1:])
-        dx = np.linalg.norm(pts[i] - pts[i + 1:], axis=-1)
-        mask = dx > 0
-        if mask.any():
-            best.append(np.max(dv[mask] / dx[mask]))
-    return float(np.max(best)) if best else 0.0

@@ -191,7 +191,8 @@ class ComponentGaussian:
 
     def __post_init__(self):
         _array("mean", self.mean, finite=True)
-        _check("variance", self.variance, "[0, inf)")
+        object.__setattr__(self, "variance",
+                           _check("variance", self.variance, "[0, inf)"))
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
         return gen.normal(_fit("mean", self.mean, d), np.sqrt(self.variance),

@@ -32,7 +32,6 @@ __all__ = [
     "ProximityResult",
     "check_consensus_condition",
     "check_error_bound_condition",
-    "consensus_bound",
     "consensus_bound_series",
     "consensus_distance_bound",
     "contraction_constants",
@@ -104,23 +103,14 @@ def _bounds(lam: float, delta: float, schedule: StepSchedule, L_g: float,
 def consensus_bound_series(k_max: int, lam: float, delta: float,
                            schedule: StepSchedule, L_g: float,
                            var_init: float) -> np.ndarray:
-    """consensus_bound at every k in 0..k_max (inclusive); an overflowing
-    entry reads inf, a vacuous bound rather than an error."""
+    """Bounds on the expected squared particle-to-consensus distance at
+    every step k in 0..k_max (inclusive): 2 * prod_{n<k} factor_n *
+    var_init, 2 * var_init at k = 0; an overflowing entry reads inf, a
+    vacuous bound rather than an error."""
     # numpy sizes no float64 array of 2**60 entries; 2**59 is exact as float
     k_max = _check("k_max", k_max, "[0, 576460752303423488]", count=True)
     return np.fromiter((bound for bound, _ in _bounds(
         lam, delta, schedule, L_g, var_init)), float, k_max + 1)
-
-
-def consensus_bound(k: int, lam: float, delta: float, schedule: StepSchedule,
-                    L_g: float, var_init: float) -> float:
-    """Bound on the expected squared particle-to-consensus distance at step k.
-
-    Returns 2 * prod_{n<k} factor_n * var_init; the empty product at k = 0
-    gives 2 * var_init.
-    """
-    return float(consensus_bound_series(k, lam, delta, schedule, L_g,
-                                        var_init)[-1])
 
 
 _MAX_TERMS = 200_000  # past it, the step sizes are too slow to sum

@@ -521,6 +521,41 @@ def test_config_accepts_numpy_integer_counts():
     assert all(r.iterations == 4 for r in report.records)
 
 
+# A real or count field given as a numpy scalar is stored as the Python
+# number it equals, so the run computes as with that number: a float32 lam
+# used to round 1 - lam in float32, and a float32 variance its square root.
+NUMPY_SCALARS = [
+    ("lam", np.float32(0.01), {}), ("delta", np.float32(0.1), {}),
+    ("beta", np.float32(1e6), {}), ("sigma", np.float32(1e-4), {}),
+    ("stop_tol", np.float32(1e-6), {}), ("success_tol", np.float32(1e-3), {}),
+    ("dim", np.int64(3), {}), ("particles", np.int32(8), {}),
+    ("max_iters", np.int16(30), {}), ("runs", np.int64(2), {}),
+    ("seed", np.uint8(7), {}),
+    ("batch_size", np.int64(3), dict(method="fescbo")),
+    ("data_seed", np.int64(3), dict(benchmark="dnn", arch=(2, 3, 1), dim=0,
+                                    init=None, max_iters=5)),
+    ("variance", np.float32(3.0), {}),
+]
+
+
+@pytest.mark.parametrize("field, value, base", NUMPY_SCALARS,
+                         ids=[row[0] for row in NUMPY_SCALARS])
+def test_config_stores_the_python_number_of_a_numpy_scalar(field, value,
+                                                           base):
+    def config(v):
+        if field == "variance":
+            return quick_config(init=ComponentGaussian(0.0, v), **base)
+        return quick_config(**{field: v}, **base)
+
+    cfg, plain = config(value), config(value.item())
+    stored = getattr(cfg.init if field == "variance" else cfg, field)
+    assert type(stored) is type(value.item()) and stored == value
+    got, want = run_once(cfg, cfg.seed), run_once(plain, plain.seed)
+    for f in dataclasses.fields(got):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 # ------------------------------------------------------------------ presets
 
 def test_table2_preset_grid():

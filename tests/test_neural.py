@@ -1,8 +1,6 @@
-"""MLP flattening, forward pass, synthetic data, and the training objective."""
+"""MLP parameter layout, forward pass, synthetic data, and the training objective."""
 
-import tempfile
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from escbo.neural import (NOISE_STD, MLPArchitecture, SyntheticDataset,
-                          _forward, _layers, _mse, _ProbeKernel,
-                          _sigmoid_of_negated, dnn_objective, flatten,
-                          forward, generate_synthetic, load_dataset,
-                          save_dataset, train_error, unflatten)
+from escbo.neural import (NOISE_STD, MLPArchitecture, _forward, _layers,
+                          _mse, _ProbeKernel, _sigmoid_of_negated,
+                          dnn_objective, forward, generate_synthetic,
+                          train_error)
 from escbo.neural import test_error as held_out_error
 from escbo.objective import (ConfigurationError, Objective,
                              forward_difference_gradient, minibatch_gradients)
@@ -38,33 +35,23 @@ def test_architecture_validation():
 
 
 def test_flatten_round_trip():
+    # The flat layout: W1 row-major, then b1, then W2, then b2.
     arch = MLPArchitecture((3, 4, 2))
     gen = np.random.default_rng(0)
     weights = [gen.normal(size=(4, 3)), gen.normal(size=(2, 4))]
     biases = [gen.normal(size=4), gen.normal(size=2)]
-    vec = flatten(weights, biases)
+    vec = np.concatenate([weights[0].ravel(), biases[0],
+                          weights[1].ravel(), biases[1]])
     assert vec.shape == (arch.dim,)
-    w2, b2 = unflatten(vec, arch)
-    for a, b in zip(weights, w2):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(biases, b2):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_unflatten_rejects_wrong_length():
-    with pytest.raises(ConfigurationError):
-        unflatten(np.zeros(70), MLPArchitecture((5, 10, 1)))
+    for (wm, bias), w, b in zip(_layers(arch, vec[None]), weights, biases):
+        np.testing.assert_array_equal(wm[0], w)
+        np.testing.assert_array_equal(bias[0], b)
 
 
 NET = MLPArchitecture((2, 1))  # three parameters
 NET_DATA = generate_synthetic(NET, seed=0, M=3, M_test=2)
 # Each array input of the module, in a call that a valid value of it passes.
 NOT_REAL = not_real({
-    "flatten-weights": (lambda a: flatten([a], [np.zeros(1)]),
-                        np.zeros((1, 2))),
-    "flatten-biases": (lambda a: flatten([np.zeros((1, 2))], [a]),
-                       np.zeros(1)),
-    "unflatten-params": (lambda a: unflatten(a, NET), np.zeros(3)),
     "forward-params": (lambda a: forward(NET, a, np.zeros(2)), np.zeros(3)),
     "forward-inputs": (lambda a: forward(NET, np.zeros(3), a),
                        np.zeros((4, 2))),
@@ -80,13 +67,9 @@ NOT_REAL = not_real({
     lambda: forward(NET, np.zeros(3), np.zeros((1, 4, 2))),
     # One flat parameter vector.
     lambda: forward(NET, np.zeros((1, 3)), np.zeros(2)),
-    # Lists of arrays, one of each per layer.
-    lambda: flatten([], []),
-    lambda: flatten(1.0, 2.0),
     *NOT_REAL.values(),
 ], ids=["forward-inputs-width-3", "forward-batch-width-3",
-        "forward-inputs-3-axes", "forward-params-2-axes", "flatten-empty",
-        "flatten-not-lists", *NOT_REAL])
+        "forward-inputs-3-axes", "forward-params-2-axes", *NOT_REAL])
 def test_neural_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()
@@ -178,7 +161,7 @@ def test_noiseless_targets_give_zero_error():
     data = generate_synthetic(arch, seed=1)
     clean = type(data)(inputs=data.inputs,
                        targets=forward(arch, params, data.inputs),
-                       M=data.M, M_test=data.M_test)
+                       M=data.M, M_test=data.M_test, truth_params=params)
     assert train_error(arch, params, clean) == 0.0
     assert held_out_error(arch, params, clean) == 0.0
 
@@ -186,10 +169,11 @@ def test_noiseless_targets_give_zero_error():
 def test_constant_half_targets():
     arch = MLPArchitecture((2, 2))
     data = generate_synthetic(arch, seed=2)
+    zero = np.zeros(arch.dim)  # every output is sigmoid(0) = 0.5
     half = type(data)(inputs=data.inputs,
                       targets=np.full_like(data.targets, 0.5),
-                      M=data.M, M_test=data.M_test)
-    assert train_error(arch, np.zeros(arch.dim), half) == 0.0
+                      M=data.M, M_test=data.M_test, truth_params=zero)
+    assert train_error(arch, zero, half) == 0.0
 
 
 def test_objective_matches_train_error():
@@ -264,65 +248,6 @@ def test_probe_gradients_match_reference_on_partial_batch(widths):
     assert np.max(np.abs(grads[batch] - reference)) <= 1e-9
     others = np.setdiff1d(np.arange(7), batch)
     assert np.all(grads[others] == 0.0)
-
-
-def test_dataset_save_load_round_trip(tmp_path):
-    arch = MLPArchitecture((3, 5, 2))
-    data = generate_synthetic(arch, seed=9)
-    path = tmp_path / "dataset.txt"
-    save_dataset(data, path)
-    loaded = load_dataset(path)
-    np.testing.assert_array_equal(loaded.inputs, data.inputs)
-    np.testing.assert_array_equal(loaded.targets, data.targets)
-    assert loaded.M == data.M and loaded.M_test == data.M_test
-    assert loaded.truth_params is None
-    header = path.read_text().splitlines()[0]
-    assert header == "3 2 80 20"
-
-
-def test_load_dataset_rejects_body_that_does_not_match_header(tmp_path):
-    path = tmp_path / "dataset.txt"
-    save_dataset(generate_synthetic(MLPArchitecture((3, 5, 2)), seed=9), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")  # one sample short
-    with pytest.raises(ConfigurationError, match="does not match header"):
-        load_dataset(path)
-
-
-@settings(max_examples=60)
-@given(data=st.data(), n0=st.integers(1, 4), nl=st.integers(1, 3),
-       m=st.integers(1, 6), m_test=st.integers(0, 4))
-def test_dataset_save_load_round_trip_property(data, n0, nl, m, m_test):
-    finite = st.floats(allow_nan=False, allow_infinity=False)
-    rows = data.draw(arrays(np.float64, (m + m_test, n0 + nl),
-                            elements=finite), label="rows")
-    original = SyntheticDataset(inputs=rows[:, :n0], targets=rows[:, n0:],
-                                M=m, M_test=m_test)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "dataset.txt"
-        save_dataset(original, path)
-        loaded = load_dataset(path)
-    assert np.array_equal(loaded.inputs, original.inputs)
-    assert np.array_equal(loaded.targets, original.targets)
-    assert (loaded.M, loaded.M_test) == (m, m_test)
-    assert loaded.truth_params is None
-
-
-@pytest.mark.parametrize("text", [
-    "a b c d\n1 2 3\n", "2 1 1 0\n1 x 3\n", "2 1 -1 3\n1 2 3\n1 2 3\n"],
-    ids=["header-words", "body-word", "negative-M"])
-def test_load_dataset_names_the_file_of_a_malformed_dataset(tmp_path, text):
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(ConfigurationError, match=str(path)):
-        load_dataset(path)
-
-
-def test_load_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3 2 80\n")
-    with pytest.raises(ConfigurationError):
-        load_dataset(path)
 
 
 @settings(max_examples=80, deadline=None)

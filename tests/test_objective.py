@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +11,8 @@ from hypothesis import strategies as st
 from escbo.benchmarks import available, lookup, rastrigin
 from escbo.neural import MLPArchitecture, dnn_objective, generate_synthetic
 from escbo.objective import (ConfigurationError, EstimationError, Objective,
-                             estimate_lipschitz, forward_difference_gradient,
-                             gradient_bounds, minibatch_gradients)
+                             forward_difference_gradient, gradient_bounds,
+                             minibatch_gradients)
 
 from conftest import not_real
 
@@ -201,19 +200,17 @@ NOT_REAL = not_real({
                                         np.array([0.0, np.nan]), 0.1),
     lambda: minibatch_gradients(sphere_objective(), np.zeros((4, 3)), None,
                                 0.1),
-    lambda: estimate_lipschitz(Objective(2, np.sum), [0, 0, 0], [1, 1, 1],
-                               samples=4),
     # fn's values are an array input too.
     lambda: Objective(2, lambda x: [[0.0], [1.0, 2.0]]).eval_many(
         np.zeros((2, 2))),
-    lambda: estimate_lipschitz(Objective(2, lambda x: np.full(len(x), "a")),
-                               0.0, 1.0, samples=4),
+    lambda: Objective(2, lambda x: np.full(len(x), "a")).eval_many(
+        np.zeros((2, 2))),
     # numpy reads a bool among reals as a real.
     lambda: sphere_objective().eval_many([[0.0, 1.0], [True, 0.5]]),
     *NOT_REAL.values(),
 ], ids=["dim-zero", "gradient-shape", "gradient-non-finite",
-        "minibatch-shape", "lipschitz-box-3-on-dim-2", "eval_many-fn-ragged",
-        "lipschitz-fn-strings", "eval_many-bool-in-list", *NOT_REAL])
+        "minibatch-shape", "eval_many-fn-ragged", "eval_many-fn-strings",
+        "eval_many-bool-in-list", *NOT_REAL])
 def test_objective_validation_errors(call):
     with pytest.raises(ConfigurationError):
         call()
@@ -466,85 +463,7 @@ def test_gradient_norm_respects_lipschitz_bound():
         assert np.linalg.norm(g) <= lb.M_g + 1e-12
 
 
-def test_estimate_lipschitz_linear_slope():
-    obj = Objective(1, lambda x: 3.0 * np.sum(x, axis=-1))
-    est = estimate_lipschitz(obj, 0.0, 1.0, samples=128, seed=0)
-    assert 2.999 < est <= 3.0 + 1e-9
-
-
-def test_estimate_lipschitz_constant_and_abs():
-    const = Objective(2, lambda x: np.full(len(x), 1.5))
-    assert estimate_lipschitz(const, -1.0, 1.0, samples=32, seed=0) == 0.0
-    vee = Objective(1, lambda x: np.sum(np.abs(x), axis=-1))
-    est = estimate_lipschitz(vee, -1.0, 1.0, samples=256, seed=1)
-    assert 0.9 < est <= 1.0 + 1e-9
-
-
-def test_estimate_lipschitz_is_the_largest_quotient():
-    # A pair on one side of 0 has quotient exactly 1 and any other pair less.
-    # Half the pairs of |x| lie on one side, so a median reads 1 there too;
-    # a quarter of those of max(x, 0) lie on its slope.
-    vee = Objective(1, lambda x: np.abs(x[:, 0]))
-    assert estimate_lipschitz(vee, -1, 1) == 1.0
-    hinge = Objective(1, lambda x: np.maximum(x[:, 0], 0.0))
-    assert estimate_lipschitz(hinge, -1, 1) == 1.0
-
-
-def _all_pairs_lipschitz(obj, lo, hi, samples, seed):
-    # The (samples, samples, d) form that estimate_lipschitz replaced.
-    pts = np.random.default_rng(seed).uniform(
-        np.full(obj.dim, float(lo)), np.full(obj.dim, float(hi)),
-        size=(samples, obj.dim))
-    vals = obj.eval_many(pts)
-    dv = np.abs(vals[:, None] - vals[None, :])
-    dx = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    iu = np.triu_indices(samples, k=1)
-    dv, dx = dv[iu], dx[iu]
-    mask = dx > 0
-    return float(np.max(dv[mask] / dx[mask])) if mask.any() else 0.0
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_estimate_lipschitz_equals_all_pairs_formula(seed):
-    arch = MLPArchitecture((5, 10, 1))
-    dnn = dnn_objective(arch, generate_synthetic(arch, seed=seed))
-    ras = lookup("rastrigin", 3).objective
-    for obj, samples in ((dnn, 40), (ras, 300), (ras, 2)):
-        assert (estimate_lipschitz(obj, -2.0, 3.0, samples, seed)
-                == _all_pairs_lipschitz(obj, -2.0, 3.0, samples, seed))
-
-
-def test_estimate_lipschitz_memory_is_linear_in_samples():
-    # The 256 network evaluations peak near 2 MB; all (samples, samples, d)
-    # differences at once took 76 MB.
-    arch = MLPArchitecture((5, 10, 1))
-    obj = dnn_objective(arch, generate_synthetic(arch, seed=0))
-    tracemalloc.start()
-    try:
-        estimate_lipschitz(obj, -1.0, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
-
-
-def test_estimate_lipschitz_validation():
-    obj = sphere_objective()
-    with pytest.raises(ConfigurationError):
-        estimate_lipschitz(obj, 0.0, 0.0, samples=16)
-    with pytest.raises(ConfigurationError):
-        estimate_lipschitz(obj, -1.0, 1.0, samples=1)
-
-
 def test_objective_is_deterministic():
     obj = sphere_objective(3)
     x = np.array([0.1, 0.2, 0.3])
     assert obj.eval(x) == obj.eval(x)
-
-
-@pytest.mark.parametrize("lo, hi", [
-    (math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308),
-    ([-1.0, 1.0], [1.0, 1.0])])
-def test_estimate_lipschitz_needs_a_finite_box(lo, hi):
-    with pytest.raises(ConfigurationError, match="finite width"):
-        estimate_lipschitz(Objective(2, np.sum), lo, hi, samples=4)

@@ -1,5 +1,6 @@
 """Swarm state, consensus point, noise draws, and the three steppers."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from escbo.benchmarks import rastrigin
+from escbo.benchmarks import lookup, rastrigin
 from escbo.harness import ExperimentConfig, run_once, table_preset
-from escbo.neural import MLPArchitecture
+from escbo.neural import MLPArchitecture, dnn_objective, generate_synthetic
 from escbo.objective import (ConfigurationError, EstimationError, Objective,
                              minibatch_gradients)
 from escbo.swarm import (ComponentGaussian, DivergenceError,
@@ -662,6 +663,47 @@ def test_coupling_identity_property(pts, lam, delta, beta, seed):
     lhs = new.positions[:, None, :] - new.positions[None, :, :]
     rhs = factor * (pts[:, None, :] - pts[None, :, :])
     assert np.all(np.abs(lhs - rhs) <= tol)
+
+
+# Python function calls ("call" profile events) and builtin calls ("c_call")
+# of one step and its stop test.  The counts are exact and do not depend on
+# N or d; numpy's ufuncs raise no event, so this is the per-call layering
+# around the array work, which no timing on a noisy host can see.  A change
+# that raises a budget says why, with a paired timing of the step.
+CALL_BUDGETS = {"escbo": (54, 26), "vanilla": (33, 12), "fescbo": (131, 100)}
+STEPPERS = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
+            "fescbo": fescbo_step}
+
+
+@pytest.mark.parametrize("method", sorted(CALL_BUDGETS))
+def test_step_stays_within_its_call_budget(method):
+    if method == "fescbo":
+        arch = MLPArchitecture((2, 3, 1))
+        obj = dnn_objective(arch, generate_synthetic(arch, 0))
+        cfg = ExperimentConfig(method=method, benchmark="dnn", arch=(2, 3, 1),
+                               particles=10, batch_size=3)
+    else:
+        obj = lookup("rastrigin", 2).objective
+        cfg = ExperimentConfig(method=method, dim=2, particles=20)
+    step, rng = STEPPERS[method], RngStream(0)
+    state = init_swarm(UniformBox(-5.0, 5.0), cfg.particles, obj, rng)
+    # The second step is counted: the first has made the random streams
+    # and filled the interval cache of objective._check.
+    nxt = step(state, obj, cfg, rng)
+    check_stop(state, nxt, cfg.stop_tol)
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in counts and arg is not sys.setprofile:
+            counts[event] += 1
+
+    sys.setprofile(count)
+    try:
+        check_stop(nxt, step(nxt, obj, cfg, rng), cfg.stop_tol)
+    finally:
+        sys.setprofile(None)
+    calls, c_calls = CALL_BUDGETS[method]
+    assert counts["call"] <= calls and counts["c_call"] <= c_calls, counts
 
 
 # ------------------------------------------------------------- stopping

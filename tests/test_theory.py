@@ -16,11 +16,11 @@ from escbo.objective import ConfigurationError
 from escbo.swarm import StepSchedule
 from escbo.theory import (GrowthConditionParams, ParameterConditionWarning,
                           _ball_offsets, check_consensus_condition,
-                          check_error_bound_condition, consensus_bound,
-                          consensus_bound_series, consensus_distance_bound,
-                          contraction_constants, error_budget, growth_margin,
-                          growth_radius, iteration_budget, laplace_value,
-                          max_on_ball, perturbation_series)
+                          check_error_bound_condition, consensus_bound_series,
+                          consensus_distance_bound, contraction_constants,
+                          error_budget, growth_margin, growth_radius,
+                          iteration_budget, laplace_value, max_on_ball,
+                          perturbation_series)
 
 from conftest import not_real
 
@@ -54,16 +54,16 @@ def test_condition_perfect_contraction():
 # ------------------------------------------------------- contraction bound
 
 def test_consensus_bound_empty_product():
-    assert consensus_bound(0, 0.3, 0.1, GEO, 5.0, 1.0) == 2.0
+    assert consensus_bound_series(0, 0.3, 0.1, GEO, 5.0, 1.0)[-1] == 2.0
 
 
 def test_consensus_bound_zero_factor():
-    assert consensus_bound(1, 1.0, 0.0, ZERO, 5.0, 1.0) == 0.0
+    assert consensus_bound_series(1, 1.0, 0.0, ZERO, 5.0, 1.0)[-1] == 0.0
 
 
 def test_consensus_bound_hand_product():
     # Each factor is 2 * 0.125 = 0.25, so k = 3 gives 2 * 0.25^3.
-    val = consensus_bound(3, 0.75, 0.25, ZERO, 5.0, 1.0)
+    val = consensus_bound_series(3, 0.75, 0.25, ZERO, 5.0, 1.0)[-1]
     assert val == pytest.approx(0.03125, rel=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_consensus_bound_series_matches_power_form():
 
 def test_consensus_bound_rejects_negative_variance():
     with pytest.raises(ConfigurationError):
-        consensus_bound(2, 0.75, 0.25, GEO, 1.0, -1.0)
+        consensus_bound_series(2, 0.75, 0.25, GEO, 1.0, -1.0)
 
 
 # ------------------------------------------------------ perturbation series
@@ -601,28 +601,6 @@ def test_growth_radius_is_its_definition_on_its_grid(d, radius, per_step,
     assert got == expected
 
 
-# ------------------------------------------------- bound series, property
-
-@settings(max_examples=60, deadline=None)
-@example(k_max=120, lam=0.0, delta=2.0, kind="constant", c=3.0, r=0.5,
-         L_g=100.0, var_init=0.0)
-@given(k_max=st.integers(0, 120),
-       lam=st.floats(0.0, 2.0), delta=st.floats(0.0, 2.0),
-       kind=st.sampled_from(["constant", "geometric", "harmonic"]),
-       c=st.floats(0.0, 3.0), r=st.floats(0.01, 0.99),
-       L_g=st.floats(0.0, 100.0), var_init=st.floats(0.0, 1e3))
-def test_consensus_bound_is_an_entry_of_the_series(k_max, lam, delta, kind, c,
-                                                   r, L_g, var_init):
-    schedule = StepSchedule(kind, c, r if kind == "geometric" else 0.0)
-    series = consensus_bound_series(k_max, lam, delta, schedule, L_g,
-                                    var_init)
-    assert series.shape == (k_max + 1,)
-    for k in range(k_max + 1):
-        bound = consensus_bound(k, lam, delta, schedule, L_g, var_init)
-        assert bound == series[k] or (math.isnan(bound)
-                                      and math.isnan(series[k]))
-
-
 # ------------------------------------- every public function, at extremes
 
 BIG = st.floats(0.0, 1e200)
@@ -637,7 +615,6 @@ def theory_calls(lam, delta, L_g, M_g, var_init, c, r, W0, eps, gamma,
         lambda: check_consensus_condition(lam, delta, schedule),
         lambda: consensus_bound_series(30, lam, delta, schedule, L_g,
                                        var_init),
-        lambda: consensus_bound(30, lam, delta, schedule, L_g, var_init),
         lambda: contraction_constants(lam, delta),
         lambda: iteration_budget(W0, eps, gamma),
         lambda: iteration_budget(W0, eps, contraction_constants(
