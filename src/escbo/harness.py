@@ -531,16 +531,14 @@ class DiagnosticReport:
 
 
 def diagnose(record: RunRecord, config: ExperimentConfig,
-             L_f: Optional[float] = None, var_init: Optional[float] = None,
-             xi: float = 0.5) -> DiagnosticReport:
+             L_f: Optional[float] = None) -> DiagnosticReport:
     """Overlay a run's diameter and distance series with the computed bounds.
 
-    ``L_f`` enables the contraction-bound overlay (via the estimator bounds);
-    ``var_init`` defaults to half the observed initial diameter; where that
-    is not finite, a note replaces the overlay.
+    ``L_f`` enables the contraction-bound overlay (via the estimator bounds)
+    from var_init, half the observed initial diameter, or a note where that
+    is not finite.  The gamma^k overlay takes xi = 0.5.
     """
     from . import theory
-    _check("xi", xi, "(0, 1)")
     notes: list[str] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", theory.ParameterConditionWarning)
@@ -557,8 +555,7 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
     w_bound = None
     if record.w_k is not None:
         try:
-            constants = theory.contraction_constants(config.lam, config.delta,
-                                                     xi=xi)
+            constants = theory.contraction_constants(config.lam, config.delta)
             w_bound = record.w_k[0] * constants.gamma ** record.ks.astype(float)
         except ConfigurationError as exc:
             notes.append(f"gamma^k overlay unavailable: {exc}")
@@ -568,14 +565,13 @@ def diagnose(record: RunRecord, config: ExperimentConfig,
         lb = gradient_bounds(L_f, record.final_positions.shape[1],
                              config.sigma)
         initial = float(record.diameter[0])
-        if var_init is None and not math.isfinite(initial):
+        if not math.isfinite(initial):
             notes.append("diameter bound unavailable: initial diameter is "
                          f"{initial}")
         else:
             bound = theory.consensus_bound_series(
                 int(record.ks.max()), config.lam, config.delta,
-                config.schedule, lb.L_g,
-                initial / 2.0 if var_init is None else var_init)[record.ks]
+                config.schedule, lb.L_g, initial / 2.0)[record.ks]
     return DiagnosticReport(condition=condition, ks=record.ks,
                             diameter=record.diameter, diameter_bound=bound,
                             decay_slope=slope, w_k=record.w_k,

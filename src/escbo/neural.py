@@ -26,6 +26,8 @@ __all__ = [
 
 TRUTH_VARIANCE = 0.8
 NOISE_STD = 0.0025
+TRAIN_SAMPLES = 80  # M, the training split of every synthetic dataset
+TEST_SAMPLES = 20   # the held-out split after it
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,9 @@ class SyntheticDataset:
     ``truth_params`` is the generating network.
     """
 
-    inputs: np.ndarray   # (M + M_test, N0)
-    targets: np.ndarray  # (M + M_test, NL)
+    inputs: np.ndarray   # (M + held-out rows, N0)
+    targets: np.ndarray  # (M + held-out rows, NL)
     M: int
-    M_test: int
     truth_params: np.ndarray
 
     @property
@@ -143,9 +144,9 @@ class SyntheticDataset:
         return self.targets[self.M:]
 
 
-def generate_synthetic(arch: MLPArchitecture, seed: int, M: int = 80,
-                       M_test: int = 20) -> SyntheticDataset:
-    """Deterministic synthetic regression data for the given architecture.
+def generate_synthetic(arch: MLPArchitecture, seed: int) -> SyntheticDataset:
+    """Deterministic synthetic regression data for the given architecture:
+    TRAIN_SAMPLES training rows, then TEST_SAMPLES held-out rows.
 
     Ground-truth parameters are drawn with variance 0.8 elementwise.  Inputs
     follow u = a + Sigma * z with standard-Gaussian vectors a, Sigma and
@@ -155,10 +156,8 @@ def generate_synthetic(arch: MLPArchitecture, seed: int, M: int = 80,
     NL * 0.0025^2.
     """
     _check("seed", seed, "[0, inf)", count=True)
-    _check("M", M, "[1, inf)", count=True)
-    _check("M_test", M_test, "[1, inf)", count=True)
     gen = np.random.default_rng(seed)
-    n0, total = arch.widths[0], M + M_test
+    n0, total = arch.widths[0], TRAIN_SAMPLES + TEST_SAMPLES
     truth = gen.normal(0.0, np.sqrt(TRUTH_VARIANCE), size=arch.dim)
     a = gen.normal(size=n0)
     spread = gen.normal(size=n0)
@@ -166,8 +165,8 @@ def generate_synthetic(arch: MLPArchitecture, seed: int, M: int = 80,
     inputs = a + z[:, None] * spread
     noise = gen.normal(0.0, NOISE_STD, size=(total, arch.widths[-1]))
     targets = forward(arch, truth, inputs) + noise
-    return SyntheticDataset(inputs=inputs, targets=targets, M=M,
-                            M_test=M_test, truth_params=truth)
+    return SyntheticDataset(inputs=inputs, targets=targets, M=TRAIN_SAMPLES,
+                            truth_params=truth)
 
 
 def _mse(arch, pop: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

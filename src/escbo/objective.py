@@ -138,8 +138,7 @@ class Objective:
     The counter increases by exactly one per evaluated point, including every
     probe point consumed by gradient estimation.  It is a plain integer with
     no lock, because nothing evaluates an objective from several threads.
-    ``fn`` must be deterministic and map a (B, d) array to B values;
-    ``eval`` is the B = 1 case of ``eval_many``.
+    ``fn`` must be deterministic and map a (B, d) array to B values.
 
     ``probe_kernel(centers, delta)``, when given, returns f at the (B*d, d)
     coordinate probes ``rows[i*d + l] = fl(centers[i] + sigma e_l)`` of a
@@ -158,11 +157,6 @@ class Objective:
     @property
     def eval_count(self) -> int:
         return self._count
-
-    def eval(self, x) -> float:
-        """f at one point of shape (d,): the batch of that one point."""
-        x = _array(f"{self.name}: point", x, 1, (self.dim,))
-        return float(self.eval_many(x[None])[0])
 
     def eval_many(self, points, centers=None, values=None) -> np.ndarray:
         """Evaluate a (B, d) batch of points; counts B evaluations.
@@ -206,25 +200,19 @@ class LipschitzData:
     """Gradient-estimator bounds derived from a Lipschitz constant.
 
     ``M_g`` bounds the estimator norm and ``L_g`` its Lipschitz constant.
-    Instances are immutable; rebuild via :func:`gradient_bounds` whenever
-    ``sigma`` or the dimension changes so the derived values stay consistent.
     """
 
-    L_f: float
-    dim: int
-    sigma: float
     M_g: float
     L_g: float
 
 
 def gradient_bounds(L_f: float, d: int, sigma: float) -> LipschitzData:
     """Bounds on the forward-difference estimator of an L_f-Lipschitz function."""
-    _check("L_f", L_f, "(0, inf)")
+    L_f = _check("L_f", L_f, "(0, inf)")
     _check("d", d, "[1, inf)", count=True)
-    _check("sigma", sigma, "(0, inf)")
+    sigma = _check("sigma", sigma, "(0, inf)")
     root_d = float(np.sqrt(float(d)))  # Python floats overflow unwarned
-    return LipschitzData(L_f=float(L_f), dim=int(d), sigma=float(sigma),
-                         M_g=float(root_d * L_f),
+    return LipschitzData(M_g=float(root_d * L_f),
                          L_g=float(2.0 * root_d * L_f / sigma))
 
 

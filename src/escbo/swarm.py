@@ -221,6 +221,10 @@ def softmin_weights(values, beta: float) -> np.ndarray:
     _check("beta", beta, "[0, inf)")
     if not f.size:
         raise ConfigurationError("softmin needs one value or more")
+    return _softmin(f, beta)
+
+
+def _softmin(f: np.ndarray, beta: float) -> np.ndarray:
     # exp(-beta * (f - min f)) / sum, in place on one fresh array.
     w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
     w *= -beta
@@ -238,7 +242,8 @@ def consensus_point(state: SwarmState, beta: float) -> np.ndarray:
     """
     if not _all_finite(state.values):
         raise ConfigurationError("non-finite objective values in swarm")
-    w = softmin_weights(state.values, beta)
+    _check("beta", beta, "[0, inf)")
+    w = _softmin(state.values, beta)
     anchor = state.positions[w.argmax()]
     return anchor + w @ (state.positions - anchor)
 
@@ -250,18 +255,6 @@ def draw_noise(delta: float, dim: int, rng: RngStream) -> np.ndarray:
     """
     _check("delta", delta, "[0, inf)")
     return rng.stream("noise").normal(0.0, delta, size=dim)
-
-
-def _drift_diffusion(positions: np.ndarray, xbar: np.ndarray, lam: float,
-                     eta: np.ndarray) -> np.ndarray:
-    # Single fused factor per coordinate: keeps the pairwise-difference
-    # contraction identity tight to rounding error, and makes full
-    # contraction (lam = 1, delta = 0) land every particle exactly on xbar.
-    # xbar + (positions - xbar) * ((1 - lam) - eta), in place.
-    out = positions - xbar
-    out *= (1.0 - lam) - eta
-    out += xbar
-    return out
 
 
 def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
@@ -282,7 +275,12 @@ def _advance(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
     grads = minibatch_gradients(obj, state.positions, batch, cfg.sigma,
                                 state.values) if gradient else None
     eta = draw_noise(cfg.delta, state.dim, rng)
-    new_positions = _drift_diffusion(state.positions, xbar, cfg.lam, eta)
+    # xbar + (positions - xbar) * ((1 - lam) - eta), in place: one fused
+    # factor per coordinate keeps the pairwise-contraction identity tight to
+    # rounding, and lands a full contraction (lam = 1, delta = 0) on xbar.
+    new_positions = state.positions - xbar
+    new_positions *= (1.0 - cfg.lam) - eta
+    new_positions += xbar
     if grads is not None and (alpha := cfg.schedule.alpha(state.k)) != 0.0:
         grads *= alpha  # the caller's fresh array: new - alpha * grads
         new_positions -= grads

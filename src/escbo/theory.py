@@ -154,7 +154,6 @@ class ComplexityConstants:
     2*lam^2 - 2*delta^2 > 0.
     """
 
-    xi: float
     gamma: float
     kappa: float
 
@@ -180,8 +179,7 @@ def contraction_constants(lam: float, delta: float,
     a = lam * lam + delta * delta
     # The square-root budget sqrt(xi core / (4a + 4)) is larger: xi core < 1/2.
     kappa = xi * core / (4.0 * (2.0 * a + math.sqrt(a) + 1.0))
-    return ComplexityConstants(xi=float(xi), gamma=float(gamma),
-                               kappa=float(kappa))
+    return ComplexityConstants(gamma=float(gamma), kappa=float(kappa))
 
 
 def _exceeds(gamma: float, k: int, target: Fraction) -> bool:

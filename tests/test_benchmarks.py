@@ -178,6 +178,6 @@ def test_lookup_errors():
 
 def test_lookup_returns_fresh_counters():
     a = lookup("rastrigin", 2)
-    a.objective.eval(np.zeros(2))
+    a.objective.eval_many(np.zeros((1, 2)))
     b = lookup("rastrigin", 2)
     assert b.objective.eval_count == 0

@@ -17,7 +17,7 @@ from escbo.harness import (AggregateReport, ExperimentConfig, diagnose,
 from escbo.objective import ConfigurationError, Objective
 from escbo.swarm import (ComponentGaussian, StepSchedule, SwarmState,
                          UniformBox, consensus_point)
-from escbo.theory import ParameterConditionWarning
+from escbo.theory import ParameterConditionWarning, contraction_constants
 
 
 def quick_config(**overrides):
@@ -782,23 +782,20 @@ def test_diagnose_notes_a_contraction_core_that_is_not_positive():
     cfg = quick_config(lam=1.0, delta=0.0, max_iters=3, runs=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterConditionWarning)
-        rep = diagnose(run_once(cfg, seed=0), cfg, xi=0.5)
+        rep = diagnose(run_once(cfg, seed=0), cfg)
     assert rep.w_bound is None
     assert any(note.startswith("gamma^k overlay unavailable: contraction")
                for note in rep.notes)
 
 
-def test_diagnose_notes_a_derived_var_init_and_checks_a_given_one():
+def test_diagnose_notes_an_initial_diameter_that_is_not_finite():
     cfg = quick_config(init=UniformBox(-1e200, 1e200), max_iters=3, runs=1)
-    rec = run_once(cfg, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterConditionWarning)
-        rep = diagnose(rec, cfg, L_f=1.0)
-        assert rep.diameter_bound is None
-        assert rep.notes[-1] == \
-            "diameter bound unavailable: initial diameter is inf"
-        with pytest.raises(ConfigurationError, match="var_init"):
-            diagnose(rec, cfg, L_f=1.0, var_init=math.inf)
+        rep = diagnose(run_once(cfg, seed=0), cfg, L_f=1.0)
+    assert rep.diameter_bound is None
+    assert rep.notes[-1] == \
+        "diameter bound unavailable: initial diameter is inf"
 
 
 def test_diagnose_gamma_overlay():
@@ -807,5 +804,6 @@ def test_diagnose_gamma_overlay():
                        init=UniformBox(-3.0, 3.0))
     rec = run_once(cfg, seed=0)
     rep = diagnose(rec, cfg, L_f=60.0)
-    assert rep.w_bound is not None
-    assert rep.w_bound[0] == pytest.approx(rec.w_k[0])
+    # The overlay takes xi = 0.5, bit for bit.
+    gamma = contraction_constants(cfg.lam, cfg.delta, 0.5).gamma
+    assert np.array_equal(rep.w_bound, rec.w_k[0] * gamma ** rec.ks)

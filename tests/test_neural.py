@@ -49,7 +49,7 @@ def test_flatten_round_trip():
 
 
 NET = MLPArchitecture((2, 1))  # three parameters
-NET_DATA = generate_synthetic(NET, seed=0, M=3, M_test=2)
+NET_DATA = generate_synthetic(NET, seed=0)
 # Each array input of the module, in a call that a valid value of it passes.
 NOT_REAL = not_real({
     "forward-params": (lambda a: forward(NET, a, np.zeros(2)), np.zeros(3)),
@@ -161,7 +161,7 @@ def test_noiseless_targets_give_zero_error():
     data = generate_synthetic(arch, seed=1)
     clean = type(data)(inputs=data.inputs,
                        targets=forward(arch, params, data.inputs),
-                       M=data.M, M_test=data.M_test, truth_params=params)
+                       M=data.M, truth_params=params)
     assert train_error(arch, params, clean) == 0.0
     assert held_out_error(arch, params, clean) == 0.0
 
@@ -172,7 +172,7 @@ def test_constant_half_targets():
     zero = np.zeros(arch.dim)  # every output is sigmoid(0) = 0.5
     half = type(data)(inputs=data.inputs,
                       targets=np.full_like(data.targets, 0.5),
-                      M=data.M, M_test=data.M_test, truth_params=zero)
+                      M=data.M, truth_params=zero)
     assert train_error(arch, zero, half) == 0.0
 
 
@@ -186,7 +186,7 @@ def test_objective_matches_train_error():
     for i in range(6):
         expected = train_error(arch, pts[i], data)
         assert batch[i] == expected
-        assert obj.eval(pts[i]) == expected
+        assert obj.eval_many(pts[i][None])[0] == expected
     assert obj.eval_count == 12
 
 

@@ -23,7 +23,7 @@ def sphere_objective(dim=2):
 
 def test_eval_counts_single_and_batch():
     obj = sphere_objective()
-    assert obj.eval(np.array([1.0, 2.0])) == 5.0
+    assert obj.eval_many([[1.0, 2.0]])[0] == 5.0
     assert obj.eval_count == 1
     vals = obj.eval_many(np.array([[1.0, 0.0], [0.0, 2.0]]))
     np.testing.assert_allclose(vals, [1.0, 4.0])
@@ -35,9 +35,9 @@ def test_eval_many_rejects_bad_shapes():
     with pytest.raises(ConfigurationError):
         obj.eval_many(np.zeros((3, 5)))
     rastrigin3 = lookup("rastrigin", 3).objective
-    for point in (np.zeros(5), np.zeros((1, 3)), 0.0):
+    for points in (np.zeros(3), np.zeros((1, 5)), 0.0):
         with pytest.raises(ConfigurationError):
-            rastrigin3.eval(point)
+            rastrigin3.eval_many(points)
     assert obj.eval_count == rastrigin3.eval_count == 0
 
 
@@ -51,7 +51,7 @@ def test_eval_many_rejects_values_that_are_not_one_per_point(fn):
     with pytest.raises(ConfigurationError, match="per_point"):
         obj.eval_many(np.ones((4, 3)))
     with pytest.raises(ConfigurationError, match="per_point"):
-        obj.eval(np.ones(3))
+        obj.eval_many(np.ones((1, 3)))
 
 
 def network(widths):
@@ -177,7 +177,6 @@ def test_eval_many_of_a_subset_equals_those_rows_of_the_batch(name, n, seed,
 # passes; not_real gives the calls on its ragged, string, bool and complex
 # forms.
 NOT_REAL = not_real({
-    "eval-point": (lambda a: sphere_objective().eval(a), np.zeros(2)),
     "eval_many-points": (lambda a: sphere_objective().eval_many(a),
                          np.zeros((3, 2))),
     "eval_many-centers": (lambda a: sphere_objective().eval_many(
@@ -229,9 +228,9 @@ def test_gradients_reject_a_bad_sigma(sigma):
 
 def test_counter_is_thread_safe():
     obj = sphere_objective()
-    point = np.array([0.5, 0.5])
+    point = np.array([[0.5, 0.5]])
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(lambda _: obj.eval(point), range(800)))
+        list(pool.map(lambda _: obj.eval_many(point), range(800)))
     assert obj.eval_count == 800
 
 
@@ -436,6 +435,9 @@ def test_gradient_bounds_hand_values():
     assert lb.M_g == 1.0 and lb.L_g == 1.0
     tiny = gradient_bounds(1e-12, 9, 0.1)
     assert tiny.M_g < 1e-11 and tiny.L_g < 1e-10
+    # A numpy scalar computes as the Python number it equals.
+    x = np.float32(0.1)
+    assert gradient_bounds(x, 3, x) == gradient_bounds(float(x), 3, float(x))
 
 
 def test_gradient_bounds_overflow_reads_inf():
@@ -465,5 +467,5 @@ def test_gradient_norm_respects_lipschitz_bound():
 
 def test_objective_is_deterministic():
     obj = sphere_objective(3)
-    x = np.array([0.1, 0.2, 0.3])
-    assert obj.eval(x) == obj.eval(x)
+    x = np.array([[0.1, 0.2, 0.3]])
+    assert obj.eval_many(x)[0] == obj.eval_many(x)[0]

@@ -21,7 +21,7 @@ from escbo import (ComponentGaussian, ExperimentConfig, GrowthConditionParams,
                    SwarmState, UniformBox, check_consensus_condition,
                    check_error_bound_condition, check_stop,
                    consensus_bound_series, consensus_distance_bound,
-                   contraction_constants, diagnose, draw_noise, error_budget,
+                   contraction_constants, draw_noise, error_budget,
                    fescbo_step, generate_synthetic, gradient_bounds,
                    growth_margin, growth_radius, init_swarm, iteration_budget,
                    laplace_value, lookup, max_on_ball, minibatch_gradients,
@@ -323,10 +323,6 @@ PARAMETERS = [
      [0.0], False),
     ("generate_synthetic-seed", lambda v: generate_synthetic(NET, v), 0, [-1],
      True),
-    ("generate_synthetic-M", lambda v: generate_synthetic(NET, 0, M=v), 1,
-     [0, -1], True),
-    ("generate_synthetic-M_test",
-     lambda v: generate_synthetic(NET, 0, M_test=v), 1, [0], True),
     ("lookup-d", lambda v: lookup("rastrigin", v), 1, [0], True),
     ("MLPArchitecture-width", lambda v: MLPArchitecture((v, 3, 1)), 1, [0],
      True),
@@ -423,8 +419,6 @@ PARAMETERS = [
                                              False),
           ("d", 1, [0], True), ("sigma", 0.1, [0.0], False),
           ("fstar", 0.0, [], False))),
-    ("diagnose-xi", lambda v: diagnose(run_once(QUICK, 0), QUICK, xi=v), 0.5,
-     [0.0, 1.0, 2.0], False),
     ("max_on_ball-radius", lambda v: max_on_ball(_bowl, [0.0], v, 0.5), 0.5,
      [0.0], False),
     ("max_on_ball-resolution", lambda v: max_on_ball(_bowl, [0.0], 1.0, v),

@@ -670,7 +670,7 @@ def test_coupling_identity_property(pts, lam, delta, beta, seed):
 # N or d; numpy's ufuncs raise no event, so this is the per-call layering
 # around the array work, which no timing on a noisy host can see.  A change
 # that raises a budget says why, with a paired timing of the step.
-CALL_BUDGETS = {"escbo": (54, 26), "vanilla": (33, 12), "fescbo": (131, 100)}
+CALL_BUDGETS = {"escbo": (52, 25), "vanilla": (31, 11), "fescbo": (129, 99)}
 STEPPERS = {"escbo": escbo_step, "vanilla": vanilla_cbo_step,
             "fescbo": fescbo_step}
 
