@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import benchmarks
-from .objective import (ConfigurationError, EstimationError, _check, _fit,
+from .objective import (ConfigurationError, EstimationError, _check,
                         _is_count, _is_real, gradient_bounds)
 from .swarm import (ComponentGaussian, DivergenceError, RngStream,
                     StepSchedule, SwarmState, UniformBox, _check_finite,
@@ -153,13 +153,10 @@ class ExperimentConfig:
         # 0 or None, or on a network, dim may hold the network's dimension.
         if dnn:
             from . import neural
-            dim = neural.MLPArchitecture(self.arch).dim
-            unread = (0, dim)
+            unread = (0, neural.MLPArchitecture(self.arch).dim)
         else:
-            dim, unread = self.dim, (0, None)
-            benchmarks.lookup(self.benchmark, dim)
-        for f in fields(self.init) if self.init is not None else ():
-            _fit(f"init {f.name}", getattr(self.init, f.name), dim)
+            unread = (0, None)
+            benchmarks.lookup(self.benchmark, self.dim)
         for f in fields(self):
             target, value = f.metadata["target"], getattr(self, f.name)
             if target and (target == "dnn") != dnn and value not in unread:

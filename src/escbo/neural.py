@@ -46,14 +46,9 @@ class MLPArchitecture:
         object.__setattr__(self, "widths", tuple(int(w) for w in widths))
 
     @property
-    def n_layers(self) -> int:
-        return len(self.widths) - 1
-
-    @property
     def dim(self) -> int:
         w = self.widths
-        return sum(w[i] * w[i + 1] for i in range(self.n_layers)) \
-            + sum(w[1:])
+        return sum(w[i] * w[i + 1] for i in range(len(w) - 1)) + sum(w[1:])
 
     def __str__(self):
         return "-".join(str(w) for w in self.widths)

@@ -109,15 +109,6 @@ def _array(name: str, value, ndim: Optional[int] = None, tail: tuple = (),
     return a
 
 
-def _fit(name: str, value, d: int) -> np.ndarray:
-    """One value or one per coordinate, broadcast to a (d,) float array."""
-    a = _array(name, value)
-    if a.shape not in ((), (1,), (d,)):
-        raise ConfigurationError(
-            f"{name} of shape {a.shape} does not fit dimension {d}")
-    return np.broadcast_to(a, (d,))
-
-
 def _row_sums(a: np.ndarray):
     """``np.add.reduce(a, axis=-1)`` bit for bit: by column adds below 8
     entries, where numpy adds a row in order onto +0.0 (pairwise from 8 on).
@@ -190,9 +181,6 @@ class Objective:
         except ConfigurationError as exc:  # its traceback kept
             exc.args = (f"{self.name}: {exc}",)
             raise
-
-    def __repr__(self):
-        return f"Objective({self.name!r}, dim={self.dim}, evals={self._count})"
 
 
 @dataclass(frozen=True)

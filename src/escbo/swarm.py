@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .objective import (ConfigurationError, Objective, _all_finite, _array,
-                        _check, _fit, _row_sums, minibatch_gradients)
+                        _check, _row_sums, minibatch_gradients)
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ExperimentConfig
@@ -73,7 +73,7 @@ class RngStream:
 
     def stream(self, label: str) -> np.random.Generator:
         if label not in _STREAM_IDS:
-            raise KeyError(f"unknown stream {label!r}")
+            raise ConfigurationError(f"unknown stream {label!r}")
         if label not in self._gens:
             ss = np.random.SeedSequence((self.seed & _MASK64, _STREAM_IDS[label]))
             self._gens[label] = np.random.Generator(np.random.Philox(ss))
@@ -105,10 +105,6 @@ class SwarmState:
                                      "positions, N, d >= 1, and (N,) values")
 
     @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.positions.shape[1]
 
@@ -128,7 +124,7 @@ class StepSchedule:
                                              self.c, "[0, inf)"))
         object.__setattr__(self, "r", _check(
             f"{self.kind} schedule r", self.r,
-            "(0, 1)" if self.kind == "geometric" else "(-inf, inf)"))
+            "(0, 1)" if self.kind == "geometric" else "[0, 0]"))
 
     @classmethod
     def constant(cls, c: float) -> "StepSchedule":
@@ -158,25 +154,19 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class UniformBox:
-    """Uniform initial distribution on an axis-aligned box."""
+    """Uniform initial distribution on the cube [lo, hi]^d."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                width = _array("hi", self.hi) - _array("lo", self.lo)
-        except ValueError:  # not real arrays, or shapes that do not broadcast
-            width = np.nan
-        if not np.all(np.isfinite(width) & (width > 0)):  # nan, inf fail
-            raise ConfigurationError(
-                f"UniformBox needs real lo < hi and a finite width in every "
-                f"coordinate, got {self.lo!r}, {self.hi!r}")
+        lo = _check("lo", self.lo, "(-inf, inf)")
+        if not 0 < _check("hi", self.hi, "(-inf, inf)") - lo < np.inf:
+            raise ConfigurationError(f"UniformBox needs lo < hi and a finite "
+                                     f"width, got {self.lo!r}, {self.hi!r}")
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
-        return gen.uniform(_fit("lo", self.lo, d), _fit("hi", self.hi, d),
-                           size=(n, d))
+        return gen.uniform(self.lo, self.hi, size=(n, d))
 
     def __str__(self):
         return f"uniform[{self.lo},{self.hi}]"
@@ -184,19 +174,18 @@ class UniformBox:
 
 @dataclass(frozen=True)
 class ComponentGaussian:
-    """Per-coordinate normal initial distribution with the given variance."""
+    """Normal initial distribution: each coordinate i.i.d. N(mean, variance)."""
 
     mean: float
     variance: float
 
     def __post_init__(self):
-        _array("mean", self.mean, finite=True)
+        _check("mean", self.mean, "(-inf, inf)")
         object.__setattr__(self, "variance",
                            _check("variance", self.variance, "[0, inf)"))
 
     def sample(self, n: int, d: int, gen: np.random.Generator) -> np.ndarray:
-        return gen.normal(_fit("mean", self.mean, d), np.sqrt(self.variance),
-                          size=(n, d))
+        return gen.normal(self.mean, np.sqrt(self.variance), size=(n, d))
 
     def __str__(self):
         return f"gaussian({self.mean},{self.variance})"
@@ -319,7 +308,7 @@ def fescbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
     With batch_size == N the trajectory matches escbo_step under the same
     seed, because batch selection draws from its own substream.
     """
-    n = state.n_particles
+    n = state.positions.shape[0]
     b = _check("batch_size", cfg.batch_size, f"[1, {n}]", count=True)
     idx = rng.stream("batch").choice(n, size=b, replace=False)
     return _advance(state, obj, cfg, rng, gradient=True, batch=idx)

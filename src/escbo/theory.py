@@ -19,8 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .objective import (ConfigurationError, _array, _check, _fit,
-                        gradient_bounds)
+from .objective import ConfigurationError, _array, _check, gradient_bounds
 from .swarm import StepSchedule, SwarmState, consensus_point
 
 __all__ = [
@@ -260,13 +259,14 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     """Bound the softmin-average's distance to the minimizer and verify it.
 
     Requires r in (0, R0], q > 0 with q + f_r - fstar <= f_inf, and at least
-    one particle within distance r of the minimizer.  ``f_r`` is the maximum
-    of f over the r-ball (supply it from a grid search).  The deviation is
-    that of the swarm's consensus point at the given beta, recomputed from
-    the (N, d) ``positions`` and ``fvals``, one finite value per particle.
+    one particle within distance r of the (d,) minimizer ``xstar``.  ``f_r``
+    is the maximum of f over the r-ball (supply it from a grid search).  The
+    deviation is that of the swarm's consensus point at the given beta,
+    recomputed from the (N, d) ``positions`` and ``fvals``, one finite value
+    per particle.
     """
     state = SwarmState(_array("positions", positions, finite=True), fvals)
-    xs = _fit("xstar", _array("xstar", xstar, finite=True), state.dim)
+    xs = _array("xstar", xstar, 1, (state.dim,), finite=True)
     _check("r", r, f"(0, {gcp.R0}]")
     q = _check("q", q, "(0, inf)")
     fstar = _check("fstar", fstar, "(-inf, inf)")
@@ -388,13 +388,13 @@ def _ball_offsets(d: int, radius: float, resolution: float) -> np.ndarray:
 
 
 def max_on_ball(fn, center, radius: float, resolution: float = 1e-3) -> float:
-    """Grid-search maximum of fn over the closed ball (dimension 1 or 2 only).
+    """Grid-search maximum of fn over the closed ball about the (d,) point
+    ``center``, d = 1 or 2.
 
     ``fn`` must accept a (B, d) array and return (B,) values; ``resolution``
     is the grid spacing.
     """
-    c = np.atleast_1d(_array("center", center, finite=True))  # a number: 1-D
-    _array("center", c, 1)  # one point
+    c = _array("center", center, 1, finite=True)  # one point
     _check("radius", radius, "(0, inf)")
     pts = _ball_offsets(len(c), radius, resolution) + c
     return float(np.max(_array("fn values", fn(pts), 1, (len(pts),))))
@@ -408,8 +408,7 @@ def growth_radius(fn, center, fstar: float, q: float, R0: float,
     R0-ball and returns the largest grid radius below that of the nearest
     point where f - fstar <= q fails (a nan fails it), or 0.0 if none is.
     """
-    c = np.atleast_1d(_array("center", center, finite=True))  # a number: 1-D
-    _array("center", c, 1)  # one point
+    c = _array("center", center, 1, finite=True)  # one point
     _check("fstar", fstar, "(-inf, inf)")
     _check("q", q, "(0, inf)")
     _check("R0", R0, "(0, inf)")

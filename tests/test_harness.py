@@ -383,20 +383,21 @@ def test_config_rejects_wrong_kind_or_unread_field(overrides):
         ExperimentConfig(**overrides)
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(init=UniformBox([-1.0] * 3, [1.0] * 3), dim=2),
-    dict(init=ComponentGaussian(np.zeros(3), 1.0), dim=2),
-    dict(benchmark="dnn", arch=(2, 3, 1),
-         init=UniformBox([-1.0] * 2, [1.0] * 2)),
+# A bound or a mean is one number, which fits every dimension; an array of
+# them is refused when the init is built.
+@pytest.mark.parametrize("make", [
+    lambda: ExperimentConfig(init=UniformBox([-1.0] * 3, [1.0] * 3), dim=2),
+    lambda: ExperimentConfig(init=ComponentGaussian(np.zeros(3), 1.0), dim=2),
+    lambda: ExperimentConfig(benchmark="dnn", arch=(2, 3, 1),
+                             init=UniformBox([-1.0] * 2, [1.0] * 2)),
 ], ids=["box-3-on-dim-2", "gaussian-3-on-dim-2", "box-2-on-network-13"])
-def test_config_rejects_init_that_does_not_fit_the_target(overrides):
-    with pytest.raises(ConfigurationError, match="does not fit"):
-        ExperimentConfig(**overrides)
+def test_config_rejects_init_that_does_not_fit_the_target(make):
+    with pytest.raises(ConfigurationError):
+        make()
 
 
-def test_init_of_one_value_or_one_per_coordinate_runs():
-    for init in (UniformBox([-1.0] * 3, 1.0), UniformBox([-1.0], [1.0]),
-                 ComponentGaussian(np.zeros(3), 1.0)):
+def test_init_of_numbers_runs_in_any_dimension():
+    for init in (UniformBox(-1.0, 1.0), ComponentGaussian(0.0, 1.0)):
         rec = run_once(quick_config(init=init, dim=3, max_iters=2), seed=0)
         assert rec.final_positions.shape == (10, 3)
 

@@ -129,11 +129,11 @@ def test_only_the_one_helper_words_a_range_error():
 
 
 def test_one_helper_fits_and_one_box_samples():
-    # An input of one value or one per coordinate is broadcast to (d,) only
-    # by objective._fit, and a box is sampled only by UniformBox.sample.
-    # An array input is converted only by objective._array (_reals asks
-    # numpy whether it holds reals, and a batch is of integers); the
-    # benchmark kernels are numpy functions that convert their own input.
+    # No input is broadcast to (d,): a box's bounds and a Gaussian's mean
+    # are numbers, and a box is sampled only by UniformBox.sample.  An array
+    # input is converted only by objective._array (_reals asks numpy whether
+    # it holds reals, and a batch is of integers); the benchmark kernels are
+    # numpy functions that convert their own input.
     calls = []
     for path in sorted(pathlib.Path(escbo.__file__).parent.glob("*.py")):
         names = {"broadcast_to", "uniform"} | (
@@ -149,7 +149,6 @@ def test_one_helper_fits_and_one_box_samples():
                 calls.append((where, node.func.attr))
             stack.extend((child, where) for child in ast.iter_child_nodes(node))
     assert sorted(calls) == [("objective._array", "asarray"),
-                             ("objective._fit", "broadcast_to"),
                              ("objective._reals", "asarray"),
                              ("objective.minibatch_gradients", "asarray"),
                              ("swarm.UniformBox.sample", "uniform")]
@@ -328,12 +327,16 @@ PARAMETERS = [
      True),
     ("StepSchedule-c", lambda v: StepSchedule.constant(v), 0.0, [-0.1],
      False),
-    ("StepSchedule-r", lambda v: StepSchedule("constant", 1.0, v), -5.0, [],
-     False),
+    ("StepSchedule-r", lambda v: StepSchedule("constant", 1.0, v), 0.0,
+     [-5.0, 1.0], False),
     ("StepSchedule-geometric-r", lambda v: StepSchedule.geometric(1.0, v),
      0.5, [0.0, 1.0], False),
     ("ComponentGaussian-variance", lambda v: ComponentGaussian(0.0, v), 0.0,
      [-1.0], False),
+    ("ComponentGaussian-mean", lambda v: ComponentGaussian(v, 1.0), 0.0, [],
+     False),
+    ("UniformBox-lo", lambda v: UniformBox(v, 1.0), 0.0, [1.0, 2.0], False),
+    ("UniformBox-hi", lambda v: UniformBox(0.0, v), 1.0, [0.0], False),
     ("init_swarm-n_particles",
      lambda v: init_swarm(UniformBox(-1, 1), v, SPHERE, RngStream(0)), 1,
      [0], True),

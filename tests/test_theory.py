@@ -720,10 +720,15 @@ NOT_REAL = not_real({
                                       [0.0, 0.0, 0.0], 0.0, GCP_1D, r=0.05,
                                       q=0.1, beta=10.0, f_r=0.0),
      ConfigurationError),
+    # A minimizer is one point, even in one dimension.
+    (lambda: distance(xstar=0.0), ConfigurationError),
     (lambda: consensus_distance_bound(np.zeros((2, 1, 1)), [0.0, 0.0], [0.0],
                                       0.0, GCP_1D, r=0.05, q=0.1, beta=10.0,
                                       f_r=0.0), ConfigurationError),
-    # A grid search is about one point: a center of one axis.
+    # A grid search is about one point: a center of one axis, not a number.
+    (lambda: max_on_ball(lambda p: p[:, 0], 0.0, 1.0), ConfigurationError),
+    (lambda: growth_radius(lambda p: p[:, 0], 0.0, 0.0, 0.5, 1.0),
+     ConfigurationError),
     (lambda: max_on_ball(lambda p: np.sum(p * p, axis=1), [[0.0, 0.0]], 1.0,
                          0.25), ConfigurationError),
     (lambda: growth_radius(lambda p: np.sum(p * p, axis=1), [[0.0, 0.0]],
@@ -739,9 +744,10 @@ NOT_REAL = not_real({
         "error-bound-epsilon", "ball-radius", "ball-resolution",
         "growth-radius-q", "ball-center-nan", "growth-radius-center-inf",
         "distance-position-nan", "distance-xstar-inf",
-        "distance-xstar-3-on-dim-1", "distance-positions-3-axes",
-        "ball-center-2-axes", "growth-center-2-axes", "growth-fn-columns",
-        "ball-fn-strings", *NOT_REAL])
+        "distance-xstar-3-on-dim-1", "distance-xstar-number",
+        "distance-positions-3-axes", "ball-center-number",
+        "growth-center-number", "ball-center-2-axes", "growth-center-2-axes",
+        "growth-fn-columns", "ball-fn-strings", *NOT_REAL])
 def test_theory_validation_errors(call, error):
     with pytest.raises(error):
         call()
