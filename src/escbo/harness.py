@@ -446,14 +446,14 @@ def _summary_row(report: AggregateReport) -> dict:
     return _blank(row, math.isnan)
 
 
-def _series_rows(report: AggregateReport):
-    for i, rec in enumerate(report.records):
-        w_k = [None] * len(rec.ks) if rec.w_k is None else rec.w_k.tolist()
-        for k, diameter, w, best_f in zip(rec.ks.tolist(),
-                                          rec.diameter.tolist(), w_k,
-                                          rec.best_f.tolist()):
-            yield _blank({"run": i, "k": k, "diameter": diameter, "w_k": w,
-                          "best_f": best_f}, math.isnan)
+def _series_rows(reports):
+    # Each checkpoint of each run, in SERIES_COLUMNS order with nan as None.
+    for report in reports:
+        for i, rec in enumerate(report.records):
+            w_k = np.full(len(rec.ks), math.nan) if rec.w_k is None else rec.w_k
+            for row in zip(rec.ks.tolist(), rec.diameter.tolist(),
+                           w_k.tolist(), rec.best_f.tolist()):
+                yield (i, *(None if v != v else v for v in row))
 
 
 def emit_report(reports, fmt: str, path) -> list[str]:
@@ -469,12 +469,12 @@ def emit_report(reports, fmt: str, path) -> list[str]:
         reports = [reports]
     reports = [r for r in reports if r.records]
     rows = [_summary_row(r) for r in reports]
-    series = [row for r in reports for row in _series_rows(r)]
     path = os.fspath(path)
     if fmt == "json":
         import json
         doc = {"summary": [_blank(r, math.isinf) for r in rows],
-               "series": [_blank(r, math.isinf) for r in series]}
+               "series": [_blank(dict(zip(SERIES_COLUMNS, row)), math.isinf)
+                          for row in _series_rows(reports)]}
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             json.dump(doc, fh, indent=1, allow_nan=False)
             fh.write("\n")
@@ -483,14 +483,15 @@ def emit_report(reports, fmt: str, path) -> list[str]:
         raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
     base, ext = os.path.splitext(path)
     series_path = f"{base}_series{ext or '.csv'}"
-    extra = ("train_err", "test_err") if any("train_err" in r for r in rows) \
-        else ()
-    for out, columns, table in ((path, SUMMARY_COLUMNS + extra, rows),
-                                (series_path, SERIES_COLUMNS, series)):
+    columns = SUMMARY_COLUMNS + (("train_err", "test_err") if any(
+        "train_err" in r for r in rows) else ())
+    for out, header, table in (
+            (path, columns, ([row.get(c) for c in columns] for row in rows)),
+            (series_path, SERIES_COLUMNS, _series_rows(reports))):
         with open(out, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows([row.get(c) for c in columns] for row in table)
+            writer.writerow(header)
+            writer.writerows(table)
     return [path, series_path]
 
 

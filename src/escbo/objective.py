@@ -226,16 +226,14 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
     ``sigma`` is the forward-difference interval, a real 0 < sigma < inf.
     ``values``, when given, holds f at every position, (N,); the base
     values are read from it (still counted) instead of evaluated.  The
-    gradient steppers pass the swarm's cached values this way.
+    gradient steppers pass their state's values to the unchecked core,
+    ``_gradients``, instead.
     """
-    _check("sigma", sigma, "(0, inf)")
-    pts = _array("positions", positions, 2, (obj.dim,))
-    n, d = pts.shape
+    sigma = _check("sigma", sigma, "(0, inf)")
+    n = len(pts := _array("positions", positions, 2, (obj.dim,)))
     if values is not None:
         values = _array("values", values, 1, (n,))
-    if batch is None:
-        idx = range(n)
-    else:
+    if batch is not None:
         try:  # indices in a list, a set or an array
             raw = np.asarray(list(batch))
         except (TypeError, ValueError):  # not iterable, or ragged
@@ -243,15 +241,24 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
         if raw.ndim != 1 or raw.size and raw.dtype.kind not in "iu":
             raise ConfigurationError(
                 f"batch must hold integer indices, got {reprlib.repr(batch)}")
-        idx = np.unique(raw.astype(int))
+        batch = np.unique(raw.astype(int))
+        if batch.size and (batch[0] < 0 or batch[-1] >= n):
+            raise ConfigurationError(f"batch indices must lie in [0, {n - 1}]"
+                                     f", got {batch[0]}..{batch[-1]}")
+    return _gradients(obj, pts, batch, sigma, values)
+
+
+def _gradients(obj: Objective, pts: np.ndarray, idx, sigma: float,
+               values=None, finite_values: bool = False) -> np.ndarray:
+    # minibatch_gradients' core, on sorted unique indices in [0, N) or None
+    # for all; ``finite_values`` skips the base test a stepper has made.
+    n, d = pts.shape
+    idx = range(n) if idx is None else idx
     b = len(idx)
     if b == 0:
         return np.zeros_like(pts)
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ConfigurationError(
-            f"batch indices must lie in [0, {n - 1}], got {idx[0]}..{idx[-1]}")
-    # Sorted, unique and in range: a batch of size n is every particle, used
-    # as it is if C-ordered (a probe kernel's rounding follows the layout).
+    # A batch of size n is every particle, used as it is if C-ordered (a
+    # probe kernel's rounding follows the layout).
     centers = pts if b == n and pts.flags.c_contiguous else pts[idx]
     if values is not None and b < n:
         values = values[idx]
@@ -259,11 +266,10 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
     probes = centers.repeat(d, axis=0)
     probes.reshape(b, d * d)[:, ::d + 1] += sigma
     vals = obj.eval_many(probes, centers=centers).reshape(b, d)
-    if not _all_finite(base):
-        i = np.flatnonzero(~np.isfinite(base))[0]
-        raise EstimationError(
-            f"objective non-finite at particle {idx[i]}",
-            coordinate=None, particle=int(idx[i]))
+    if not (finite_values or _all_finite(base)):
+        i = int(idx[np.flatnonzero(~np.isfinite(base))[0]])
+        raise EstimationError(f"objective non-finite at particle {i}",
+                              particle=i)
     if not _all_finite(vals):
         i, l = np.argwhere(~np.isfinite(vals))[0]
         raise EstimationError(
@@ -275,4 +281,3 @@ def minibatch_gradients(obj: Objective, positions, batch, sigma: float,
     out = np.zeros_like(pts)
     out[idx] = grads
     return out
-

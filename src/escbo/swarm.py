@@ -9,6 +9,9 @@ pairwise particle differences contract by the same per-coordinate factor.
 Every stepper is ``step(state, obj, cfg, rng)``, where ``cfg`` is the run's
 ``ExperimentConfig``: it reads ``lam``, ``delta`` and ``beta``, the gradient
 steppers ``sigma`` and ``schedule`` too, and ``fescbo_step`` ``batch_size``.
+Public functions check their inputs and call private cores.  The steppers'
+core checks only the state's values; it trusts the config, checked when it
+was built, and ``fescbo_step`` checks ``batch_size`` against N.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+# minibatch_gradients is unused here, but the benchmark's tracer wraps it.
 from .objective import (ConfigurationError, Objective, _all_finite, _array,
-                        _check, _row_sums, minibatch_gradients)
+                        _check, _gradients, _row_sums, minibatch_gradients)
 
 if TYPE_CHECKING:  # harness imports this module
     from .harness import ExperimentConfig
@@ -94,19 +98,12 @@ class SwarmState:
     k: int = 0
 
     def __post_init__(self):
-        p, v, k = self.positions, self.values, self.k
-        if not (type(p) is type(v) is np.ndarray and p.dtype == v.dtype
-                == float and type(k) is int and k >= 0):  # else convert
-            k = self.k = _check("k", k, "[0, inf)", count=True)
-            p = self.positions = _array("positions", p)
-            v = self.values = _array("values", v)
+        self.k = _check("k", self.k, "[0, inf)", count=True)
+        p = self.positions = _array("positions", self.positions)
+        v = self.values = _array("values", self.values)
         if not (p.ndim == 2 and p.size and v.shape == p.shape[:1]):
             raise ConfigurationError("a swarm state needs real (N, d) "
                                      "positions, N, d >= 1, and (N,) values")
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,7 @@ def _softmin(f: np.ndarray, beta: float) -> np.ndarray:
     w = f - f.flat[f.argmin()]  # f.min() unwrapped; argmin finds a nan too
     w *= -beta
     np.exp(w, out=w)
-    w /= w.sum()
+    w /= np.add.reduce(w)  # w.sum(), unwrapped
     return w
 
 
@@ -229,12 +226,18 @@ def consensus_point(state: SwarmState, beta: float) -> np.ndarray:
     neutral (weights sum to one) but keeps a collapsed swarm's average equal
     to the common position bit for bit.
     """
-    if not _all_finite(state.values):
+    return _consensus(state.positions, state.values,
+                      _check("beta", beta, "[0, inf)"))
+
+
+def _consensus(positions: np.ndarray, values: np.ndarray,
+               beta: float) -> np.ndarray:
+    # consensus_point's core; the one check a step makes of its state.
+    if not _all_finite(values):
         raise ConfigurationError("non-finite objective values in swarm")
-    _check("beta", beta, "[0, inf)")
-    w = _softmin(state.values, beta)
-    anchor = state.positions[w.argmax()]
-    return anchor + w @ (state.positions - anchor)
+    w = _softmin(values, beta)
+    anchor = positions[w.argmax()]
+    return anchor + w @ (positions - anchor)
 
 
 def draw_noise(delta: float, dim: int, rng: RngStream) -> np.ndarray:
@@ -247,38 +250,38 @@ def draw_noise(delta: float, dim: int, rng: RngStream) -> np.ndarray:
 
 
 def _check_finite(positions: np.ndarray, values: np.ndarray, k: int) -> None:
-    bad = np.flatnonzero(~np.all(np.isfinite(positions), axis=1))
-    if bad.size:
-        raise DivergenceError(k, int(bad[0]))
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise DivergenceError(k, int(bad[0]))
+    for bad in (~np.all(np.isfinite(positions), axis=1), ~np.isfinite(values)):
+        if bad.any():
+            raise DivergenceError(k, int(bad.argmax()))  # the first one
 
 
 def _advance(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
              rng: RngStream, gradient: bool = False,
              batch=None) -> SwarmState:
-    # The consensus point comes first: it checks the cached values, which
-    # the gradient then reads as its base values.
-    xbar = consensus_point(state, cfg.beta)
-    grads = minibatch_gradients(obj, state.positions, batch, cfg.sigma,
-                                state.values) if gradient else None
-    eta = draw_noise(cfg.delta, state.dim, rng)
+    # The steppers' core: the state's arrays and the config's fields were
+    # checked when built, so only _consensus checks the state's values.
+    positions, values, k = state.positions, state.values, state.k
+    xbar = _consensus(positions, values, cfg.beta)
+    grads = _gradients(obj, positions, batch, cfg.sigma, values,
+                       finite_values=True) if gradient else None
+    eta = rng.stream("noise").normal(0.0, cfg.delta, size=positions.shape[1])
     # xbar + (positions - xbar) * ((1 - lam) - eta), in place: one fused
     # factor per coordinate keeps the pairwise-contraction identity tight to
     # rounding, and lands a full contraction (lam = 1, delta = 0) on xbar.
-    new_positions = state.positions - xbar
+    new_positions = positions - xbar
     new_positions *= (1.0 - cfg.lam) - eta
     new_positions += xbar
-    if grads is not None and (alpha := cfg.schedule.alpha(state.k)) != 0.0:
-        grads *= alpha  # the caller's fresh array: new - alpha * grads
+    if grads is not None and (alpha := cfg.schedule.alpha(k)) != 0.0:
+        grads *= alpha  # the core's fresh array: new - alpha * grads
         new_positions -= grads
     new_values = obj.eval_many(new_positions)
     if not (_all_finite(new_positions) and _all_finite(new_values)):
         # A non-finite input particle reaches every particle through xbar.
-        _check_finite(state.positions, state.values, state.k)
-        _check_finite(new_positions, new_values, state.k + 1)
-    return SwarmState(new_positions, new_values, state.k + 1)
+        _check_finite(positions, values, k)
+        _check_finite(new_positions, new_values, k + 1)
+    nxt = object.__new__(SwarmState)  # the step's own arrays: no re-check
+    nxt.positions, nxt.values, nxt.k = new_positions, new_values, k + 1
+    return nxt
 
 
 def escbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
@@ -311,6 +314,7 @@ def fescbo_step(state: SwarmState, obj: Objective, cfg: ExperimentConfig,
     n = state.positions.shape[0]
     b = _check("batch_size", cfg.batch_size, f"[1, {n}]", count=True)
     idx = rng.stream("batch").choice(n, size=b, replace=False)
+    idx.sort()  # distinct, so sorted is np.unique's order
     return _advance(state, obj, cfg, rng, gradient=True, batch=idx)
 
 

@@ -266,7 +266,7 @@ def consensus_distance_bound(positions, fvals, xstar, fstar: float,
     per particle.
     """
     state = SwarmState(_array("positions", positions, finite=True), fvals)
-    xs = _array("xstar", xstar, 1, (state.dim,), finite=True)
+    xs = _array("xstar", xstar, 1, (state.positions.shape[1],), finite=True)
     _check("r", r, f"(0, {gcp.R0}]")
     q = _check("q", q, "(0, inf)")
     fstar = _check("fstar", fstar, "(-inf, inf)")

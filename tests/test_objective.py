@@ -132,6 +132,20 @@ def test_gradients_read_their_base_from_values(batch):
     assert obj.eval_count == 4 + b * (3 + 1)  # the base is still counted
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_given_base_values_are_tested_for_finiteness(bad):
+    # Only the steppers' core skips this test, on values their state check
+    # has passed; the public function tests the batch's given values.
+    obj = sphere_objective(2)
+    values = np.array([0.0, bad, 0.0, 0.0])
+    for batch in (None, [3, 1]):
+        with pytest.raises(EstimationError) as err:
+            minibatch_gradients(obj, np.zeros((4, 2)), batch, 0.1, values)
+        assert (err.value.particle, err.value.coordinate) == (1, None)
+    grads = minibatch_gradients(obj, np.zeros((4, 2)), [0, 2], 0.1, values)
+    assert np.isfinite(grads).all()
+
+
 @pytest.mark.parametrize("values", [np.zeros(3), np.zeros(5),
                                     np.zeros((4, 1)), 0.0],
                          ids=["short", "long", "column", "scalar"])

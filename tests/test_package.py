@@ -128,12 +128,13 @@ def test_only_the_one_helper_words_a_range_error():
     assert modules == []
 
 
-def test_one_helper_fits_and_one_box_samples():
+def test_only_the_array_helpers_convert_and_only_a_box_samples():
     # No input is broadcast to (d,): a box's bounds and a Gaussian's mean
     # are numbers, and a box is sampled only by UniformBox.sample.  An array
     # input is converted only by objective._array (_reals asks numpy whether
-    # it holds reals, and a batch is of integers); the benchmark kernels are
-    # numpy functions that convert their own input.
+    # it holds reals, and the public minibatch_gradients' batch is of
+    # integers); the benchmark kernels are numpy functions that convert
+    # their own input.
     calls = []
     for path in sorted(pathlib.Path(escbo.__file__).parent.glob("*.py")):
         names = {"broadcast_to", "uniform"} | (
